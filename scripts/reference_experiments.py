@@ -4,7 +4,8 @@
 Runs, for n=25/p=0.33 and n=48/p=0.17:
 
   * the closed-form sighting probabilities,
-  * a Monte Carlo estimate of the same event on sampled graphs,
+  * the exact sighting probability, a Monte Carlo estimate of the same
+    event on sampled graphs, and the paper closed form's bias,
   * framing suites (a third of the swarm refusing to record) counting
     honest robots the remaining swarm collectively loses track of,
   * collusion suites counting how often a fabricating pair is flagged
@@ -24,6 +25,7 @@ from swarmchain.prob import (
     prob_no_report,
     prob_pair_meets_all,
     prob_report_within,
+    prob_report_within_exact,
 )
 from swarmchain.sim import AdversaryProfile, SimConfig, run_simulation
 
@@ -42,15 +44,17 @@ def closed_forms() -> None:
 
 
 def monte_carlo(trials: int, seed: int) -> None:
-    print(f"monte carlo vs closed form ({trials} trials)")
+    print(f"monte carlo vs exact and closed form ({trials} trials)")
     for n, p, delta in ((25, 0.33, 3), (48, 0.17, 3)):
         q = ProbQuery(n, p, delta)
         est = mc_report_within(q, trials, seed)
+        exact = prob_report_within_exact(q)
         closed = prob_report_within(q)
         print(
             f"  n={n:2d} p={p:.2f} delta={delta}: empirical {est.point:.6f} "
-            f"+/- {est.std_error:.6f} vs closed {closed:.6f} "
-            f"(|gap| {abs(est.point - closed):.6f})"
+            f"+/- {est.std_error:.6f} vs exact {exact:.6f} "
+            f"(|gap| {abs(est.point - exact):.6f}); "
+            f"closed {closed:.6f} (bias {closed - exact:+.6f})"
         )
 
 

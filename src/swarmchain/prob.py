@@ -1,16 +1,25 @@
-"""Closed-form sighting probabilities and the estimators that check them.
+"""Sighting probabilities: the paper's closed form, the exact value, and estimators.
 
 A robot R obtains a report of robot R' within a window of delta
 intervals either by meeting R' directly, or by meeting some robot at
 interval u that met R' at an earlier interval v < u (news is carried in
 the intermediary's history, which covers everything up to u-1).
 
-The closed forms below treat every robot as having exactly the expected
-degree n*p and treat sighting events as independent, so they are
-approximations of the true random-graph probability.  The Monte Carlo
-estimator and the exhaustive enumeration oracle compute the same
-one-intermediary event on sampled and on fully enumerated graph
-sequences respectively, which quantifies the approximation gap.
+This event has an exact value.  The direct meeting and each of the n-2
+intermediaries k use disjoint edges ((0, 1), and (0, k), (1, k)), so
+they are independent, and k relays nothing unless R misses k in every
+interval after k first met R':
+
+    P(no report) = (1-p)**delta * [(1-p)**(delta-1) * (1 + (delta-1)*p)]**(n-2)
+
+The paper's closed form (:func:`prob_no_report`) instead treats every
+robot as having exactly the expected degree n*p, so it is an
+approximation: at (n, p, delta) = (48, 0.17, 3) it overstates the
+report probability by about +0.0085.  The Monte Carlo estimator and the
+exhaustive enumeration oracle compute the same event on sampled and on
+fully enumerated graph sequences; the estimator samples only the
+2(n-2)+1 edges that touch R or R', so it costs O(trials * delta * n)
+time and memory.
 """
 from __future__ import annotations
 
@@ -77,6 +86,23 @@ def prob_report_within(q: ProbQuery) -> float:
     return 1.0 - prob_no_report(q)
 
 
+def prob_no_report_exact(q: ProbQuery) -> float:
+    """Exact probability that R has no report of R' within delta intervals.
+
+    (1-p)**delta * [(1-p)**(delta-1) * (1 + (delta-1)*p)]**(n-2): no
+    direct meeting, and for each independent intermediary either no
+    meeting with R' before the last interval, or a first one at v after
+    which R misses it in all delta-1-v remaining intervals.
+    """
+    no_relay = (1.0 - q.p) ** (q.delta - 1) * (1.0 + (q.delta - 1) * q.p)
+    return (1.0 - q.p) ** q.delta * no_relay ** (q.n - 2)
+
+
+def prob_report_within_exact(q: ProbQuery) -> float:
+    """Complement of :func:`prob_no_report_exact`."""
+    return 1.0 - prob_no_report_exact(q)
+
+
 def prob_pair_meets_all(p: float, delta: int) -> float:
     """Probability that a fixed pair meets in every one of delta intervals: p**delta."""
     if not 0.0 <= p <= 1.0:
@@ -86,44 +112,53 @@ def prob_pair_meets_all(p: float, delta: int) -> float:
     return p**delta
 
 
-def _report_events(adj: np.ndarray) -> np.ndarray:
-    """Report indicator for a batch of graph sequences.
+def _report_events(edges: np.ndarray) -> np.ndarray:
+    """Report indicator for a batch of sampled edge sequences.
 
-    ``adj`` has shape (m, delta, n, n), symmetric boolean adjacency; R is
-    vertex 0 and R' is vertex 1.  A trial counts if R meets R' in any
-    interval, or meets at interval u someone who met R' at some v < u.
+    ``edges`` has shape (m, delta, 2*(n-2)+1), boolean, and holds only
+    the edges that touch R (vertex 0) or R' (vertex 1): column 0 is the
+    edge (0, 1), columns 1..n-2 are (0, k) and columns n-1..2n-4 are
+    (1, k) for the intermediaries k = 2..n-1.  A trial counts if R meets
+    R' in any interval, or meets at interval u someone who met R' at
+    some v < u.
     """
-    m, delta, n, _ = adj.shape
-    direct = adj[:, :, 0, 1].any(axis=1)
+    m, delta, width = edges.shape
+    k = (width - 1) // 2
+    meets_r, meets_target = edges[:, :, 1 : k + 1], edges[:, :, k + 1 :]
+    direct = edges[:, :, 0].any(axis=1)
     relayed = np.zeros(m, dtype=bool)
-    met_target = np.zeros((m, n), dtype=bool)
+    met_target = np.zeros((m, k), dtype=bool)
     for t in range(delta):
         if t > 0:
-            relayed |= (adj[:, t, 0, :] & met_target).any(axis=1)
-        met_target |= adj[:, t, :, 1]
+            relayed |= (meets_r[:, t] & met_target).any(axis=1)
+        met_target |= meets_target[:, t]
     return direct | relayed
 
 
 def mc_report_within(q: ProbQuery, trials: int, seed: int) -> Estimate:
     """Estimate the report probability over independently sampled graph sequences.
 
-    Trials run in seed-derived chunks (one child stream per chunk), so
-    the estimate is reproducible and the chunks could run in parallel.
+    Only the 2(n-2)+1 edges per interval that touch R or R' can decide
+    the event, so only those are drawn: O(trials * delta * n) time and
+    memory.  The target is :func:`prob_report_within_exact`, not the
+    paper's approximation :func:`prob_report_within`, which lies about
+    +0.0085 above it at (48, 0.17, 3).  Trials run in seed-derived chunks
+    (one child stream per chunk), so the estimate is reproducible and
+    the chunks could run in parallel.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     chunks = (trials + _MC_CHUNK - 1) // _MC_CHUNK
     streams = np.random.SeedSequence(seed).spawn(chunks)
-    tri = np.triu(np.ones((q.n, q.n), dtype=bool), k=1)
+    width = 2 * (q.n - 2) + 1
     hits = 0
     remaining = trials
     for stream in streams:
         m = min(_MC_CHUNK, remaining)
         remaining -= m
         rng = np.random.default_rng(stream)
-        adj = (rng.random((m, q.delta, q.n, q.n)) < q.p) & tri
-        adj |= adj.transpose(0, 1, 3, 2)
-        hits += int(_report_events(adj).sum())
+        edges = rng.random((m, q.delta, width)) < q.p
+        hits += int(_report_events(edges).sum())
     point = hits / trials
     return Estimate(
         point=point,

@@ -1,10 +1,13 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from swarmchain.cli import main
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _write_config(tmp_path, name="config.json", **overrides):
@@ -168,8 +171,7 @@ def test_prob_rejects_invalid_parameters(capsys):
 
 
 def test_montecarlo_within_tolerance(tmp_path, capsys):
-    # the default tolerance is calibrated for the 25-robot operating point,
-    # where the closed form's expected-degree approximation is tight
+    # the estimate is checked against the exact report probability
     config = _write_config(tmp_path, n=25, p=0.33, delta=3, intervals=3)
     out = tmp_path / "mc.json"
     code = main(
@@ -181,6 +183,26 @@ def test_montecarlo_within_tolerance(tmp_path, capsys):
     doc = json.loads(out.read_text())
     assert doc["montecarlo"]["pass"] is True
     assert doc["montecarlo"]["trials"] == 4000
+
+
+def test_montecarlo_n48_passes_against_exact_value(capsys):
+    # the paper's closed form is 0.0085 above the exact value here, which
+    # exceeds the default tolerance; the check must use the exact value
+    assert main(["montecarlo", "--config", str(CONFIGS / "honest_n48.json")]) == 0
+    text = capsys.readouterr().out
+    assert "vs exact 0.985571" in text
+    assert "paper closed form 0.994026 (bias vs exact +0.008455)" in text
+    assert "PASS" in text
+
+
+def test_montecarlo_machine_row_reports_exact_and_bias(tmp_path, capsys):
+    config = _write_config(tmp_path, n=48, p=0.17, delta=3, intervals=3)
+    assert main(["montecarlo", "--config", str(config), "--trials", "2000", "--format", "machine"]) == 0
+    row = json.loads(capsys.readouterr().out.splitlines()[0])
+    assert row["exact"] == pytest.approx(0.9855709, abs=1e-7)
+    assert row["closed_form"] == pytest.approx(0.99403, abs=1e-5)
+    assert row["closed_form_bias"] == pytest.approx(row["closed_form"] - row["exact"])
+    assert row["abs_gap"] == pytest.approx(abs(row["point"] - row["exact"]))
 
 
 def test_montecarlo_single_trial_boundary(tmp_path, capsys):

@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,13 +10,16 @@ from swarmchain.prob import (
     Estimate,
     InfeasibleError,
     ProbQuery,
+    _report_events,
     enumeration_slot_count,
     exact_small_enumeration,
     mc_report_within,
     pairing_threshold,
     prob_no_report,
+    prob_no_report_exact,
     prob_pair_meets_all,
     prob_report_within,
+    prob_report_within_exact,
 )
 
 # Reference values for the two operating points, asserted at printed precision.
@@ -158,6 +163,79 @@ def test_enumeration_agrees_with_oracle_on_asymmetric_p():
     assert math.isclose(exact_small_enumeration(q), expected, abs_tol=1e-12)
     est = mc_report_within(q, trials=20_000, seed=17)
     assert abs(est.point - expected) <= 3 * max(est.std_error, 1 / est.trials)
+
+
+# Every (n, delta) small enough to enumerate within 12 edge slots.
+SMALL_INSTANCES = [
+    (n, delta) for n in range(2, 6) for delta in range(1, 13) if enumeration_slot_count(n, delta) <= 12
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(shape=st.sampled_from(SMALL_INSTANCES), p=st.floats(0, 1, allow_nan=False))
+def test_exact_form_matches_enumeration(shape, p):
+    q = ProbQuery(shape[0], p, shape[1])
+    assert math.isclose(prob_report_within_exact(q), exact_small_enumeration(q), abs_tol=1e-12)
+    assert prob_no_report_exact(q) + prob_report_within_exact(q) == 1.0
+
+
+@pytest.mark.parametrize("n", [2, 3, 48, 200])
+@pytest.mark.parametrize("p", [0.0, 0.17, 0.5, 1.0])
+def test_exact_single_interval_is_p(n, p):
+    assert math.isclose(prob_report_within_exact(ProbQuery(n, p, 1)), p)
+
+
+@pytest.mark.parametrize("delta", [1, 2, 3, 10])
+@pytest.mark.parametrize("p", [0.0, 0.17, 0.5, 1.0])
+def test_exact_two_robots_is_direct_meeting_only(delta, p):
+    assert math.isclose(prob_report_within_exact(ProbQuery(2, p, delta)), 1 - (1 - p) ** delta)
+
+
+def test_exact_value_and_closed_form_bias_at_n48():
+    q = ProbQuery(48, 0.17, 3)
+    assert abs(prob_report_within_exact(q) - 0.985571) <= 5e-7
+    assert abs(prob_report_within(q) - prob_report_within_exact(q) - 0.0085) <= 5e-5
+
+
+def test_mc_within_five_standard_errors_of_exact_at_n48():
+    q = ProbQuery(48, 0.17, 3)
+    est = mc_report_within(q, trials=100_000, seed=2_024)
+    assert abs(est.point - prob_report_within_exact(q)) <= 5 * est.std_error
+
+
+def _report_events_by_loop(edges):
+    """Per-trial reference: column 0 is (R, R'), then (R, k), then (R', k)."""
+    _, delta, width = edges.shape
+    k = (width - 1) // 2
+    out = []
+    for trial in edges.tolist():
+        direct = any(interval[0] for interval in trial)
+        relayed = any(
+            trial[u][1 + j] and trial[v][1 + k + j]
+            for j in range(k)
+            for u in range(delta)
+            for v in range(u)
+        )
+        out.append(direct or relayed)
+    return out
+
+
+@pytest.mark.parametrize("n,delta", [(2, 3), (3, 1), (5, 2), (7, 4)])
+def test_report_events_matches_loop_reference(n, delta):
+    rng = np.random.default_rng(n * 10 + delta)
+    edges = rng.random((300, delta, 2 * (n - 2) + 1)) < 0.3
+    assert _report_events(edges).tolist() == _report_events_by_loop(edges)
+
+
+def test_mc_memory_stays_small_at_n100():
+    # A dense (trials, delta, n, n) float batch would be ~458 MB here.
+    tracemalloc.start()
+    try:
+        mc_report_within(ProbQuery(100, 0.17, 3), trials=2000, seed=5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_pairing_threshold_rounds_up():
