@@ -42,12 +42,39 @@ signature sit outside the signed payload, so links of different owners
 get distinct addresses even when their payloads coincide (e.g. first
 links with empty event lists), while the owner's signature still covers
 every entry byte through the payload.
+
+Verification rules (normative)
+------------------------------
+A link counts only if :func:`check_link` accepts it: the credential is
+its owner's (else ``wrong-owner``) and the owner signature verifies over
+the signed digest (else ``bad-signature``).
+
+An entry inside a link for interval t counts as witnessing its peer at t
+only if :func:`check_entry` accepts it.  The checks run in this order and
+the first failure names the reason:
+
+1. ``entry-credential-mismatch`` -- the embedded credential is issued to
+   another robot id than the entry's peer.
+2. ``uncertified-credential`` -- the embedded credential is not the one
+   central control issued for that peer.
+3. Genesis references: ``bad-entry-signature`` unless the signature over
+   the genesis digest verifies under the embedded credential.
+4. ``missing-entry-link`` -- the referenced link does not resolve.
+5. ``entry-digest-mismatch`` -- it resolves to a link of another digest.
+6. ``entry-owner-mismatch`` -- the referenced link belongs to another robot.
+7. ``entry-interval-mismatch`` -- the referenced link is not from t - 1.
+8. ``bad-entry-signature`` -- the entry's signature is not the referenced
+   link's owner signature, verified under the embedded credential.
+
+The exchange (:func:`verify_chain`), the local views and the central
+audit (``detect``) decide what counts by these two functions alone; only
+a depth-1 :func:`verify_chain` forgives ``missing-entry-link``.
 """
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .crypto import (
     DIGEST_SIZE,
@@ -357,6 +384,23 @@ def _offer_verifies(owner_id: int, t: int, offer: HistoryOffer) -> bool:
     )
 
 
+def offer_entry(offer: HistoryOffer) -> EventEntry:
+    """The event entry that witnesses an offer's giver."""
+    if offer.link is None:
+        return EventEntry(
+            peer_id=offer.credential.robot_id,
+            peer_link_digest=GENESIS,
+            peer_signature=offer.genesis_signature,
+            peer_credential=offer.credential,
+        )
+    return EventEntry(
+        peer_id=offer.credential.robot_id,
+        peer_link_digest=link_digest(offer.link),
+        peer_signature=offer.link.signature,
+        peer_credential=offer.credential,
+    )
+
+
 def build_event_list(owner_id: int, t: int, offers: Iterable[HistoryOffer]) -> EventList:
     """Turn the interval's verified exchanges into an event list.
 
@@ -366,25 +410,8 @@ def build_event_list(owner_id: int, t: int, offers: Iterable[HistoryOffer]) -> E
     """
     entries: dict[int, EventEntry] = {}
     for offer in offers:
-        if not _offer_verifies(owner_id, t, offer):
-            continue
-        peer_id = offer.credential.robot_id
-        if peer_id in entries:
-            continue
-        if offer.link is None:
-            entries[peer_id] = EventEntry(
-                peer_id=peer_id,
-                peer_link_digest=GENESIS,
-                peer_signature=offer.genesis_signature,
-                peer_credential=offer.credential,
-            )
-        else:
-            entries[peer_id] = EventEntry(
-                peer_id=peer_id,
-                peer_link_digest=link_digest(offer.link),
-                peer_signature=offer.link.signature,
-                peer_credential=offer.credential,
-            )
+        if _offer_verifies(owner_id, t, offer) and offer.credential.robot_id not in entries:
+            entries[offer.credential.robot_id] = offer_entry(offer)
     return EventList(interval=t, entries=tuple(entries.values()))
 
 
@@ -414,6 +441,52 @@ def extend_history(
     return link
 
 
+def check_link(link: HistoryLink, credential: Credential | None) -> str | None:
+    """None if ``credential`` is the link owner's and signed the link, else
+    the reason (see the module docstring)."""
+    if credential is None or link.owner_id != credential.robot_id:
+        return "wrong-owner"
+    if not verify(credential, signed_digest(link).value, link.signature):
+        return "bad-signature"
+    return None
+
+
+def check_entry(
+    entry: EventEntry,
+    t: int,
+    resolve: Callable[[Digest], HistoryLink | None],
+    credentials: Mapping[int, Credential],
+) -> str | None:
+    """None if ``entry``, found in a link for interval ``t``, witnesses its
+    peer at ``t``, else the first failing reason of the entry rule (see
+    the module docstring).
+
+    ``resolve`` maps a digest to the link it may reference (``store.get``
+    or a view's ``links.get``); ``credentials`` is the credential table
+    central control issued.
+    """
+    if entry.peer_id != entry.peer_credential.robot_id:
+        return "entry-credential-mismatch"
+    if credentials.get(entry.peer_id) != entry.peer_credential:
+        return "uncertified-credential"
+    if entry.peer_link_digest == GENESIS:
+        if not verify(entry.peer_credential, GENESIS.value, entry.peer_signature):
+            return "bad-entry-signature"
+        return None
+    resolved = resolve(entry.peer_link_digest)
+    if resolved is None:
+        return "missing-entry-link"
+    if link_digest(resolved) != entry.peer_link_digest:
+        return "entry-digest-mismatch"
+    if resolved.owner_id != entry.peer_id:
+        return "entry-owner-mismatch"
+    if resolved.interval != t - 1:
+        return "entry-interval-mismatch"
+    if entry.peer_signature != resolved.signature or check_link(resolved, entry.peer_credential):
+        return "bad-entry-signature"
+    return None
+
+
 @dataclass(frozen=True)
 class ChainVerdict:
     """Outcome of :func:`verify_chain`: accept, or the first failure found."""
@@ -433,63 +506,36 @@ def _reject(reason: str, interval: int) -> ChainVerdict:
     return ChainVerdict(ok=False, reason=reason, interval=interval)
 
 
-def _check_entry(entry: EventEntry, containing: HistoryLink, store: LinkStore, depth: int) -> ChainVerdict:
-    t = containing.interval
-    if entry.peer_id != entry.peer_credential.robot_id:
-        return _reject("entry-credential-mismatch", t)
-    if entry.peer_link_digest == GENESIS:
-        if not verify(entry.peer_credential, GENESIS.value, entry.peer_signature):
-            return _reject("bad-entry-signature", t)
-        return ACCEPT
-    resolved = store.get(entry.peer_link_digest)
-    if resolved is None:
-        # A head can be checked with no transitive content: its own
-        # signature covers the entry digests as opaque bytes.  Anything
-        # deeper demands the referenced links.
-        if depth == 1:
-            return ACCEPT
-        return _reject("missing-entry-link", t)
-    if link_digest(resolved) != entry.peer_link_digest:
-        return _reject("entry-digest-mismatch", t)
-    if resolved.owner_id != entry.peer_id:
-        return _reject("entry-owner-mismatch", t)
-    if resolved.interval != t - 1:
-        return _reject("entry-interval-mismatch", t)
-    if entry.peer_signature != resolved.signature or not verify(
-        entry.peer_credential, signed_digest(resolved).value, entry.peer_signature
-    ):
-        return _reject("bad-entry-signature", t)
-    return ACCEPT
-
-
 def verify_chain(
     head: HistoryLink,
     owner_credential: Credential,
     store: LinkStore,
     depth: int,
+    credentials: Mapping[int, Credential],
 ) -> ChainVerdict:
     """Verify the ``depth`` most recent links of a chain.
 
-    Each checked link must carry a valid owner signature, intervals must
-    descend by exactly one, previous links must resolve in the store (or
-    be genesis), and every event entry's peer signature must verify
-    against the content it references.  Ancestry beyond ``depth`` is not
-    examined.  Rejections report the first failing interval; failures
-    while resolving a predecessor report the expected predecessor
-    interval.
+    Each checked link must pass :func:`check_link` under
+    ``owner_credential`` and every entry in it :func:`check_entry`
+    against ``store`` and the issued ``credentials``; intervals must
+    descend by exactly one and previous links must resolve in the store
+    (or be genesis).  Ancestry beyond ``depth`` is not examined, and a
+    head checked alone (``depth`` 1) may reference links the store lacks:
+    its own signature covers the entry digests as opaque bytes.
+    Rejections report the first failing interval; failures while
+    resolving a predecessor report the expected predecessor interval.
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     link = head
     for step in range(depth):
-        if link.owner_id != owner_credential.robot_id:
-            return _reject("wrong-owner", link.interval)
-        if not verify(owner_credential, signed_digest(link).value, link.signature):
-            return _reject("bad-signature", link.interval)
+        reason = check_link(link, owner_credential)
+        if reason is not None:
+            return _reject(reason, link.interval)
         for entry in link.events.entries:
-            verdict = _check_entry(entry, link, store, depth)
-            if not verdict:
-                return verdict
+            reason = check_entry(entry, link.interval, store.get, credentials)
+            if reason is not None and (depth > 1 or reason != "missing-entry-link"):
+                return _reject(reason, link.interval)
         if link.prev_digest == GENESIS or step + 1 == depth:
             break
         prev = store.get(link.prev_digest)

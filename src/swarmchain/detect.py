@@ -3,8 +3,11 @@
 A robot's local view is everything reachable from its own head link:
 its records plus every history it ingested and re-referenced.  Evidence
 that robot j was alive at interval t is either a link j signed at t or a
-verified entry naming j inside someone's interval-t event list.  On top
-of that view sit four detectors:
+verified entry naming j inside someone's interval-t event list.  What
+"signed" and "verified" mean is the link and entry rule stated once in
+:mod:`swarmchain.chain` (``check_link``, ``check_entry``): an entry
+counts only with the credential central control issued to its peer.  On
+top of that view sit four detectors:
 
 * ``detect_disappeared`` -- nobody has vouched for the robot within the
   last delta intervals.
@@ -27,8 +30,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Callable, Iterable, Mapping
 
-from .chain import GENESIS, HistoryLink, LinkStore, link_digest, signed_digest
-from .crypto import Credential, Digest, verify
+from .chain import GENESIS, HistoryLink, LinkStore, check_entry, check_link, link_digest
+from .crypto import Credential, Digest
 from .prob import pairing_threshold
 from .sim import SimConfig, SimTrace
 
@@ -53,35 +56,6 @@ class PairingVerdict:
             "unpaired": self.unpaired,
             "threshold": self.threshold,
         }
-
-
-def _link_verifies(link: HistoryLink, credential: Credential | None) -> bool:
-    return credential is not None and verify(
-        credential, signed_digest(link).value, link.signature
-    )
-
-
-def _entry_evidence_ok(entry, t: int, links: Mapping[Digest, HistoryLink]) -> bool:
-    """Does this entry really witness its peer at interval t?
-
-    Genesis-witness entries verify standalone; link references must
-    resolve within the view to content of the right owner and interval,
-    carrying a matching peer signature.
-    """
-    if entry.peer_id != entry.peer_credential.robot_id:
-        return False
-    if entry.peer_link_digest == GENESIS:
-        return verify(entry.peer_credential, GENESIS.value, entry.peer_signature)
-    resolved = links.get(entry.peer_link_digest)
-    if resolved is None:
-        return False
-    return (
-        link_digest(resolved) == entry.peer_link_digest
-        and resolved.owner_id == entry.peer_id
-        and resolved.interval == t - 1
-        and entry.peer_signature == resolved.signature
-        and verify(entry.peer_credential, signed_digest(resolved).value, entry.peer_signature)
-    )
 
 
 @dataclass
@@ -116,7 +90,7 @@ class LocalView:
             link = trace.store.get(d)
             if link is None:
                 continue
-            if _link_verifies(link, trace.credentials.get(link.owner_id)):
+            if check_link(link, trace.credentials.get(link.owner_id)) is None:
                 links[d] = link
         return cls(
             observer=observer,
@@ -130,27 +104,22 @@ class LocalView:
     def evidence(self) -> dict[int, int]:
         """robot id -> latest interval with verified evidence it was alive."""
         seen: dict[int, int] = {}
-
-        def note(robot: int, t: int) -> None:
+        for robot, t in self._owners_at | {(b, t) for _, b, t in self.claims}:
             if seen.get(robot, 0) < t:
                 seen[robot] = t
-
-        for link in self.links.values():
-            note(link.owner_id, link.interval)
-            for entry in link.events.entries:
-                if _entry_evidence_ok(entry, link.interval, self.links):
-                    note(entry.peer_id, link.interval)
         return seen
 
     @cached_property
     def claims(self) -> frozenset[tuple[int, int, int]]:
-        """(claimer, target, interval) for every verified entry in view."""
-        out: set[tuple[int, int, int]] = set()
-        for link in self.links.values():
-            for entry in link.events.entries:
-                if _entry_evidence_ok(entry, link.interval, self.links):
-                    out.add((link.owner_id, entry.peer_id, link.interval))
-        return frozenset(out)
+        """(claimer, target, interval) for every entry in view that passes
+        ``check_entry``; the one pass over the view's entries."""
+        links = self.links
+        return frozenset(
+            (link.owner_id, entry.peer_id, link.interval)
+            for link in links.values()
+            for entry in link.events.entries
+            if check_entry(entry, link.interval, links.get, self.credentials) is None
+        )
 
     @cached_property
     def _owners_at(self) -> frozenset[tuple[int, int]]:
@@ -398,30 +367,6 @@ class AuditReport:
         }
 
 
-def _audit_entry(entry, link: HistoryLink, store: LinkStore) -> str | None:
-    """None if the entry verifies against the store, else the failure reason."""
-    if entry.peer_id != entry.peer_credential.robot_id:
-        return "entry-credential-mismatch"
-    if entry.peer_link_digest == GENESIS:
-        if not verify(entry.peer_credential, GENESIS.value, entry.peer_signature):
-            return "bad-entry-signature"
-        return None
-    resolved = store.get(entry.peer_link_digest)
-    if resolved is None:
-        return "missing-entry-link"
-    if link_digest(resolved) != entry.peer_link_digest:
-        return "entry-digest-mismatch"
-    if resolved.owner_id != entry.peer_id:
-        return "entry-owner-mismatch"
-    if resolved.interval != link.interval - 1:
-        return "entry-interval-mismatch"
-    if entry.peer_signature != resolved.signature or not verify(
-        entry.peer_credential, signed_digest(resolved).value, entry.peer_signature
-    ):
-        return "bad-entry-signature"
-    return None
-
-
 def central_audit(
     heads: Mapping[int, HistoryLink | None],
     store: LinkStore,
@@ -430,14 +375,17 @@ def central_audit(
 ) -> AuditReport:
     """Verify every collected chain in full and cross-check pairing.
 
-    Walks each chain from its head to genesis: owner signatures, digest
-    linkage, interval ordering, and every event entry are checked
-    against the store.  Claims from links whose own signature verified
-    feed the pairing cross-check; entry-level forgeries are reported as
-    verification failures and excluded from pairing.  Robots whose
-    chains stop short of the final interval (or never started, or jump
-    intervals) produce coverage-gap findings, missing heads are reported
-    as such.
+    Walks each chain from its head to genesis: every link through
+    ``check_link`` and every event entry through ``check_entry`` against
+    the store and the issued ``credentials`` (the rules stated in
+    :mod:`swarmchain.chain`), plus digest linkage and interval ordering.
+    Unlike ``verify_chain`` the walk collects every failure, reading on
+    past a bad signature or entry.  Claims from links whose own
+    signature verified feed the pairing cross-check; failing entries are
+    reported as verification failures and excluded from pairing.  Robots
+    whose chains stop short of the final interval (or never started, or
+    jump intervals) produce coverage-gap findings, missing heads are
+    reported as such.
     """
     failures: list[tuple[int, int, str]] = []
     gaps: list[tuple[int, int, int]] = []
@@ -452,14 +400,14 @@ def central_audit(
         credential = credentials.get(robot)
         link = head
         while True:
-            if link.owner_id != robot:
-                failures.append((robot, link.interval, "wrong-owner"))
-                break
-            if not _link_verifies(link, credential):
-                failures.append((robot, link.interval, "bad-signature"))
+            reason = check_link(link, credential)
+            if reason is not None:
+                failures.append((robot, link.interval, reason))
+                if reason == "wrong-owner":
+                    break
             else:
                 for entry in link.events.entries:
-                    reason = _audit_entry(entry, link, store)
+                    reason = check_entry(entry, link.interval, store.get, credentials)
                     if reason is None:
                         claims.add((robot, entry.peer_id, link.interval))
                     else:

@@ -40,6 +40,7 @@ from .chain import (
     canonical_encode,
     extend_history,
     link_digest,
+    offer_entry,
     offer_history,
     verify_chain,
 )
@@ -362,18 +363,28 @@ class SimTrace:
         except ConfigError as exc:
             raise TraceError(f"config.{exc.field}", str(exc)) from exc
 
+        # The credential table is the trust root for every entry in the
+        # trace, so each certificate is checked against central control.
         central = _hex_field(data, "central_verify_key")
         credentials: dict[int, Credential] = {}
         for i, entry in enumerate(_list_field(data, "credentials")):
             where = f"credentials[{i}]"
             try:
-                credentials[entry["robot_id"]] = Credential(
+                credential = Credential(
                     robot_id=entry["robot_id"],
                     verify_key=bytes.fromhex(entry["verify_key"]),
                     cert=bytes.fromhex(entry["cert"]),
                 )
             except (KeyError, TypeError, ValueError) as exc:
                 raise TraceError(where, f"bad credential: {exc}") from exc
+            robot = credential.robot_id
+            if not isinstance(robot, int) or not 1 <= robot <= config.n:
+                raise TraceError(where, f"robot_id must be an integer in 1..{config.n}, got {robot!r}")
+            if robot in credentials:
+                raise TraceError(where, f"repeated robot_id {robot}")
+            if not verify_credential(credential, central):
+                raise TraceError(where, "certificate does not verify under central_verify_key")
+            credentials[robot] = credential
         for r in range(1, config.n + 1):
             if r not in credentials:
                 raise TraceError("credentials", f"missing credential for robot {r}")
@@ -577,7 +588,7 @@ class Simulation:
         key = (link_digest(link), depth)
         cached = self._chain_ok.get(key)
         if cached is None:
-            cached = bool(verify_chain(link, offer.credential, self.store, depth))
+            cached = bool(verify_chain(link, offer.credential, self.store, depth, self.credentials))
             self._chain_ok[key] = cached
         return cached
 
@@ -606,23 +617,6 @@ class Simulation:
         )
         self.store.insert(forged)
         return HistoryOffer(credential=target_cred, link=forged)
-
-    def _forged_entry(self, forger: int, t: int) -> EventEntry:
-        """The unwitnessed entry a forger plants in its own event list."""
-        offer = self._forged_offer(forger, t)
-        if offer.link is None:
-            return EventEntry(
-                peer_id=offer.credential.robot_id,
-                peer_link_digest=GENESIS,
-                peer_signature=offer.genesis_signature,
-                peer_credential=offer.credential,
-            )
-        return EventEntry(
-            peer_id=offer.credential.robot_id,
-            peer_link_digest=link_digest(offer.link),
-            peer_signature=offer.link.signature,
-            peer_credential=offer.credential,
-        )
 
     # -- protocol steps ---------------------------------------------------
 
@@ -679,7 +673,8 @@ class Simulation:
     def _close_interval(self, r: int, t: int) -> None:
         events = build_event_list(r, t, self._queues[r])
         if self.behavior[r] == "forge_claim":
-            entry = self._forged_entry(r, t)
+            # The unwitnessed entry a forger plants in its own event list.
+            entry = offer_entry(self._forged_offer(r, t))
             if entry.peer_id not in events.peer_ids():
                 events = EventList(interval=t, entries=events.entries + (entry,))
         prev = self.heads[r]

@@ -20,6 +20,7 @@ from swarmchain.chain import (
     encode_link,
     extend_history,
     link_digest,
+    offer_entry,
     offer_history,
     signed_digest,
     verify_chain,
@@ -29,20 +30,12 @@ from swarmchain.crypto import Digest, provision_swarm, sign
 
 def _entry_for(identity, head):
     """Entry witnessing `identity` with its current head (or genesis)."""
-    offer = offer_history(identity, head)
-    if offer.link is None:
-        return EventEntry(
-            peer_id=identity.robot_id,
-            peer_link_digest=GENESIS,
-            peer_signature=offer.genesis_signature,
-            peer_credential=identity.credential,
-        )
-    return EventEntry(
-        peer_id=identity.robot_id,
-        peer_link_digest=link_digest(offer.link),
-        peer_signature=offer.link.signature,
-        peer_credential=identity.credential,
-    )
+    return offer_entry(offer_history(identity, head))
+
+
+def _issued(identities):
+    """The credential table central control issued to ``identities``."""
+    return {i.robot_id: i.credential for i in identities}
 
 
 def _grow_pairwise(identities, store, intervals):
@@ -219,7 +212,7 @@ def test_genesis_extension_verifies(swarm5):
     store = LinkStore()
     link = extend_history(identities[0], None, EventList.empty(1), store)
     assert link.prev_digest == GENESIS
-    assert verify_chain(link, identities[0].credential, store, depth=1)
+    assert verify_chain(link, identities[0].credential, store, depth=1, credentials=_issued(identities))
 
 
 def test_three_link_chain_replays(swarm5):
@@ -227,7 +220,9 @@ def test_three_link_chain_replays(swarm5):
     store = LinkStore()
     heads = _grow_pairwise(identities, store, 3)
     for identity in identities:
-        verdict = verify_chain(heads[identity.robot_id], identity.credential, store, depth=3)
+        verdict = verify_chain(
+            heads[identity.robot_id], identity.credential, store, depth=3, credentials=_issued(identities)
+        )
         assert verdict, verdict
 
 
@@ -262,7 +257,9 @@ def test_tampered_middle_interval_rejected_at_that_interval(swarm5):
     blob[10] ^= 0x01  # inside the canonical payload
     mutated = decode_link(bytes(blob))
     store._links[link_digest(link)] = mutated
-    verdict = verify_chain(heads[owner.robot_id], owner.credential, store, depth=5)
+    verdict = verify_chain(
+        heads[owner.robot_id], owner.credential, store, depth=5, credentials=_issued(identities)
+    )
     assert not verdict
     assert verdict.interval == 3
 
@@ -272,7 +269,7 @@ def test_depth_one_accepts_regardless_of_ancestry(swarm5):
     store = LinkStore()
     heads = _grow_pairwise(identities, store, 3)
     empty = LinkStore()
-    verdict = verify_chain(heads[1], identities[0].credential, empty, depth=1)
+    verdict = verify_chain(heads[1], identities[0].credential, empty, depth=1, credentials=_issued(identities))
     assert verdict, verdict
 
 
@@ -285,7 +282,7 @@ def test_missing_predecessor_rejected(swarm5):
         link = store.get(d)
         if link.owner_id != 1 or link.interval != 2:
             pruned._links[d] = link
-    verdict = verify_chain(heads[1], identities[0].credential, pruned, depth=3)
+    verdict = verify_chain(heads[1], identities[0].credential, pruned, depth=3, credentials=_issued(identities))
     assert not verdict
     assert verdict.reason in ("missing-link", "missing-entry-link")
 
@@ -294,7 +291,7 @@ def test_wrong_owner_rejected(swarm5):
     _, identities = swarm5
     store = LinkStore()
     heads = _grow_pairwise(identities, store, 2)
-    verdict = verify_chain(heads[1], identities[1].credential, store, depth=2)
+    verdict = verify_chain(heads[1], identities[1].credential, store, depth=2, credentials=_issued(identities))
     assert not verdict
     assert verdict.reason == "wrong-owner"
 
@@ -304,7 +301,7 @@ def test_depth_must_be_positive(swarm5):
     store = LinkStore()
     link = extend_history(identities[0], None, EventList.empty(1), store)
     with pytest.raises(ValueError):
-        verify_chain(link, identities[0].credential, store, depth=0)
+        verify_chain(link, identities[0].credential, store, depth=0, credentials=_issued(identities))
 
 
 # -- encounter acceptance ------------------------------------------------------
@@ -411,7 +408,9 @@ def test_any_honest_construction_round_trips(meetings):
             for r in by_id
         }
     for r, identity in by_id.items():
-        verdict = verify_chain(heads[r], identity.credential, store, depth=len(meetings))
+        verdict = verify_chain(
+            heads[r], identity.credential, store, depth=len(meetings), credentials=_issued(identities)
+        )
         assert verdict, (r, verdict)
 
 
@@ -439,4 +438,4 @@ def test_small_tamper_corpus(swarm5):
         copy._links = dict(store._links)
         copy._links[link_digest(target)] = mutated
         head = mutated if target is chain[0] else heads[owner.robot_id]
-        assert not verify_chain(head, owner.credential, copy, depth=4)
+        assert not verify_chain(head, owner.credential, copy, depth=4, credentials=_issued(identities))

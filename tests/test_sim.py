@@ -189,7 +189,7 @@ def test_chains_verify_at_full_depth(honest_trace_25):
     trace = honest_trace_25
     for r in range(1, trace.config.n + 1):
         head = trace.head_link(r)
-        verdict = verify_chain(head, trace.credentials[r], trace.store, depth=3)
+        verdict = verify_chain(head, trace.credentials[r], trace.store, depth=3, credentials=trace.credentials)
         assert verdict, (r, verdict)
 
 
@@ -398,3 +398,31 @@ def test_trace_rejects_dangling_head(honest_trace_25):
     with pytest.raises(TraceError) as err:
         SimTrace.from_dict(doc)
     assert err.value.location == "heads.1"
+
+
+def test_trace_rejects_a_credential_central_control_never_certified(honest_trace_25):
+    doc = json.loads(honest_trace_25.to_json())
+    cert = bytearray.fromhex(doc["credentials"][4]["cert"])
+    cert[0] ^= 0x01
+    doc["credentials"][4]["cert"] = cert.hex()
+    with pytest.raises(TraceError) as err:
+        SimTrace.from_json(json.dumps(doc))
+    assert err.value.location == "credentials[4]"
+
+
+def test_trace_rejects_a_repeated_credential(honest_trace_25):
+    doc = json.loads(honest_trace_25.to_json())
+    doc["credentials"][5] = dict(doc["credentials"][2])
+    with pytest.raises(TraceError) as err:
+        SimTrace.from_dict(doc)
+    assert err.value.location == "credentials[5]"
+    assert "repeated" in str(err.value)
+
+
+@pytest.mark.parametrize("robot_id", ["1", 0, 26])
+def test_trace_rejects_a_credential_outside_the_swarm(honest_trace_25, robot_id):
+    doc = json.loads(honest_trace_25.to_json())
+    doc["credentials"][0]["robot_id"] = robot_id
+    with pytest.raises(TraceError) as err:
+        SimTrace.from_dict(doc)
+    assert err.value.location == "credentials[0]"
