@@ -192,7 +192,9 @@ def cmd_prob(args, out=None) -> int:
         "no_report": prob_no_report(query),
         "report_within": prob_report_within(query),
         "pair_meets_all": prob_pair_meets_all(args.p, args.delta),
+        "report_within_exact": prob_report_within_exact(query),
     }
+    rows["closed_form_bias"] = rows["report_within"] - rows["report_within_exact"]
     if args.format == "machine":
         print(
             json.dumps(
@@ -205,6 +207,11 @@ def cmd_prob(args, out=None) -> int:
         print(f"closed forms for n={args.n} p={args.p} delta={args.delta}", file=out)
         print(f"  P(no report of a robot within delta)   = {rows['no_report']:.6e}", file=out)
         print(f"  P(report within delta)                 = {rows['report_within']:.8f}", file=out)
+        print(
+            f"    exact value                          = {rows['report_within_exact']:.8f}"
+            f" (closed-form bias {rows['closed_form_bias']:+.6f})",
+            file=out,
+        )
         print(f"  P(pair meets in all delta intervals)   = {rows['pair_meets_all']:.6f}", file=out)
     return 0
 
@@ -324,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--format", choices=("human", "machine"), default="human")
     p_an.set_defaults(func=cmd_analyze)
 
-    p_pr = sub.add_parser("prob", help="print the closed-form probabilities")
+    p_pr = sub.add_parser("prob", help="print the closed-form probabilities and the exact report probability")
     p_pr.add_argument("--n", type=int, required=True)
     p_pr.add_argument("--p", type=float, required=True)
     p_pr.add_argument("--delta", type=int, required=True)

@@ -23,17 +23,32 @@ top of that view sit four detectors:
 chain in full, checks signatures and linkage, cross-checks that every
 claimed encounter is recorded by both participants, and reports coverage
 gaps for robots that stopped extending their chains.
+
+Cost.  A view built from a trace checks each of its links once
+(``check_link``) and takes the claims of each link's entries from a
+memo the trace's views share, so every stored entry goes through
+``check_entry`` once per trace, not once per view.  A report is then one
+pass over the view's claims for every pairing tally, the unpaired claims
+and the co-meeting intervals, plus O(1) per verdict.  Analyzing a trace
+from all n observers is thus O(n * claims per view) set operations on top
+of one entry check per stored entry.  The memo assumes the trace's store
+and credential table are not changed after the first view is built, as
+``LinkStore.closure`` assumes for its cache; a trace given another store
+or table object starts a fresh memo.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
 from .chain import GENESIS, HistoryLink, LinkStore, check_entry, check_link, link_digest
 from .crypto import Credential, Digest
 from .prob import pairing_threshold
 from .sim import SimConfig, SimTrace
+
+
+Claim = tuple[int, int, int]  # (claimer, target, interval)
 
 
 class InsufficientHistoryError(ValueError):
@@ -58,15 +73,30 @@ class PairingVerdict:
         }
 
 
+class _PairingTally(NamedTuple):
+    """What one pass over a view's claims yields for the pairing detectors."""
+
+    paired: dict[int, int]  # robot -> paired claims naming it (a self-claim once)
+    unpaired: dict[int, int]  # robot -> decisively unpaired claims naming it
+    unpaired_claims: tuple[Claim, ...]  # sorted
+    intervals: dict[tuple[int, int], int]  # (a, b), a < b -> bit t set for each interval t paired
+
+
 @dataclass
 class LocalView:
-    """Chain content one observer can resolve, verified at ingestion."""
+    """Chain content one observer can resolve, verified at ingestion.
+
+    ``accepted`` maps a link digest to the claims of that link's entries
+    that pass ``check_entry``.  Views of one trace share the trace's memo;
+    a view built directly starts with its own empty one.
+    """
 
     observer: int | None
     as_of: int
     links: dict[Digest, HistoryLink]
     params: SimConfig
     credentials: dict[int, Credential]
+    accepted: dict[Digest, tuple[Claim, ...]] = field(default_factory=dict, repr=False, compare=False)
 
     @classmethod
     def from_trace(cls, trace: SimTrace, observer: int) -> "LocalView":
@@ -98,6 +128,7 @@ class LocalView:
             links=links,
             params=trace.config,
             credentials=dict(trace.credentials),
+            accepted=_accepted_memo(trace),
         )
 
     @cached_property
@@ -110,45 +141,93 @@ class LocalView:
         return seen
 
     @cached_property
-    def claims(self) -> frozenset[tuple[int, int, int]]:
+    def claims(self) -> frozenset[Claim]:
         """(claimer, target, interval) for every entry in view that passes
-        ``check_entry``; the one pass over the view's entries."""
-        links = self.links
-        return frozenset(
-            (link.owner_id, entry.peer_id, link.interval)
-            for link in links.values()
-            for entry in link.events.entries
-            if check_entry(entry, link.interval, links.get, self.credentials) is None
-        )
+        ``check_entry``.
+
+        A link's entries are checked only when ``accepted`` lacks its
+        digest.  Sharing that memo across a trace's views is sound because
+        every view holds the ``check_link``-verified part of a closure of
+        the trace's store: whatever an entry of a link in view references
+        and the store holds is in the closure too, so resolving through
+        this view's links accepts exactly the entries that resolving
+        through the store does.
+        """
+        links, memo, credentials = self.links, self.accepted, self.credentials
+        out: set[Claim] = set()
+        for d, link in links.items():
+            accepted = memo.get(d)
+            if accepted is None:
+                t = link.interval
+                accepted = memo[d] = tuple(
+                    (link.owner_id, entry.peer_id, t)
+                    for entry in link.events.entries
+                    if check_entry(entry, t, links.get, credentials) is None
+                )
+            out.update(accepted)
+        return frozenset(out)
 
     @cached_property
     def _owners_at(self) -> frozenset[tuple[int, int]]:
         """(owner, interval) pairs whose link is visible in this view."""
         return frozenset((link.owner_id, link.interval) for link in self.links.values())
 
-    def unpaired_claims(self) -> tuple[tuple[int, int, int], ...]:
+    @cached_property
+    def _pairing(self) -> _PairingTally:
+        """The one pass over ``claims`` that every pairing detector reads.
+
+        A claim is paired when its reverse is claimed too, and decisively
+        unpaired when it is not although the counterpart's link for that
+        interval is visible; either way it counts for both robots it
+        names, once for a self-claim.
+        """
+        claims, owners_at = self.claims, self._owners_at
+        paired: dict[int, int] = {}
+        unpaired: dict[int, int] = {}
+        omissions: list[Claim] = []
+        intervals: dict[tuple[int, int], int] = {}
+        for claim in claims:
+            a, b, t = claim
+            if (b, a, t) in claims:
+                if a < b:  # counts the claim and its mirror, which names the same two robots
+                    paired[a] = paired.get(a, 0) + 2
+                    paired[b] = paired.get(b, 0) + 2
+                    pair = (a, b)
+                    intervals[pair] = intervals.get(pair, 0) | 1 << t
+                elif a == b:
+                    paired[a] = paired.get(a, 0) + 1
+            elif (b, t) in owners_at:
+                unpaired[a] = unpaired.get(a, 0) + 1
+                unpaired[b] = unpaired.get(b, 0) + 1
+                omissions.append(claim)
+        return _PairingTally(paired, unpaired, tuple(sorted(omissions)), intervals)
+
+    def unpaired_claims(self) -> tuple[Claim, ...]:
         """Claims with decisive omission evidence: the counterpart's link for
         that interval is visible and does not record the meeting.  Claims
         whose counterpart link is simply not visible yet prove nothing and
         are not listed."""
-        claims = self.claims
-        owners_at = self._owners_at
-        return tuple(
-            sorted(
-                (a, b, t)
-                for (a, b, t) in claims
-                if (b, a, t) not in claims and (b, t) in owners_at
-            )
-        )
+        return self._pairing.unpaired_claims
 
     def paired_intervals(self) -> dict[tuple[int, int], set[int]]:
         """(a, b) with a < b -> intervals in which both sides recorded the meeting."""
-        claims = self.claims
-        out: dict[tuple[int, int], set[int]] = {}
-        for a, b, t in claims:
-            if a < b and (b, a, t) in claims:
-                out.setdefault((a, b), set()).add(t)
-        return out
+        return {
+            pair: {t for t in range(mask.bit_length()) if mask >> t & 1}
+            for pair, mask in self._pairing.intervals.items()
+        }
+
+
+def _accepted_memo(trace: SimTrace) -> dict[Digest, tuple[Claim, ...]]:
+    """The claims memo shared by ``trace``'s views, made on first use.
+
+    It is kept on the trace with the store and credential table it was
+    filled from, so a copy of the trace given another store or table
+    starts afresh.
+    """
+    memo = trace.__dict__.get("_accepted_claims")
+    if memo is None or memo[0] is not trace.store or memo[1] is not trace.credentials:
+        memo = trace.__dict__["_accepted_claims"] = (trace.store, trace.credentials, {})
+    return memo[2]
 
 
 def detect_disappeared(view: LocalView, delta: int) -> frozenset[int]:
@@ -180,18 +259,9 @@ def check_pairing(view: LocalView, subject: int, alpha: float, n: int, p: float)
     all is indeterminate, not suspicious: isolation may just be graph
     sparsity.
     """
-    claims = view.claims
-    owners_at = view._owners_at
-    paired = 0
-    unpaired = 0
-    for a, b, t in claims:
-        if subject not in (a, b):
-            continue
-        if (b, a, t) in claims:
-            paired += 1
-        elif (b, t) in owners_at:
-            unpaired += 1
-    paired //= 2  # each paired encounter contributes both directions
+    tally = view._pairing
+    paired = tally.paired.get(subject, 0) // 2  # each paired encounter contributes both directions
+    unpaired = tally.unpaired.get(subject, 0)
     if paired == 0 and unpaired == 0:
         return PairingVerdict(status="indeterminate", paired=0, unpaired=0, threshold=0)
     threshold = pairing_threshold(n, p, alpha)
@@ -206,11 +276,15 @@ def detect_collusion(view: LocalView, delta: int, epsilon: float) -> frozenset[t
     p = view.params.p
     window_start = max(1, view.as_of - delta + 1)
     suspects: set[tuple[tuple[int, int], int]] = set()
-    for pair, intervals in view.paired_intervals().items():
+    for pair, mask in view._pairing.intervals.items():
         run = best = 0
         for t in range(window_start, view.as_of + 1):
-            run = run + 1 if t in intervals else 0
-            best = max(best, run)
+            if mask >> t & 1:
+                run += 1
+                if run > best:
+                    best = run
+            else:
+                run = 0
         if best >= 1 and p**best < epsilon:
             suspects.add((pair, best))
     return frozenset(suspects)

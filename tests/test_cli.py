@@ -159,6 +159,18 @@ def test_prob_prints_reference_values(capsys):
     assert abs(record["pair_meets_all"] - 0.005) <= 5e-4
 
 
+def test_prob_prints_exact_value_and_closed_form_bias(capsys):
+    assert main(["prob", "--n", "48", "--p", "0.17", "--delta", "3", "--format", "machine"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["report_within_exact"] == pytest.approx(0.985571, abs=1e-6)
+    assert record["closed_form_bias"] == pytest.approx(0.008455, abs=1e-6)
+    assert record["closed_form_bias"] == record["report_within"] - record["report_within_exact"]
+    assert main(["prob", "--n", "48", "--p", "0.17", "--delta", "3"]) == 0
+    text = capsys.readouterr().out
+    assert "exact value" in text and "0.98557" in text
+    assert "+0.008455" in text
+
+
 def test_prob_single_interval_is_p(capsys):
     assert main(["prob", "--n", "10", "--p", "0.25", "--delta", "1", "--format", "machine"]) == 0
     record = json.loads(capsys.readouterr().out)
