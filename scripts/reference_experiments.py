@@ -18,7 +18,7 @@ import argparse
 import sys
 import time
 
-from swarmchain.detect import LocalView, collective_disappeared, detect_collusion
+from swarmchain import suites
 from swarmchain.prob import (
     ProbQuery,
     mc_report_within,
@@ -27,7 +27,7 @@ from swarmchain.prob import (
     prob_report_within,
     prob_report_within_exact,
 )
-from swarmchain.sim import AdversaryProfile, SimConfig, run_simulation
+from swarmchain.sim import AdversaryProfile, SimConfig
 
 
 def closed_forms() -> None:
@@ -62,14 +62,8 @@ def framing(runs: int, seed: int) -> None:
     print(f"framing suites ({runs} runs each, a third of robots refuse to record)")
     for n, p, delta, bad in ((25, 0.33, 3, 8), (48, 0.17, 4, 16), (48, 0.17, 3, 16)):
         adv = AdversaryProfile(behavior="refuse_record", robots=frozenset(range(1, bad + 1)))
-        honest = set(range(bad + 1, n + 1))
-        framed = 0
-        for i in range(runs):
-            cfg = SimConfig(
-                n=n, p=p, intervals=delta, delta=delta, alpha=1 / 3,
-                seed=seed + i, adversaries=(adv,),
-            )
-            framed += len(collective_disappeared(run_simulation(cfg), delta) & honest)
+        cfg = SimConfig(n=n, p=p, intervals=delta, delta=delta, alpha=1 / 3, seed=seed, adversaries=(adv,))
+        framed = sum(len(suites.framed(trace)) for trace in suites.runs(cfg, runs))
         print(f"  n={n:2d} p={p:.2f} delta={delta}: honest robots framed: {framed}")
 
 
@@ -97,14 +91,10 @@ def collusion(runs: int, seed: int) -> None:
     print(f"collusion suites ({runs} runs each, epsilon=0.05)")
     for n, p in ((25, 0.33), (48, 0.17)):
         adv = AdversaryProfile(behavior="collude", robots=frozenset({3, 7}))
+        cfg = SimConfig(n=n, p=p, intervals=3, delta=3, alpha=0.1, seed=seed, adversaries=(adv,))
         flagged = honest_flagged = 0
-        for i in range(runs):
-            cfg = SimConfig(
-                n=n, p=p, intervals=3, delta=3, alpha=0.1,
-                seed=seed + i, adversaries=(adv,),
-            )
-            trace = run_simulation(cfg)
-            suspects = {pair for pair, _ in detect_collusion(LocalView.central(trace), 3, 0.05)}
+        for trace in suites.runs(cfg, runs):
+            suspects = suites.flagged(trace, 0.05)
             flagged += (3, 7) in suspects
             honest_flagged += (10, 11) in suspects
         chance = _chance_flag_rate(p, 3, 0.05)

@@ -415,6 +415,25 @@ def build_event_list(owner_id: int, t: int, offers: Iterable[HistoryOffer]) -> E
     return EventList(interval=t, entries=tuple(entries.values()))
 
 
+def sign_link(signer: SigningIdentity, owner_id: int, events: EventList, prev: Digest) -> HistoryLink:
+    """A link for ``owner_id`` over (events, events.interval, prev), signed
+    with ``signer``'s key.  The payload is encoded once and stays cached
+    on the link with its digest; the link's place in a chain is unchecked.
+    """
+    payload = canonical_encode(events, events.interval, prev)
+    signed = digest(payload)
+    link = HistoryLink(
+        owner_id=owner_id,
+        interval=events.interval,
+        events=events,
+        prev_digest=prev,
+        signature=sign(signer, signed.value),
+    )
+    object.__setattr__(link, "_payload", payload)
+    object.__setattr__(link, "_signed_digest", signed)
+    return link
+
+
 def extend_history(
     identity: SigningIdentity,
     prev: HistoryLink | None,
@@ -428,15 +447,7 @@ def extend_history(
     owner = identity.credential.robot_id
     if owner in events.peer_ids():
         raise ValueError("an event list cannot record its own owner")
-    prev_digest = GENESIS if prev is None else link_digest(prev)
-    payload_digest = digest(canonical_encode(events, events.interval, prev_digest))
-    link = HistoryLink(
-        owner_id=owner,
-        interval=events.interval,
-        events=events,
-        prev_digest=prev_digest,
-        signature=sign(identity, payload_digest.value),
-    )
+    link = sign_link(identity, owner, events, GENESIS if prev is None else link_digest(prev))
     store.insert(link)
     return link
 

@@ -14,14 +14,8 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Any
 
-from . import __version__
-from .detect import (
-    LocalView,
-    audit_trace,
-    collective_disappeared,
-    compile_report,
-    detect_collusion,
-)
+from . import __version__, suites
+from .detect import LocalView, audit_trace, compile_report
 from .prob import (
     Estimate,
     ProbQuery,
@@ -249,15 +243,10 @@ def cmd_montecarlo(args, out=None) -> int:
 
     scenario_rows: list[dict[str, Any]] = []
     if args.runs > 0 and config.adversaries:
-        framed = 0
-        flagged_runs = 0
-        for i in range(args.runs):
-            trace = run_simulation(replace(config, seed=config.seed + i))
-            honest = set(range(1, config.n + 1)) - set(config.adversary_ids())
-            framed += len(collective_disappeared(trace, config.delta) & honest)
-            central = LocalView.central(trace)
-            if detect_collusion(central, config.delta, args.epsilon):
-                flagged_runs += 1
+        framed = flagged_runs = 0
+        for trace in suites.runs(config, args.runs):
+            framed += len(suites.framed(trace))
+            flagged_runs += bool(suites.flagged(trace, args.epsilon))
         scenario_rows.append(
             {
                 "record": "scenario-suite",

@@ -37,18 +37,17 @@ from .chain import (
     HistoryOffer,
     LinkStore,
     build_event_list,
-    canonical_encode,
     extend_history,
     link_digest,
     offer_entry,
     offer_history,
+    sign_link,
     verify_chain,
 )
 from .crypto import (
     Credential,
     Digest,
     SigningIdentity,
-    digest,
     provision_swarm,
     sign,
     verify,
@@ -83,6 +82,11 @@ class DuplicateExchangeError(RuntimeError):
     """A pair can exchange history at most once per interval."""
 
 
+def _is_int(value: Any) -> bool:
+    # JSON true/false load as bools, which Python counts as ints.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class AdversaryProfile:
     """Which robots misbehave and how."""
@@ -113,7 +117,7 @@ class AdversaryProfile:
         if behavior not in BEHAVIORS:
             raise ConfigError(f"{where}.behavior", f"must be one of {BEHAVIORS}, got {behavior!r}")
         robots = data.get("robots")
-        if not isinstance(robots, (list, tuple)) or not all(isinstance(r, int) for r in robots):
+        if not isinstance(robots, (list, tuple)) or not all(_is_int(r) for r in robots):
             raise ConfigError(f"{where}.robots", "must be a list of robot ids")
         return cls(
             behavior=behavior,
@@ -145,21 +149,21 @@ class SimConfig:
         return self.delta if self.window is None else self.window
 
     def validate(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
+        if not _is_int(self.n) or self.n < 1:
             raise ConfigError("n", f"robot count must be an integer >= 1, got {self.n!r}")
-        if not isinstance(self.p, (int, float)) or not 0.0 <= self.p <= 1.0:
+        if not (_is_int(self.p) or isinstance(self.p, float)) or not 0.0 <= self.p <= 1.0:
             raise ConfigError("p", f"edge probability must be in [0, 1], got {self.p!r}")
-        if not isinstance(self.intervals, int) or self.intervals < 1:
+        if not _is_int(self.intervals) or self.intervals < 1:
             raise ConfigError("intervals", f"must be an integer >= 1, got {self.intervals!r}")
-        if not isinstance(self.delta, int) or not 1 <= self.delta <= self.intervals:
+        if not _is_int(self.delta) or not 1 <= self.delta <= self.intervals:
             raise ConfigError(
                 "delta", f"must be an integer in 1..intervals={self.intervals}, got {self.delta!r}"
             )
-        if not isinstance(self.alpha, (int, float)) or not 0.0 <= self.alpha < 1.0:
+        if not (_is_int(self.alpha) or isinstance(self.alpha, float)) or not 0.0 <= self.alpha < 1.0:
             raise ConfigError("alpha", f"assumed bad fraction must be in [0, 1), got {self.alpha!r}")
-        if self.window is not None and (not isinstance(self.window, int) or self.window < 1):
+        if self.window is not None and (not _is_int(self.window) or self.window < 1):
             raise ConfigError("window", f"must be an integer >= 1 or null, got {self.window!r}")
-        if self.seed is not None and not isinstance(self.seed, int):
+        if self.seed is not None and not _is_int(self.seed):
             raise ConfigError("seed", f"must be an integer or null, got {self.seed!r}")
         self._validate_adversaries()
 
@@ -171,9 +175,13 @@ class SimConfig:
                 raise ConfigError(f"{where}.behavior", f"unknown behavior {profile.behavior!r}")
             if not profile.robots:
                 raise ConfigError(f"{where}.robots", "profile lists no robots")
+            for name in ("from_t", "to_t", "target"):
+                value = getattr(profile, name)
+                if value is not None and not _is_int(value):
+                    raise ConfigError(f"{where}.{name}", f"must be an integer, got {value!r}")
             for r in profile.robots:
-                if not 1 <= r <= self.n:
-                    raise ConfigError(f"{where}.robots", f"robot id {r} out of range 1..{self.n}")
+                if not _is_int(r) or not 1 <= r <= self.n:
+                    raise ConfigError(f"{where}.robots", f"robot id {r!r} is not an integer in 1..{self.n}")
                 if r in seen:
                     raise ConfigError(f"{where}.robots", f"robot {r} appears in two profiles")
                 seen.add(r)
@@ -563,7 +571,6 @@ class Simulation:
         self._graph_streams = np.random.SeedSequence(config.seed).spawn(config.intervals)
         self._queues: dict[int, list[HistoryOffer]] = {}
         self._pairs_this_interval: set[tuple[int, int]] = set()
-        self._current_edges: frozenset[tuple[int, int]] = frozenset()
         self._chain_ok: dict[tuple[Digest, int], bool] = {}
         self._offer_cache: dict[int, HistoryOffer] = {}
 
@@ -606,15 +613,7 @@ class Simulation:
                 link=None,
                 genesis_signature=sign(self.identities[forger], GENESIS.value),
             )
-        events = EventList.empty(t - 1)
-        payload = digest(canonical_encode(events, t - 1, GENESIS))
-        forged = HistoryLink(
-            owner_id=target_cred.robot_id,
-            interval=t - 1,
-            events=events,
-            prev_digest=GENESIS,
-            signature=sign(self.identities[forger], payload.value),
-        )
+        forged = sign_link(self.identities[forger], target_cred.robot_id, EventList.empty(t - 1), GENESIS)
         self.store.insert(forged)
         return HistoryOffer(credential=target_cred, link=forged)
 
@@ -681,22 +680,10 @@ class Simulation:
         if prev is not None and prev.interval != t - 1:
             # Returning from an outage: link over the gap.  The jump in
             # interval numbers stays visible to verifiers and the audit.
-            self.heads[r] = self._extend_over_gap(r, prev, events)
+            self.heads[r] = sign_link(self.identities[r], r, events, link_digest(prev))
+            self.store.insert(self.heads[r])
         else:
             self.heads[r] = extend_history(self.identities[r], prev, events, self.store)
-
-    def _extend_over_gap(self, r: int, prev: HistoryLink, events: EventList) -> HistoryLink:
-        prev_digest = link_digest(prev)
-        payload = digest(canonical_encode(events, events.interval, prev_digest))
-        link = HistoryLink(
-            owner_id=r,
-            interval=events.interval,
-            events=events,
-            prev_digest=prev_digest,
-            signature=sign(self.identities[r], payload.value),
-        )
-        self.store.insert(link)
-        return link
 
     def run(self) -> SimTrace:
         cfg = self.config
@@ -714,7 +701,6 @@ class Simulation:
                 for pair in self.colluder_pairs
                 if pair[0] in active and pair[1] in active
             }
-            self._current_edges = frozenset(effective)
             for a, b in sorted(effective | forced):
                 self.exchange(a, b, t, fabricated=(a, b) not in effective)
             for r in sorted(active):

@@ -6,10 +6,11 @@ scorecard and a hard gate.
 """
 import random
 
+from swarmchain import suites
 from swarmchain.chain import EncodingError, LinkStore, decode_link, encode_link, link_digest, verify_chain
 from swarmchain.cli import main
 from swarmchain.crypto import verify
-from swarmchain.detect import LocalView, audit_trace, collective_disappeared, detect_collusion
+from swarmchain.detect import audit_trace
 from swarmchain.prob import (
     ProbQuery,
     exact_small_enumeration,
@@ -90,15 +91,9 @@ def test_criterion_3_oracle_agreement():
 def _framing_suite(n, p, delta, n_bad, runs, seed_base):
     """Count honest robots the whole honest swarm loses track of."""
     adversaries = (_profile("refuse_record", range(1, n_bad + 1)),) if n_bad else ()
-    honest = set(range(n_bad + 1, n + 1))
-    framed = 0
-    for i in range(runs):
-        cfg = SimConfig(
-            n=n, p=p, intervals=delta, delta=delta,
-            alpha=(1 / 3 if n_bad else 0.0), seed=seed_base + i, adversaries=adversaries,
-        )
-        framed += len(collective_disappeared(run_simulation(cfg), delta) & honest)
-    return framed
+    alpha = 1 / 3 if n_bad else 0.0
+    cfg = SimConfig(n=n, p=p, intervals=delta, delta=delta, alpha=alpha, seed=seed_base, adversaries=adversaries)
+    return sum(len(suites.framed(trace)) for trace in suites.runs(cfg, runs))
 
 
 def test_criterion_4_framing_resistance():
@@ -122,8 +117,7 @@ def test_criterion_4_framing_resistance():
 def test_criterion_5_system_correctness():
     runs = 100
     bad_runs = 0
-    for i in range(runs):
-        trace = run_simulation(SimConfig(n=25, p=0.33, intervals=5, delta=3, seed=400_000 + i))
+    for trace in suites.runs(SimConfig(n=25, p=0.33, intervals=5, delta=3, seed=400_000), runs):
         audit = audit_trace(trace)
         truth = frozenset((u, v, g.interval) for g in trace.graphs for (u, v) in g.edges)
         if audit.unpaired_claims or audit.verification_failures or audit.encounters != truth:
@@ -222,35 +216,27 @@ def _forged_entry_count(trace, forgers, target):
 
 
 def test_criterion_7_forged_claims_impossible():
-    scenarios = []
-    for i in range(40):
-        scenarios.append(
-            SimConfig(
-                n=10, p=0.5, intervals=4, delta=3, alpha=0.2, seed=600_000 + i,
-                adversaries=(_profile("forge_claim", [2], target=9),),
-            )
-        )
-        scenarios.append(
-            SimConfig(
-                n=12, p=0.4, intervals=5, delta=3, alpha=0.25, seed=700_000 + i,
-                adversaries=(_profile("forge_claim", [2, 5], target=11),),
-            )
-        )
+    runs = 40
+    configs = (
+        SimConfig(n=10, p=0.5, intervals=4, delta=3, alpha=0.2, seed=600_000,
+                  adversaries=(_profile("forge_claim", [2], target=9),)),
+        SimConfig(n=12, p=0.4, intervals=5, delta=3, alpha=0.25, seed=700_000,
+                  adversaries=(_profile("forge_claim", [2, 5], target=11),)),
+    )
     violations = attempts = 0
-    for cfg in scenarios:
-        trace = run_simulation(cfg)
-        forgers = cfg.adversary_ids()
-        target = cfg.adversaries[0].target
-        violations += _forged_entry_count(trace, forgers, target)
-        attempts += sum(
-            1 for x in trace.exchanges for note in x.notes if note.startswith("forged-offer-rejected")
-        )
+    for cfg in configs:
+        forgers, target = cfg.adversary_ids(), cfg.adversaries[0].target
+        for trace in suites.runs(cfg, runs):
+            violations += _forged_entry_count(trace, forgers, target)
+            attempts += sum(
+                1 for x in trace.exchanges for note in x.notes if note.startswith("forged-offer-rejected")
+            )
     ok = violations == 0 and attempts > 0
     _report(
         7,
         "no honest event list carries an unwitnessed claim",
         ok,
-        f"{violations} forged entries in honest chains across {len(scenarios)} scenarios "
+        f"{violations} forged entries in honest chains across {runs * len(configs)} scenarios "
         f"({attempts} forged offers rejected)",
     )
 
@@ -264,17 +250,14 @@ def test_criterion_8_collusion_detection():
     honest_pair = (10, 11)
     flagged = honest_flagged = 0
     p, delta = 0.33, 3
-    for i in range(runs):
-        cfg = SimConfig(
-            n=25, p=p, intervals=delta, delta=delta, alpha=0.1, seed=800_000 + i,
-            adversaries=(_profile("collude", colluders),),
-        )
-        trace = run_simulation(cfg)
-        suspects = {pair for pair, _ in detect_collusion(LocalView.central(trace), delta, 0.05)}
-        if colluders in suspects:
-            flagged += 1
-        if honest_pair in suspects:
-            honest_flagged += 1
+    cfg = SimConfig(
+        n=25, p=p, intervals=delta, delta=delta, alpha=0.1, seed=800_000,
+        adversaries=(_profile("collude", colluders),),
+    )
+    for trace in suites.runs(cfg, runs):
+        suspects = suites.flagged(trace, 0.05)
+        flagged += colluders in suspects
+        honest_flagged += honest_pair in suspects
     expected = p**delta
     rate = honest_flagged / runs
     limit = 3 * (expected * (1 - expected) / runs) ** 0.5

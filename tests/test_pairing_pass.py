@@ -16,11 +16,9 @@ import pytest
 from swarmchain.chain import (
     GENESIS,
     EventList,
-    HistoryLink,
     HistoryOffer,
     LinkStore,
     build_event_list,
-    canonical_encode,
     check_entry,
     encode_link,
     decode_link,
@@ -28,9 +26,9 @@ from swarmchain.chain import (
     link_digest,
     offer_entry,
     offer_history,
-    signed_digest,
+    sign_link,
 )
-from swarmchain.crypto import digest, provision_swarm, sign
+from swarmchain.crypto import provision_swarm
 from swarmchain.detect import LocalView, PairingVerdict, check_pairing
 from swarmchain.prob import pairing_threshold
 from swarmchain.sim import SimConfig, SimTrace, run_simulation
@@ -114,14 +112,7 @@ def _signed_link(identity, t, prev, entries):
     """A link signed by ``identity`` with no check on what its entries name."""
     events = EventList(interval=t, entries=tuple(entries))
     prev_digest = GENESIS if prev is None else link_digest(prev)
-    payload = digest(canonical_encode(events, t, prev_digest))
-    return HistoryLink(
-        owner_id=identity.credential.robot_id,
-        interval=t,
-        events=events,
-        prev_digest=prev_digest,
-        signature=sign(identity, payload.value),
-    )
+    return sign_link(identity, identity.credential.robot_id, events, prev_digest)
 
 
 def _trace(central, identities, store, heads, intervals):
@@ -178,8 +169,7 @@ def _hostile_world():
     store = LinkStore()
     o1 = extend_history(one, None, EventList.empty(1), store)
     q1 = extend_history(three, None, EventList.empty(1), store)
-    unsigned = HistoryLink(owner_id=2, interval=1, events=EventList.empty(1), prev_digest=GENESIS, signature=b"")
-    forged = replace(unsigned, signature=sign(three, signed_digest(unsigned).value))
+    forged = sign_link(three, 2, EventList.empty(1), GENESIS)
     store.insert(forged)
     o2 = extend_history(
         one, o1,

@@ -54,12 +54,44 @@ def test_invalid_config_names_field(kwargs, field):
         (_profile("forge_claim", [1]), "target"),
         (_profile("forge_claim", [1], target=1), "target"),
         (_profile("refuse_record", [1], target=2), "target"),
+        (_profile("refuse_record", [True]), "robots"),
     ],
 )
 def test_invalid_adversary_profiles(profile, field_part):
     with pytest.raises(ConfigError) as err:
         SimConfig(n=5, p=0.5, intervals=3, alpha=0.5, adversaries=(profile,))
     assert field_part in err.value.field
+
+
+def _disappear(**window):
+    return {"adversaries": [{"behavior": "disappear", "robots": [1], **window}]}
+
+
+@pytest.mark.parametrize(
+    "changes,field",
+    [
+        ({"n": True}, "n"),
+        ({"p": True}, "p"),
+        ({"intervals": True}, "intervals"),
+        ({"delta": True}, "delta"),
+        ({"alpha": False}, "alpha"),
+        ({"window": True}, "window"),
+        ({"seed": False}, "seed"),
+        ({"adversaries": [{"behavior": "refuse_record", "robots": [True]}]}, "adversaries[0].robots"),
+        (_disappear(from_t=True, to_t=2), "adversaries[0].from_t"),
+        (_disappear(from_t=1, to_t=True), "adversaries[0].to_t"),
+        ({"adversaries": [{"behavior": "forge_claim", "robots": [2], "target": True}]}, "adversaries[0].target"),
+    ],
+)
+def test_json_booleans_are_not_numbers(changes, field, honest_trace_25):
+    data = {"n": 4, "p": 0.5, "intervals": 3, "delta": 2, "alpha": 0.5, "seed": 1, **changes}
+    with pytest.raises(ConfigError) as err:
+        SimConfig.from_dict(data)
+    assert err.value.field == field
+    doc = {**honest_trace_25.to_dict(), "config": data}
+    with pytest.raises(TraceError) as err:
+        SimTrace.from_dict(doc)
+    assert err.value.location == f"config.{field}"
 
 
 def test_adversary_fraction_must_fit_alpha():
