@@ -66,9 +66,16 @@ the first failure names the reason:
 8. ``bad-entry-signature`` -- the entry's signature is not the referenced
    link's owner signature, verified under the embedded credential.
 
-The exchange (:func:`verify_chain`), the local views and the central
-audit (``detect``) decide what counts by these two functions alone; only
-a depth-1 :func:`verify_chain` forgives ``missing-entry-link``.
+An offer made at interval t may be recorded only if :func:`check_offer`
+accepts it: the entry it would become (:func:`offer_entry`) passes
+:func:`check_entry` at t, resolving only the offered link itself, and an
+offered link then passes :func:`verify_chain` over min(window, its
+interval) links.  The first failure names the reason.  Only accepted
+offers reach :func:`build_event_list`.
+
+The exchange (:func:`check_offer`), the local views and the central
+audit (``detect``) decide what counts by these rules alone; only a
+depth-1 :func:`verify_chain` forgives ``missing-entry-link``.
 """
 from __future__ import annotations
 
@@ -130,12 +137,6 @@ class EventList:
 
     def peer_ids(self) -> frozenset[int]:
         return frozenset(e.peer_id for e in self.entries)
-
-    def entry_for(self, peer_id: int) -> EventEntry | None:
-        for entry in self.entries:
-            if entry.peer_id == peer_id:
-                return entry
-        return None
 
 
 @dataclass(frozen=True)
@@ -371,19 +372,6 @@ def offer_history(identity: SigningIdentity, head: HistoryLink | None) -> Histor
     return HistoryOffer(credential=identity.credential, link=head)
 
 
-def _offer_verifies(owner_id: int, t: int, offer: HistoryOffer) -> bool:
-    if offer.credential.robot_id == owner_id:
-        return False
-    if offer.link is None:
-        return verify(offer.credential, GENESIS.value, offer.genesis_signature)
-    link = offer.link
-    return (
-        link.owner_id == offer.credential.robot_id
-        and link.interval == t - 1
-        and verify(offer.credential, signed_digest(link).value, link.signature)
-    )
-
-
 def offer_entry(offer: HistoryOffer) -> EventEntry:
     """The event entry that witnesses an offer's giver."""
     if offer.link is None:
@@ -401,17 +389,14 @@ def offer_entry(offer: HistoryOffer) -> EventEntry:
     )
 
 
-def build_event_list(owner_id: int, t: int, offers: Iterable[HistoryOffer]) -> EventList:
-    """Turn the interval's verified exchanges into an event list.
-
-    Offers whose history is missing, stale, or fails signature checks
-    are omitted rather than raised: a lying or broken peer costs itself
-    the record, nothing more.  No exchanges means an empty list.
+def build_event_list(t: int, offers: Iterable[HistoryOffer]) -> EventList:
+    """The event list for interval ``t``: one entry per giver, from its
+    first offer.  The offers are not checked again; pass only those
+    :func:`check_offer` accepted.  No offers means an empty list.
     """
     entries: dict[int, EventEntry] = {}
     for offer in offers:
-        if _offer_verifies(owner_id, t, offer) and offer.credential.robot_id not in entries:
-            entries[offer.credential.robot_id] = offer_entry(offer)
+        entries.setdefault(offer.credential.robot_id, offer_entry(offer))
     return EventList(interval=t, entries=tuple(entries.values()))
 
 
@@ -560,17 +545,21 @@ def verify_chain(
     return ACCEPT
 
 
-def accept_encounter(link_i: HistoryLink, link_j: HistoryLink) -> bool:
-    """True iff both links record each other (a paired encounter).
+def check_offer(
+    offer: HistoryOffer,
+    t: int,
+    store: LinkStore,
+    window: int,
+    credentials: Mapping[int, Credential],
+) -> str | None:
+    """None if ``offer``, made at interval ``t``, may be recorded, else the
+    first failing reason of the offer rule (see the module docstring).
 
-    Both links must already verify individually and belong to the same
-    interval.
+    ``store`` holds the offered link's ancestry, ``window`` is how many
+    links of it to verify and ``credentials`` is the issued table.
     """
-    if link_i.interval != link_j.interval:
-        raise ValueError(
-            f"links are from different intervals: {link_i.interval} vs {link_j.interval}"
-        )
-    return (
-        link_i.events.entry_for(link_j.owner_id) is not None
-        and link_j.events.entry_for(link_i.owner_id) is not None
-    )
+    link = offer.link
+    reason = check_entry(offer_entry(offer), t, lambda _: link, credentials)
+    if reason is not None or link is None:
+        return reason
+    return verify_chain(link, offer.credential, store, min(window, link.interval), credentials).reason

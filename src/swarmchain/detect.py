@@ -333,10 +333,6 @@ def default_revocation_policy(report: SuspicionReport) -> set[int]:
     return out
 
 
-def never_revoke_policy(report: SuspicionReport) -> set[int]:
-    return set()
-
-
 def update_revocation(report: SuspicionReport, policy: RevocationPolicy | None = None) -> frozenset[int]:
     """Apply a revocation policy to a report; default policy above.
 
@@ -377,22 +373,26 @@ def compile_report(
 
 
 def collective_disappeared(trace: SimTrace, delta: int) -> frozenset[int]:
-    """Robots that every honest observer independently marks disappeared.
+    """Robots that every honest observer other than themselves
+    independently marks disappeared, provided one such observer exists.
 
     A lone observer misses a robot now and then just from graph
-    sparsity; a robot the whole honest swarm lost track of is the
-    outcome that matters for framing experiments.
+    sparsity; a robot the whole rest of the honest swarm lost track of is
+    the outcome that matters for framing experiments.  An observer's own
+    view never marks the observer, so it says nothing about it.
     """
     adversaries = trace.config.adversary_ids()
+    observers = [
+        r for r in range(1, trace.config.n + 1) if r not in adversaries and trace.heads.get(r) is not None
+    ]
     result: frozenset[int] | None = None
-    for observer in range(1, trace.config.n + 1):
-        if observer in adversaries or trace.heads.get(observer) is None:
-            continue
-        view = LocalView.from_trace(trace, observer)
-        marked = detect_disappeared(view, delta)
+    for observer in observers:
+        marked = detect_disappeared(LocalView.from_trace(trace, observer), delta) | {observer}
         result = marked if result is None else result & marked
         if not result:
             return frozenset()
+    if len(observers) == 1:  # nobody else observes the lone observer
+        result -= set(observers)
     return result if result is not None else frozenset()
 
 

@@ -1,4 +1,4 @@
-"""Per-interval encounter graphs: binomial sampling and neighbor queries.
+"""Per-interval encounter graphs: binomial sampling.
 
 Each interval's communication reach is one draw of a binomial random
 graph G(n, p): every unordered pair of robots meets independently with
@@ -9,7 +9,6 @@ from a run's root seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -38,24 +37,3 @@ def gen_interval_graph(n: int, p: float, rng: np.random.Generator, interval: int
     mask = rng.random(iu.size) < p
     edges = frozenset((int(u) + 1, int(v) + 1) for u, v in zip(iu[mask], ju[mask]))
     return EncounterGraph(n=n, interval=interval, edges=edges)
-
-
-@lru_cache(maxsize=4096)
-def _adjacency(g: EncounterGraph) -> dict[int, frozenset[int]]:
-    adj: dict[int, set[int]] = {v: set() for v in range(1, g.n + 1)}
-    for u, v in g.edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    return {v: frozenset(nb) for v, nb in adj.items()}
-
-
-def neighbors(g: EncounterGraph, v: int) -> frozenset[int]:
-    """The robots sharing an edge with ``v`` in this interval's graph."""
-    if not 1 <= v <= g.n:
-        raise ValueError(f"vertex {v} out of range 1..{g.n}")
-    return _adjacency(g)[v]
-
-
-def edge_list_text(g: EncounterGraph) -> str:
-    """Debug export: one "u v" pair per line, sorted."""
-    return "\n".join(f"{u} {v}" for u, v in sorted(g.edges))

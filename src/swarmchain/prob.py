@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import ceil, comb, sqrt
+from math import ceil, sqrt
 
 import numpy as np
 
@@ -215,8 +215,3 @@ def pairing_threshold(n: int, p: float, alpha: float) -> int:
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"assumed bad fraction must be in [0, 1), got {alpha}")
     return ceil((1.0 - alpha) * n * p)
-
-
-def enumeration_slot_count(n: int, delta: int) -> int:
-    """Edge slots an exhaustive enumeration of (n, delta) would need."""
-    return comb(n, 2) * delta

@@ -37,12 +37,12 @@ from .chain import (
     HistoryOffer,
     LinkStore,
     build_event_list,
+    check_offer,
     extend_history,
     link_digest,
     offer_entry,
     offer_history,
     sign_link,
-    verify_chain,
 )
 from .crypto import (
     Credential,
@@ -50,7 +50,6 @@ from .crypto import (
     SigningIdentity,
     provision_swarm,
     sign,
-    verify,
     verify_credential,
 )
 from .graph import EncounterGraph, gen_interval_graph
@@ -571,33 +570,22 @@ class Simulation:
         self._graph_streams = np.random.SeedSequence(config.seed).spawn(config.intervals)
         self._queues: dict[int, list[HistoryOffer]] = {}
         self._pairs_this_interval: set[tuple[int, int]] = set()
-        self._chain_ok: dict[tuple[Digest, int], bool] = {}
-        self._offer_cache: dict[int, HistoryOffer] = {}
+        self._offers: dict[tuple[int, bool], tuple[HistoryOffer, str | None]] = {}
 
-    def _offer_of(self, giver: int) -> HistoryOffer:
-        offer = self._offer_cache.get(giver)
-        if offer is None:
-            offer = offer_history(self.identities[giver], self.heads[giver])
-            self._offer_cache[giver] = offer
-        return offer
-
-    # -- exchange-time verification -------------------------------------
-
-    def _offer_acceptable(self, offer: HistoryOffer, t: int) -> bool:
-        if not verify_credential(offer.credential, self.central_verify_key):
-            return False
-        if offer.link is None:
-            return verify(offer.credential, GENESIS.value, offer.genesis_signature)
-        link = offer.link
-        if link.owner_id != offer.credential.robot_id or link.interval != t - 1:
-            return False
-        depth = min(self.config.resolved_window, link.interval)
-        key = (link_digest(link), depth)
-        cached = self._chain_ok.get(key)
-        if cached is None:
-            cached = bool(verify_chain(link, offer.credential, self.store, depth, self.credentials))
-            self._chain_ok[key] = cached
-        return cached
+    def _checked_offer(self, giver: int, t: int, forged: bool = False) -> tuple[HistoryOffer, str | None]:
+        """The offer ``giver`` makes at ``t`` (its forged one if ``forged``)
+        and the reason :func:`check_offer` refuses it, or None; each is
+        made and checked once per interval."""
+        key = (giver, forged)
+        checked = self._offers.get(key)
+        if checked is None:
+            if forged:
+                offer = self._forged_offer(giver, t)
+            else:
+                offer = offer_history(self.identities[giver], self.heads[giver])
+            reason = check_offer(offer, t, self.store, self.config.resolved_window, self.credentials)
+            checked = self._offers[key] = (offer, reason)
+        return checked
 
     def _forged_offer(self, forger: int, t: int) -> HistoryOffer:
         """Fabricated history presented in the target's name.
@@ -637,22 +625,21 @@ class Simulation:
             if not gave[giver]:
                 notes.append(f"withheld:{giver}->{receiver}")
                 continue
-            offer = self._offer_of(giver)
+            offer, reason = self._checked_offer(giver, t)
             if self.behavior[receiver] == "refuse_record":
                 notes.append(f"unrecorded:{giver}->{receiver}")
                 continue
-            if self._offer_acceptable(offer, t):
+            if reason is None:
                 self._queues[receiver].append(offer)
                 recorded[receiver] = True
             else:
                 notes.append(f"invalid-offer:{giver}->{receiver}")
         for forger, victim in ((a, b), (b, a)):
             if self.behavior[forger] == "forge_claim":
-                forged = self._forged_offer(forger, t)
-                # The victim still sees the forged offer; omission happens
-                # when it builds its event list.
-                self._queues[victim].append(forged)
-                if not self._offer_acceptable(forged, t):
+                forged, reason = self._checked_offer(forger, t, forged=True)
+                if reason is None:
+                    self._queues[victim].append(forged)
+                else:
                     notes.append(f"forged-offer-rejected:{forger}->{victim}")
 
         record = ExchangeRecord(
@@ -670,10 +657,10 @@ class Simulation:
         return record
 
     def _close_interval(self, r: int, t: int) -> None:
-        events = build_event_list(r, t, self._queues[r])
+        events = build_event_list(t, self._queues[r])
         if self.behavior[r] == "forge_claim":
             # The unwitnessed entry a forger plants in its own event list.
-            entry = offer_entry(self._forged_offer(r, t))
+            entry = offer_entry(self._checked_offer(r, t, forged=True)[0])
             if entry.peer_id not in events.peer_ids():
                 events = EventList(interval=t, entries=events.entries + (entry,))
         prev = self.heads[r]
@@ -694,7 +681,7 @@ class Simulation:
             self.graphs.append(g)
             self._queues = {r: [] for r in range(1, cfg.n + 1)}
             self._pairs_this_interval = set()
-            self._offer_cache = {}
+            self._offers = {}
             effective = {e for e in g.edges if e[0] in active and e[1] in active}
             forced = {
                 pair

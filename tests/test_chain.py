@@ -10,10 +10,7 @@ from swarmchain.chain import (
     EncodingError,
     EventEntry,
     EventList,
-    HistoryLink,
-    HistoryOffer,
     LinkStore,
-    accept_encounter,
     build_event_list,
     canonical_encode,
     decode_link,
@@ -25,7 +22,9 @@ from swarmchain.chain import (
     signed_digest,
     verify_chain,
 )
-from swarmchain.crypto import Digest, provision_swarm, sign
+from swarmchain.crypto import Digest, provision_swarm
+from swarmchain.detect import LocalView
+from swarmchain.sim import SimConfig
 
 
 def _entry_for(identity, head):
@@ -46,7 +45,7 @@ def _grow_pairwise(identities, store, intervals):
         new_heads = {}
         for me in identities:
             peer_offers = [offers[other.robot_id] for other in identities if other is not me]
-            events = build_event_list(me.robot_id, t, peer_offers)
+            events = build_event_list(t, peer_offers)
             new_heads[me.robot_id] = extend_history(me, heads[me.robot_id], events, store)
         heads = new_heads
     return heads
@@ -138,62 +137,15 @@ def test_decode_rejects_trailing_bytes(swarm5):
 
 
 def test_no_exchanges_gives_empty_list():
-    events = build_event_list(1, 4, [])
+    events = build_event_list(4, [])
     assert events.interval == 4
-    assert events.entries == ()
-
-
-def test_tampered_peer_link_is_omitted(swarm5):
-    _, identities = swarm5
-    store = LinkStore()
-    heads = {}
-    for identity in identities[1:4]:
-        heads[identity.robot_id] = extend_history(identity, None, EventList.empty(1), store)
-    offers = [offer_history(i, heads[i.robot_id]) for i in identities[1:4]]
-    tampered = offers[0].link
-    bad = HistoryLink(
-        owner_id=tampered.owner_id,
-        interval=tampered.interval,
-        events=tampered.events,
-        prev_digest=tampered.prev_digest,
-        signature=bytes([tampered.signature[0] ^ 1]) + tampered.signature[1:],
-    )
-    offers[0] = HistoryOffer(credential=offers[0].credential, link=bad)
-    events = build_event_list(identities[0].robot_id, 2, offers)
-    assert events.peer_ids() == {identities[2].robot_id, identities[3].robot_id}
-
-
-def test_stale_peer_link_is_omitted(swarm5):
-    _, identities = swarm5
-    store = LinkStore()
-    head1 = extend_history(identities[1], None, EventList.empty(1), store)
-    events = build_event_list(identities[0].robot_id, 3, [offer_history(identities[1], head1)])
-    assert events.entries == ()  # interval 1 head cannot witness an interval-3 meeting
-
-
-def test_wrong_key_signature_is_omitted(swarm5):
-    """A claim naming an honest robot needs that robot's signature."""
-    _, identities = swarm5
-    victim, forger = identities[0], identities[1]
-    forged = HistoryOffer(
-        credential=victim.credential,
-        link=None,
-        genesis_signature=sign(forger, GENESIS.value),
-    )
-    events = build_event_list(identities[2].robot_id, 1, [forged])
-    assert events.entries == ()
-
-
-def test_self_offer_is_omitted(swarm5):
-    _, identities = swarm5
-    events = build_event_list(identities[0].robot_id, 1, [offer_history(identities[0], None)])
     assert events.entries == ()
 
 
 def test_duplicate_offers_collapse_to_one_entry(swarm5):
     _, identities = swarm5
     offer = offer_history(identities[1], None)
-    events = build_event_list(identities[0].robot_id, 1, [offer, offer])
+    events = build_event_list(1, [offer, offer])
     assert len(events.entries) == 1
 
 
@@ -304,7 +256,18 @@ def test_depth_must_be_positive(swarm5):
         verify_chain(link, identities[0].credential, store, depth=0, credentials=_issued(identities))
 
 
-# -- encounter acceptance ------------------------------------------------------
+# -- encounter pairing ---------------------------------------------------------
+
+
+def _view(identities, links):
+    """The view holding exactly ``links``, for a swarm of ``identities``."""
+    return LocalView(
+        observer=None,
+        as_of=max(link.interval for link in links),
+        links={link_digest(link): link for link in links},
+        params=SimConfig(n=len(identities), p=0.5, intervals=2, delta=1, seed=0),
+        credentials=_issued(identities),
+    )
 
 
 def _two_robot_links(identities, record=(True, True)):
@@ -314,46 +277,57 @@ def _two_robot_links(identities, record=(True, True)):
     links = {}
     for me, other, does_record in ((a, b, record[0]), (b, a, record[1])):
         chosen = [offers[other.robot_id]] if does_record else []
-        events = build_event_list(me.robot_id, 1, chosen)
+        events = build_event_list(1, chosen)
         links[me.robot_id] = extend_history(me, None, events, store)
     return links[a.robot_id], links[b.robot_id]
 
 
 def test_mutual_records_accepted(swarm5):
     _, identities = swarm5
-    link_a, link_b = _two_robot_links(identities, record=(True, True))
-    assert accept_encounter(link_a, link_b)
+    view = _view(identities, _two_robot_links(identities, record=(True, True)))
+    assert view.paired_intervals() == {(1, 2): {1}}
+    assert view.unpaired_claims() == ()
 
 
 def test_one_sided_record_unpaired(swarm5):
     """Omitting a met robot leaves the victim's claim unpaired."""
     _, identities = swarm5
-    link_a, link_b = _two_robot_links(identities, record=(True, False))
-    assert not accept_encounter(link_a, link_b)
+    view = _view(identities, _two_robot_links(identities, record=(True, False)))
+    assert view.paired_intervals() == {}
+    assert view.unpaired_claims() == ((1, 2, 1),)
 
 
 def test_no_records_unpaired(swarm5):
     _, identities = swarm5
-    link_a, link_b = _two_robot_links(identities, record=(False, False))
-    assert not accept_encounter(link_a, link_b)
+    view = _view(identities, _two_robot_links(identities, record=(False, False)))
+    assert view.paired_intervals() == {}
+    assert view.unpaired_claims() == ()
 
 
 @settings(max_examples=20)
 @given(record=st.tuples(st.booleans(), st.booleans()))
 def test_accept_encounter_is_symmetric(record):
+    """Swapping who records whom keeps the paired encounters and mirrors the
+    unpaired claims."""
     _, identities = provision_swarm(2, seed=31)
-    link_a, link_b = _two_robot_links(identities, record=record)
-    assert accept_encounter(link_a, link_b) == accept_encounter(link_b, link_a)
+    view = _view(identities, _two_robot_links(identities, record=record))
+    mirror = _view(identities, _two_robot_links(identities, record=record[::-1]))
+    assert view.paired_intervals() == mirror.paired_intervals()
+    assert sorted((b, a, t) for a, b, t in view.unpaired_claims()) == list(mirror.unpaired_claims())
 
 
-def test_accept_encounter_interval_mismatch_raises(swarm5):
+def test_claims_of_different_intervals_do_not_pair(swarm5):
     _, identities = swarm5
+    a, b = identities[0], identities[1]
     store = LinkStore()
-    l1 = extend_history(identities[0], None, EventList.empty(1), store)
-    l2a = extend_history(identities[1], None, EventList.empty(1), store)
-    l2b = extend_history(identities[1], l2a, EventList.empty(2), store)
-    with pytest.raises(ValueError):
-        accept_encounter(l1, l2b)
+    a1 = extend_history(a, None, build_event_list(1, [offer_history(b, None)]), store)
+    b1 = extend_history(b, None, EventList.empty(1), store)
+    a2 = extend_history(a, a1, EventList.empty(2), store)
+    b2 = extend_history(b, b1, build_event_list(2, [offer_history(a, a1)]), store)
+    view = _view(identities, [a1, b1, a2, b2])
+    assert view.claims == {(1, 2, 1), (2, 1, 2)}
+    assert view.paired_intervals() == {}
+    assert view.unpaired_claims() == ((1, 2, 1), (2, 1, 2))
 
 
 # -- the store ----------------------------------------------------------------
@@ -404,7 +378,7 @@ def test_any_honest_construction_round_trips(meetings):
             met[a].append(offers[b])
             met[b].append(offers[a])
         heads = {
-            r: extend_history(by_id[r], heads[r], build_event_list(r, t, met[r]), store)
+            r: extend_history(by_id[r], heads[r], build_event_list(t, met[r]), store)
             for r in by_id
         }
     for r, identity in by_id.items():

@@ -13,7 +13,6 @@ from swarmchain.detect import (
     default_revocation_policy,
     detect_collusion,
     detect_disappeared,
-    never_revoke_policy,
     update_revocation,
 )
 from swarmchain.sim import AdversaryProfile, SimConfig, run_simulation
@@ -87,15 +86,27 @@ def test_refuse_give_robot_ends_up_collectively_disappeared():
     assert 4 in collective_disappeared(trace, 3)
 
 
+def test_a_robot_needs_another_honest_observer_to_be_framed():
+    """Robot 3 is the only honest observer: it marks both adversaries, and
+    nobody is left to mark it."""
+    cfg = SimConfig(
+        n=3, p=0.0, intervals=3, delta=3, alpha=0.7, seed=1,
+        adversaries=(_profile("refuse_record", [1, 2]),),
+    )
+    assert collective_disappeared(run_simulation(cfg), 3) == frozenset({1, 2})
+
+
 def test_framing_attempt_fails_on_reference_seed(refuse_record_trace_25):
     honest = set(range(9, 26))
     assert collective_disappeared(refuse_record_trace_25, 3) & honest == frozenset()
 
 
 def test_honest_single_observer_miss_rate_is_tiny():
-    """A lone observer misses an unmet robot at roughly the closed-form
-    rate (~1e-5 per pair, relay included); 300 runs x 24 pairs should see
-    at most a stray handful."""
+    """A lone observer rarely misses a robot.  At (25, .33, 3) the paper's
+    closed form gives 1.5e-5 per pair and the exact one-hop value (a direct
+    meeting or one relay) 3.5e-4, an upper bound here, since a view also
+    learns along longer paths; 300 runs x 24 pairs should see at most a
+    stray handful."""
     misses = 0
     for i in range(300):
         trace = run_simulation(SimConfig(n=25, p=0.33, intervals=3, delta=3, seed=50_000 + i))
@@ -217,7 +228,7 @@ def test_never_revoke_policy_overrides_evidence():
     report = _empty_report()
     report.disappeared = frozenset({(6, 0)})
     report.collusion_suspects = frozenset({((1, 2), 3)})
-    assert update_revocation(report, never_revoke_policy) == frozenset()
+    assert update_revocation(report, lambda _report: set()) == frozenset()
 
 
 def test_compile_report_brings_it_together(colluder_trace_25):

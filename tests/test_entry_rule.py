@@ -1,25 +1,35 @@
-"""The one entry rule, seen from every place that applies it.
+"""The one entry rule and the one offer rule, seen from every place that
+applies them.
 
 ``chain.check_entry`` decides whether an event entry witnesses its peer.
 The exchange (``verify_chain``), the local and central views
 (``LocalView.claims`` / ``evidence``) and the post-task audit
 (``central_audit``) must agree with it on every reason.
+``chain.check_offer`` decides whether an exchange offer may be recorded,
+and the simulator asks it once per offer and interval.
 """
+import json
+from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+from swarmchain import sim
 from swarmchain.chain import (
     GENESIS,
     EventEntry,
     EventList,
+    HistoryOffer,
     LinkStore,
     build_event_list,
     check_entry,
+    check_offer,
     extend_history,
     link_digest,
     offer_entry,
     offer_history,
+    sign_link,
     signed_digest,
     verify_chain,
 )
@@ -59,7 +69,7 @@ def _world():
     q1 = extend_history(q, None, EventList.empty(1), store)
     o1 = extend_history(o, None, EventList.empty(1), store)
     o2 = extend_history(o, o1, EventList.empty(2), store)
-    unstored = extend_history(p, p1, build_event_list(PEER, 2, [offer_history(q, q1)]), LinkStore())
+    unstored = extend_history(p, p1, build_event_list(2, [offer_history(q, q1)]), LinkStore())
     return central, identities, store, {"p1": p1, "p2": p2, "q1": q1, "o2": o2, "unstored": unstored}
 
 
@@ -145,6 +155,119 @@ def test_depth_one_forgives_only_a_missing_entry_link():
         head = extend_history(owner, links["o2"], EventList(interval=T, entries=(entry,)), LinkStore())
         verdict = verify_chain(head, owner.credential, store, 1, issued)
         assert verdict.ok == (case == "missing-entry-link"), (case, verdict)
+
+
+# -- the offer rule ----------------------------------------------------------------
+
+
+def _offer_case(case, identities, store, links):
+    """(offer, interval it is made at, window) for one row of the offer rule.
+
+    ``offer_entry`` names the credential's owner and the offered link
+    resolves to itself, so ``entry-credential-mismatch``,
+    ``entry-digest-mismatch`` and, for the offered link, ``missing-entry-link``
+    cannot arise; the rows after the entry reasons break an ancestor the
+    window reaches.
+    """
+    _, p, q = identities
+    p1, p2 = links["p1"], links["p2"]
+
+    def over(ancestor, interval=None):
+        """A stored, empty link of the peer's whose previous link is ``ancestor``."""
+        t = ancestor.interval + 1 if interval is None else interval
+        link = sign_link(p, PEER, EventList.empty(t), link_digest(ancestor))
+        store.insert(link)
+        return link
+
+    if case == "genesis":
+        return offer_history(p, None), 1, 1
+    if case == "linked":
+        return offer_history(p, p2), 3, 2
+    if case == "uncertified-credential":
+        return offer_history(_self_keyed(PEER), None), 1, 1
+    if case == "bad-entry-signature/wrong-key":
+        wrong_key = sign(q, GENESIS.value)
+        return HistoryOffer(credential=p.credential, link=None, genesis_signature=wrong_key), 1, 1
+    if case == "bad-entry-signature/tampered":
+        tampered = replace(p2, signature=bytes([p2.signature[0] ^ 1]) + p2.signature[1:])
+        return HistoryOffer(credential=p.credential, link=tampered), 3, 2
+    if case == "entry-owner-mismatch":
+        return HistoryOffer(credential=p.credential, link=links["q1"]), 2, 1
+    if case == "entry-interval-mismatch/stale":
+        return offer_history(p, p1), 3, 2
+    if case == "wrong-owner":
+        return offer_history(p, over(links["q1"])), 3, 2
+    if case == "bad-signature":
+        forged = sign_link(q, PEER, EventList.empty(1), GENESIS)
+        store.insert(forged)
+        return offer_history(p, over(forged)), 3, 2
+    if case == "bad-signature/beyond-window":
+        forged = sign_link(q, PEER, EventList.empty(1), GENESIS)
+        store.insert(forged)
+        return offer_history(p, over(forged)), 3, 1
+    if case == "missing-link":
+        return offer_history(p, over(links["unstored"])), 4, 2
+    if case == "digest-mismatch":
+        store._links[link_digest(p2)] = links["unstored"]
+        return offer_history(p, over(p2)), 4, 3
+    if case == "interval-gap":
+        return offer_history(p, over(p1, interval=3)), 4, 3
+    if case == "missing-entry-link":
+        unstored_q2 = sign_link(q, OTHER, EventList.empty(2), link_digest(links["q1"]))
+        p3 = sign_link(p, PEER, build_event_list(3, [offer_history(q, unstored_q2)]), link_digest(p2))
+        store.insert(p3)
+        return offer_history(p, over(p3)), 5, 2
+    raise AssertionError(case)
+
+
+OFFER_CASES = {
+    "genesis": None,
+    "linked": None,
+    "uncertified-credential": "uncertified-credential",
+    "bad-entry-signature/wrong-key": "bad-entry-signature",
+    "bad-entry-signature/tampered": "bad-entry-signature",
+    "entry-owner-mismatch": "entry-owner-mismatch",
+    "entry-interval-mismatch/stale": "entry-interval-mismatch",
+    "wrong-owner": "wrong-owner",
+    "bad-signature": "bad-signature",
+    "bad-signature/beyond-window": None,
+    "missing-link": "missing-link",
+    "digest-mismatch": "digest-mismatch",
+    "interval-gap": "interval-gap",
+    "missing-entry-link": "missing-entry-link",
+}
+
+
+@pytest.mark.parametrize("case", OFFER_CASES)
+def test_offer_rule(case):
+    _, identities, store, links = _world()
+    offer, t, window = _offer_case(case, identities, store, links)
+    issued = {i.robot_id: i.credential for i in identities}
+    assert check_offer(offer, t, store, window, issued) == OFFER_CASES[case]
+
+
+def test_each_offer_is_checked_once_per_interval(monkeypatch):
+    """On forge_n10 every giver's offer and every forger's forged offer is
+    checked exactly once in each interval."""
+    checked = Counter()
+
+    def counting_check_offer(offer, t, *rest):
+        checked[offer, t] += 1
+        return check_offer(offer, t, *rest)
+
+    monkeypatch.setattr(sim, "check_offer", counting_check_offer)
+    config_path = Path(__file__).resolve().parent.parent / "configs" / "forge_n10.json"
+    cfg = sim.SimConfig.from_dict(json.loads(config_path.read_text()))
+    trace = sim.run_simulation(cfg)
+
+    assert set(checked.values()) == {1}
+    expected = Counter()
+    for t in range(1, cfg.intervals + 1):
+        exchanges = [x for x in trace.exchanges if x.interval == t]
+        givers = {x.a for x in exchanges if x.a_gave} | {x.b for x in exchanges if x.b_gave}
+        expected[t] = len(givers) + len(cfg.adversary_ids())
+    assert Counter(t for _, t in checked) == expected
+    assert any(note.startswith("forged-offer-rejected") for x in trace.exchanges for note in x.notes)
 
 
 # -- regression: an entry signed under a self-made credential --------------------------

@@ -1,0 +1,75 @@
+"""Byte-identical outputs on every shipped config.
+
+For each ``configs/*.json`` the simulated trace (``trace.to_json()``, no
+manifest) and the ``swarmchain analyze --output`` report with its
+manifest removed must hash to the pinned SHA-256.  A change that alters
+the RNG stream, a trace byte or a report byte fails here; such a change
+re-pins on purpose and says so in CHANGES.md.
+"""
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from swarmchain.cli import main
+from swarmchain.sim import SimConfig, run_simulation
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+# name: (sha256 of the trace JSON, sha256 of the report JSON without manifest)
+PINS = {
+    "collusion_n25": (
+        "3d42154fe7746a18244a1ef164204cf59e16e74b2db17029c1605bb06a45f5f6",
+        "ee5384a97cb54d498fbd034b65cb1f31c06d1346ebccda85b40eb72e558d77b6",
+    ),
+    "disappearance_n25": (
+        "cb54c12945956b4c1e79301eac78a2a397fab2cbcd22417a826e904c51e0aa6f",
+        "4aa68ef0b7d1ab90ccaed0e049dcf1268c103524262a03db073ac021f7de7775",
+    ),
+    "forge_n10": (
+        "68ce4c5b7ff0fd4ddf612e5a80abb1ca11cd214d1983ce3733c1e21ad341c294",
+        "18e88c4346c1dd544272b1301b0325f46c1a3bb24428645f8b11d994b4d60189",
+    ),
+    "framing_n25": (
+        "ecb1b3ff16137b2a41240e6b7e08c1ee7a1fe2226ea8a26a542432fcfeb3764f",
+        "f4442d53a4f5297b8ce10547c178d637e9e9415c1d3ce367009295817509ad61",
+    ),
+    "framing_n48": (
+        "ed4f32e65b7885454aaabf7a512f6c58cc8f81c652511a9d0eb9586880f02654",
+        "16df718ab180648129d9f7905e55305ad75dc640013a9fbdeb76edc7ffe855cd",
+    ),
+    "honest_n25": (
+        "f78d9ea1d8dcb6196700b925c3714f95a1b87ba607b39b9481fa4339bd59273e",
+        "a5e35ae8b7b96e5b2a274a649b1b83aff33edbfa97402b12c47336e7cada0572",
+    ),
+    "honest_n48": (
+        "c2320b3728a66e8e76bb0be45e8d614fafebf2bc7ac69ca65157e02883c74c8a",
+        "01a78cfda9e810121845f7d467598ef9c4407798b17e6c1b2468e8c9009df15d",
+    ),
+}
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _outputs(name: str, tmp_path: Path) -> tuple[str, str]:
+    config = SimConfig.from_dict(json.loads((CONFIGS / f"{name}.json").read_text()))
+    trace_text = run_simulation(config).to_json()
+    trace_path = tmp_path / "trace.json"
+    report_path = tmp_path / "report.json"
+    trace_path.write_text(trace_text)
+    assert main(["analyze", "--trace", str(trace_path), "--output", str(report_path)]) == 0
+    report = json.loads(report_path.read_text())
+    del report["manifest"]
+    return _sha256(trace_text), _sha256(json.dumps(report, indent=2, sort_keys=True) + "\n")
+
+
+def test_every_config_is_pinned():
+    assert sorted(PINS) == sorted(path.stem for path in CONFIGS.glob("*.json"))
+
+
+@pytest.mark.parametrize("name", sorted(PINS))
+def test_trace_and_report_bytes_are_pinned(name, tmp_path):
+    assert _outputs(name, tmp_path) == PINS[name]

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swarmchain.graph import EncounterGraph, edge_list_text, gen_interval_graph, neighbors
+from swarmchain.graph import EncounterGraph, gen_interval_graph
 
 
 def test_p_zero_gives_empty_graph():
@@ -35,27 +35,6 @@ def test_empty_swarm_rejected():
         gen_interval_graph(0, 0.5, np.random.default_rng(0))
 
 
-def test_neighbors_empty_graph():
-    g = EncounterGraph(n=4, interval=1, edges=frozenset())
-    assert neighbors(g, 2) == frozenset()
-
-
-def test_neighbors_complete_graph():
-    g = gen_interval_graph(4, 1.0, np.random.default_rng(0))
-    assert neighbors(g, 2) == {1, 3, 4}
-
-
-def test_neighbors_hand_built_graph():
-    g = EncounterGraph(n=3, interval=1, edges=frozenset({(1, 2), (2, 3)}))
-    assert neighbors(g, 2) == {1, 3}
-
-
-def test_neighbors_out_of_range():
-    g = EncounterGraph(n=3, interval=1, edges=frozenset())
-    with pytest.raises(ValueError):
-        neighbors(g, 4)
-
-
 def test_malformed_edges_rejected():
     with pytest.raises(ValueError):
         EncounterGraph(n=3, interval=1, edges=frozenset({(2, 2)}))
@@ -66,11 +45,17 @@ def test_malformed_edges_rejected():
 @settings(max_examples=30)
 @given(n=st.integers(2, 15), p=st.floats(0, 1), seed=st.integers(0, 2**32 - 1))
 def test_edge_symmetry_and_degree_sum(n, p, seed):
+    """Each meeting is one unordered pair, so it adds one to both degrees."""
     g = gen_interval_graph(n, p, np.random.default_rng(seed))
-    for u in range(1, n + 1):
-        for v in neighbors(g, u):
-            assert u in neighbors(g, v)
-    assert sum(len(neighbors(g, v)) for v in range(1, n + 1)) == 2 * len(g.edges)
+    adjacency = {v: set() for v in range(1, n + 1)}
+    for u, v in g.edges:
+        assert 1 <= u < v <= n
+        adjacency[u].add(v)
+        adjacency[v].add(u)
+    for u in adjacency:
+        for v in adjacency[u]:
+            assert u in adjacency[v]
+    assert sum(len(nb) for nb in adjacency.values()) == 2 * len(g.edges)
 
 
 def test_mean_degree_matches_exact_expectation():
@@ -94,8 +79,3 @@ def test_empirical_edge_frequency_converges_to_p():
     freq = edges / (pairs * samples)
     std_err = (p * (1 - p) / (pairs * samples)) ** 0.5
     assert abs(freq - p) <= 3 * std_err
-
-
-def test_edge_list_export():
-    g = EncounterGraph(n=3, interval=1, edges=frozenset({(2, 3), (1, 2)}))
-    assert edge_list_text(g) == "1 2\n2 3"

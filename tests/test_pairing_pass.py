@@ -136,7 +136,7 @@ def test_self_claim_counts_once_toward_its_owner():
     # robot 1 records itself next to a real meeting with robot 2
     a2 = _signed_link(a, 2, a1, [offer_entry(offer_history(a, a1)), offer_entry(offer_history(b, b1))])
     store.insert(a2)
-    b2 = extend_history(b, b1, build_event_list(2, 2, [offer_history(a, a1)]), store)
+    b2 = extend_history(b, b1, build_event_list(2, [offer_history(a, a1)]), store)
     view = LocalView.central(_trace(central, identities, store, {1: a2, 2: b2}, 2))
 
     assert view.claims == {(1, 1, 2), (1, 2, 2), (2, 1, 2)}
@@ -179,9 +179,9 @@ def _hostile_world():
         )),
         store,
     )
-    q2 = extend_history(three, q1, build_event_list(3, 2, [offer_history(one, o1)]), store)
-    o3 = extend_history(one, o2, build_event_list(1, 3, [offer_history(three, q2)]), store)
-    q3 = extend_history(three, q2, build_event_list(3, 3, [offer_history(one, o2)]), store)
+    q2 = extend_history(three, q1, build_event_list(2, [offer_history(one, o1)]), store)
+    o3 = extend_history(one, o2, build_event_list(3, [offer_history(three, q2)]), store)
+    q3 = extend_history(three, q2, build_event_list(3, [offer_history(one, o2)]), store)
     trace = _trace(central, identities, store, {1: o3, 2: forged, 3: q3}, 3)
     return trace, {"o2": o2, "q1": q1, "forged": forged}
 
@@ -195,7 +195,7 @@ def _all_views(trace, central_first):
 @pytest.mark.parametrize("central_first", [True, False])
 def test_shared_memo_matches_a_fresh_pass_per_view(central_first):
     trace, links = _hostile_world()
-    forged_entry = links["o2"].events.entry_for(2)
+    (forged_entry,) = [e for e in links["o2"].events.entries if e.peer_id == 2]
     # the two ways to resolve disagree on the reason, and both refuse
     assert check_entry(forged_entry, 2, trace.store.get, trace.credentials) == "bad-entry-signature"
     central = LocalView.central(trace)  # building a view reads no entry

@@ -11,7 +11,6 @@ from swarmchain.prob import (
     InfeasibleError,
     ProbQuery,
     _report_events,
-    enumeration_slot_count,
     exact_small_enumeration,
     mc_report_within,
     pairing_threshold,
@@ -144,7 +143,7 @@ def test_enumeration_matches_hand_derived_value():
 
 
 def test_enumeration_rejects_large_instances():
-    assert enumeration_slot_count(5, 3) == 30
+    # (5, 3) needs C(5, 2) * 3 = 30 edge slots
     with pytest.raises(InfeasibleError):
         exact_small_enumeration(ProbQuery(5, 0.5, 3))
 
@@ -167,7 +166,7 @@ def test_enumeration_agrees_with_oracle_on_asymmetric_p():
 
 # Every (n, delta) small enough to enumerate within 12 edge slots.
 SMALL_INSTANCES = [
-    (n, delta) for n in range(2, 6) for delta in range(1, 13) if enumeration_slot_count(n, delta) <= 12
+    (n, delta) for n in range(2, 6) for delta in range(1, 13) if math.comb(n, 2) * delta <= 12
 ]
 
 

@@ -50,6 +50,16 @@ def test_framed_never_contains_an_adversary():
     assert lost_adversary
 
 
+def test_framed_counts_every_robot_that_met_nobody():
+    """Positive control: in a sparse all-honest swarm every other observer
+    loses a robot that met nobody, and only such a robot."""
+    for trace in suites.runs(SimConfig(n=10, p=0.02, intervals=3, delta=3, seed=1), 5):
+        met = {r for g in trace.graphs for edge in g.edges for r in edge}
+        isolated = frozenset(range(1, 11)) - met
+        assert isolated
+        assert suites.framed(trace) == isolated
+
+
 @pytest.mark.parametrize("name,framed,flagged_runs", [("collusion_n25", 0, 20), ("framing_n25", 0, 19)])
 def test_montecarlo_scenario_suite_counts_what_the_suite_counts(name, framed, flagged_runs, capsys):
     argv = ["montecarlo", "--config", str(CONFIGS / f"{name}.json"), "--runs", "20", "--trials", "2000"]
