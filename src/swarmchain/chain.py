@@ -66,6 +66,20 @@ the first failure names the reason:
 8. ``bad-entry-signature`` -- the entry's signature is not the referenced
    link's owner signature, verified under the embedded credential.
 
+A chain is walked by :func:`walk_chain`, from its head toward genesis:
+each link goes through :func:`check_link` (``wrong-owner`` ends the walk;
+a ``bad-signature`` link's entries are skipped), then each of its entries
+through :func:`check_entry`.  Between a link at t and its previous link
+the walk finds, in this order:
+
+1. ``missing-link`` -- the previous link does not resolve (at t - 1).
+2. ``digest-mismatch`` -- it resolves to a link of another digest (at t - 1).
+3. ``interval-order`` -- it is not from before t (at its own interval).
+4. ``interval-gap`` -- it is from before t - 1 (over the skipped intervals).
+
+The first three end the walk.  A first link (previous digest genesis)
+above interval 1 is a ``late-start`` over intervals 1..t - 1.
+
 An offer made at interval t may be recorded only if :func:`check_offer`
 accepts it: the entry it would become (:func:`offer_entry`) passes
 :func:`check_entry` at t, resolving only the offered link itself, and an
@@ -74,8 +88,9 @@ interval) links.  The first failure names the reason.  Only accepted
 offers reach :func:`build_event_list`.
 
 The exchange (:func:`check_offer`), the local views and the central
-audit (``detect``) decide what counts by these rules alone; only a
-depth-1 :func:`verify_chain` forgives ``missing-entry-link``.
+audit (``detect``) decide what counts by these rules alone.
+:func:`verify_chain` rejects at the first walk finding but a late start
+(at depth 1 also forgiving ``missing-entry-link``); the audit reads them all.
 """
 from __future__ import annotations
 
@@ -495,11 +510,48 @@ class ChainVerdict:
         return self.ok
 
 
-ACCEPT = ChainVerdict(ok=True)
-
-
-def _reject(reason: str, interval: int) -> ChainVerdict:
-    return ChainVerdict(ok=False, reason=reason, interval=interval)
+def walk_chain(
+    head: HistoryLink,
+    owner_credential: Credential | None,
+    store: LinkStore,
+    credentials: Mapping[int, Credential],
+    depth: int | None,
+) -> Iterator[tuple[int, int, str | None, int | None]]:
+    """Every finding of the walk rule (see the module docstring) from
+    ``head`` toward genesis, in walk order, over at most ``depth`` links
+    (None: the whole chain).  A finding is ``(first, last, reason, peer)``:
+    the intervals it covers, its reason and an entry's peer; each entry of
+    a checked link yields one (reason None if accepted), a link one only
+    if refused.
+    """
+    link, walked = head, 1
+    while True:
+        t = link.interval
+        reason = check_link(link, owner_credential)
+        if reason is not None:
+            yield t, t, reason, None
+            if reason == "wrong-owner":
+                return
+        else:
+            for entry in link.events.entries:
+                yield t, t, check_entry(entry, t, store.get, credentials), entry.peer_id
+        if link.prev_digest == GENESIS and t > 1:
+            yield 1, t - 1, "late-start", None
+        if link.prev_digest == GENESIS or walked == depth:
+            return
+        prev = store.get(link.prev_digest)
+        if prev is None:
+            yield t - 1, t - 1, "missing-link", None
+            return
+        if link_digest(prev) != link.prev_digest:
+            yield t - 1, t - 1, "digest-mismatch", None
+            return
+        if prev.interval >= t:
+            yield prev.interval, prev.interval, "interval-order", None
+            return
+        if prev.interval < t - 1:
+            yield prev.interval + 1, t - 1, "interval-gap", None
+        link, walked = prev, walked + 1
 
 
 def verify_chain(
@@ -509,40 +561,17 @@ def verify_chain(
     depth: int,
     credentials: Mapping[int, Credential],
 ) -> ChainVerdict:
-    """Verify the ``depth`` most recent links of a chain.
-
-    Each checked link must pass :func:`check_link` under
-    ``owner_credential`` and every entry in it :func:`check_entry`
-    against ``store`` and the issued ``credentials``; intervals must
-    descend by exactly one and previous links must resolve in the store
-    (or be genesis).  Ancestry beyond ``depth`` is not examined, and a
-    head checked alone (``depth`` 1) may reference links the store lacks:
-    its own signature covers the entry digests as opaque bytes.
-    Rejections report the first failing interval; failures while
-    resolving a predecessor report the expected predecessor interval.
+    """The first :func:`walk_chain` finding over the ``depth`` most recent
+    links, at its last interval, but a late start and, at ``depth`` 1, a
+    missing entry link (the head's signature covers entry digests as bytes).
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    link = head
-    for step in range(depth):
-        reason = check_link(link, owner_credential)
-        if reason is not None:
-            return _reject(reason, link.interval)
-        for entry in link.events.entries:
-            reason = check_entry(entry, link.interval, store.get, credentials)
-            if reason is not None and (depth > 1 or reason != "missing-entry-link"):
-                return _reject(reason, link.interval)
-        if link.prev_digest == GENESIS or step + 1 == depth:
-            break
-        prev = store.get(link.prev_digest)
-        if prev is None:
-            return _reject("missing-link", link.interval - 1)
-        if link_digest(prev) != link.prev_digest:
-            return _reject("digest-mismatch", link.interval - 1)
-        if prev.interval != link.interval - 1:
-            return _reject("interval-gap", link.interval - 1)
-        link = prev
-    return ACCEPT
+    forgiven = (None, "late-start") if depth > 1 else (None, "late-start", "missing-entry-link")
+    for _, last, reason, _ in walk_chain(head, owner_credential, store, credentials, depth):
+        if reason not in forgiven:
+            return ChainVerdict(ok=False, reason=reason, interval=last)
+    return ChainVerdict(ok=True)
 
 
 def check_offer(

@@ -246,7 +246,7 @@ def cmd_montecarlo(args, out=None) -> int:
         framed = flagged_runs = 0
         for trace in suites.runs(config, args.runs):
             framed += len(suites.framed(trace))
-            flagged_runs += bool(suites.flagged(trace, args.epsilon))
+            flagged_runs += bool(suites.flagged(trace, args.epsilon) & config.colluder_pairs())
         scenario_rows.append(
             {
                 "record": "scenario-suite",

@@ -20,9 +20,9 @@ top of that view sit four detectors:
   call, so the policy is just a function.
 
 ``central_audit`` is the post-task counterpart: it walks every collected
-chain in full, checks signatures and linkage, cross-checks that every
-claimed encounter is recorded by both participants, and reports coverage
-gaps for robots that stopped extending their chains.
+chain in full by the walk rule of :mod:`swarmchain.chain`
+(``walk_chain``), cross-checks that every claimed encounter is recorded
+by both participants, and reports coverage gaps.
 
 Cost.  A view built from a trace checks each of its links once
 (``check_link``) and takes the claims of each link's entries from a
@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
-from .chain import GENESIS, HistoryLink, LinkStore, check_entry, check_link, link_digest
+from .chain import HistoryLink, LinkStore, check_entry, check_link, walk_chain
 from .crypto import Credential, Digest
 from .prob import pairing_threshold
 from .sim import SimConfig, SimTrace
@@ -449,17 +449,11 @@ def central_audit(
 ) -> AuditReport:
     """Verify every collected chain in full and cross-check pairing.
 
-    Walks each chain from its head to genesis: every link through
-    ``check_link`` and every event entry through ``check_entry`` against
-    the store and the issued ``credentials`` (the rules stated in
-    :mod:`swarmchain.chain`), plus digest linkage and interval ordering.
-    Unlike ``verify_chain`` the walk collects every failure, reading on
-    past a bad signature or entry.  Claims from links whose own
-    signature verified feed the pairing cross-check; failing entries are
-    reported as verification failures and excluded from pairing.  Robots
-    whose chains stop short of the final interval (or never started, or
-    jump intervals) produce coverage-gap findings, missing heads are
-    reported as such.
+    Sorts each chain's ``walk_chain`` findings (the walk rule of
+    :mod:`swarmchain.chain`): accepted entries are claims for the pairing
+    cross-check, interval gaps and late starts are coverage gaps, every
+    other finding is a verification failure.  A chain that stops short of
+    the final interval is a coverage gap too, and missing heads are listed.
     """
     failures: list[tuple[int, int, str]] = []
     gaps: list[tuple[int, int, int]] = []
@@ -471,38 +465,13 @@ def central_audit(
         if head is None:
             missing.append(robot)
             continue
-        credential = credentials.get(robot)
-        link = head
-        while True:
-            reason = check_link(link, credential)
-            if reason is not None:
-                failures.append((robot, link.interval, reason))
-                if reason == "wrong-owner":
-                    break
+        for first, last, reason, peer in walk_chain(head, credentials.get(robot), store, credentials, None):
+            if reason is None:
+                claims.add((robot, peer, first))
+            elif reason in ("interval-gap", "late-start"):
+                gaps.append((robot, first, last))
             else:
-                for entry in link.events.entries:
-                    reason = check_entry(entry, link.interval, store.get, credentials)
-                    if reason is None:
-                        claims.add((robot, entry.peer_id, link.interval))
-                    else:
-                        failures.append((robot, link.interval, reason))
-            if link.prev_digest == GENESIS:
-                if link.interval > 1:
-                    gaps.append((robot, 1, link.interval - 1))
-                break
-            prev = store.get(link.prev_digest)
-            if prev is None:
-                failures.append((robot, link.interval - 1, "missing-link"))
-                break
-            if link_digest(prev) != link.prev_digest:
-                failures.append((robot, link.interval - 1, "digest-mismatch"))
-                break
-            if prev.interval >= link.interval:
-                failures.append((robot, prev.interval, "interval-order"))
-                break
-            if prev.interval != link.interval - 1:
-                gaps.append((robot, prev.interval + 1, link.interval - 1))
-            link = prev
+                failures.append((robot, last, reason))
         if head.interval < total_intervals:
             gaps.append((robot, head.interval + 1, total_intervals))
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Any, Iterable, Mapping
 
 import numpy as np
@@ -216,6 +217,11 @@ class SimConfig:
         for profile in self.adversaries:
             out |= profile.robots
         return frozenset(out)
+
+    def colluder_pairs(self) -> frozenset[tuple[int, int]]:
+        """(a, b) with a < b for every two robots of one colluding group."""
+        groups = (sorted(a.robots) for a in self.adversaries if a.behavior == "collude")
+        return frozenset(pair for group in groups for pair in combinations(group, 2))
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -552,16 +558,11 @@ class Simulation:
         self.store = LinkStore()
         self.heads: dict[int, HistoryLink | None] = {r: None for r in range(1, config.n + 1)}
         self.behavior: dict[int, str] = {r: BEHAVIOR_HONEST for r in range(1, config.n + 1)}
-        self.colluder_pairs: set[tuple[int, int]] = set()
+        self.colluder_pairs = config.colluder_pairs()
         self.forge_target: dict[int, int] = {}
         for profile in config.adversaries:
             for r in profile.robots:
                 self.behavior[r] = profile.behavior
-            if profile.behavior == "collude":
-                members = sorted(profile.robots)
-                for i, a in enumerate(members):
-                    for b in members[i + 1 :]:
-                        self.colluder_pairs.add((a, b))
             if profile.behavior == "forge_claim":
                 for r in profile.robots:
                     self.forge_target[r] = profile.target

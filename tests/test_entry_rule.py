@@ -2,11 +2,13 @@
 applies them.
 
 ``chain.check_entry`` decides whether an event entry witnesses its peer.
-The exchange (``verify_chain``), the local and central views
-(``LocalView.claims`` / ``evidence``) and the post-task audit
-(``central_audit``) must agree with it on every reason.
+The exchange (``check_offer``, through ``verify_chain``), the local and
+central views (``LocalView.claims`` / ``evidence``) and the post-task
+audit (``central_audit``) must agree with it on every reason.
 ``chain.check_offer`` decides whether an exchange offer may be recorded,
 and the simulator asks it once per offer and interval.
+``chain.walk_chain`` is the one chain walk: ``verify_chain`` and
+``central_audit`` read the same findings from it.
 """
 import json
 from collections import Counter
@@ -212,6 +214,8 @@ def _offer_case(case, identities, store, links):
         return offer_history(p, over(p2)), 4, 3
     if case == "interval-gap":
         return offer_history(p, over(p1, interval=3)), 4, 3
+    if case == "interval-order":
+        return offer_history(p, over(p2, interval=2)), 3, 2
     if case == "missing-entry-link":
         unstored_q2 = sign_link(q, OTHER, EventList.empty(2), link_digest(links["q1"]))
         p3 = sign_link(p, PEER, build_event_list(3, [offer_history(q, unstored_q2)]), link_digest(p2))
@@ -234,6 +238,7 @@ OFFER_CASES = {
     "missing-link": "missing-link",
     "digest-mismatch": "digest-mismatch",
     "interval-gap": "interval-gap",
+    "interval-order": "interval-order",
     "missing-entry-link": "missing-entry-link",
 }
 
@@ -244,6 +249,78 @@ def test_offer_rule(case):
     offer, t, window = _offer_case(case, identities, store, links)
     issued = {i.robot_id: i.credential for i in identities}
     assert check_offer(offer, t, store, window, issued) == OFFER_CASES[case]
+
+
+# -- the walk rule ------------------------------------------------------------------
+
+
+def _walk_case(case, identities, store, links):
+    """The owner's head for one row of the walk rule, over links the
+    owner's own chain would hold; every row's head is at interval 3 or 4."""
+    o, _, q = identities
+    o2 = links["o2"]
+
+    def signed(t, prev, signer=o, owner=OWNER, entries=()):
+        prev_digest = GENESIS if prev is None else link_digest(prev)
+        link = sign_link(signer, owner, EventList(interval=t, entries=entries), prev_digest)
+        store.insert(link)
+        return link
+
+    if case == "clean":
+        return signed(3, o2, entries=(_entry_case(None, identities, store, links),))
+    if case == "bad-signature":
+        uncertified = _entry_case("uncertified-credential", identities, store, links)
+        # the forged link's own entry is skipped, the one below it is not
+        return signed(3, signed(2, signed(1, None, entries=(uncertified,)), signer=q, entries=(uncertified,)))
+    if case == "wrong-owner":
+        return signed(3, signed(2, links["q1"], signer=q, owner=OTHER))
+    if case == "missing-link":
+        return signed(3, links["unstored"])
+    if case == "digest-mismatch":
+        head = signed(3, o2)
+        store._links[link_digest(o2)] = links["unstored"]
+        return head
+    if case == "interval-gap":
+        return signed(4, store.get(o2.prev_digest))
+    if case == "late-start":
+        return signed(4, signed(3, None))
+    if case == "interval-order":
+        return signed(3, signed(3, o2))
+    raise AssertionError(case)
+
+
+# case -> (verify_chain at full depth, audit failures, audit gaps)
+WALK_CASES = {
+    "clean": ((True, None, None), (), ()),
+    "bad-signature": (
+        (False, "bad-signature", 2),
+        ((OWNER, 2, "bad-signature"), (OWNER, 1, "uncertified-credential")),
+        (),
+    ),
+    "wrong-owner": ((False, "wrong-owner", 2), ((OWNER, 2, "wrong-owner"),), ()),
+    "missing-link": ((False, "missing-link", 2), ((OWNER, 2, "missing-link"),), ()),
+    "digest-mismatch": ((False, "digest-mismatch", 2), ((OWNER, 2, "digest-mismatch"),), ()),
+    "interval-gap": ((False, "interval-gap", 3), (), ((OWNER, 2, 3),)),
+    "late-start": ((True, None, None), (), ((OWNER, 1, 2),)),
+    "interval-order": ((False, "interval-order", 3), ((OWNER, 3, "interval-order"),), ()),
+}
+
+
+@pytest.mark.parametrize("case", WALK_CASES)
+def test_verify_chain_and_the_audit_read_the_same_walk(case):
+    """``verify_chain`` stops at the first finding but a late start; the
+    audit reads on past a bad signature, stops where the walk stops, and
+    files gaps and late starts as coverage gaps."""
+    _, identities, store, links = _world()
+    head = _walk_case(case, identities, store, links)
+    issued = {i.robot_id: i.credential for i in identities}
+    verdict_row, failures, gaps = WALK_CASES[case]
+
+    verdict = verify_chain(head, issued[OWNER], store, head.interval, issued)
+    assert (verdict.ok, verdict.reason, verdict.interval) == verdict_row
+
+    audit = central_audit({OWNER: head}, store, issued, head.interval)
+    assert (audit.verification_failures, audit.gaps) == (failures, gaps)
 
 
 def test_each_offer_is_checked_once_per_interval(monkeypatch):

@@ -145,6 +145,19 @@ def test_no_profiles_everyone_active():
     assert apply_disappearance((), 3, 4) == frozenset({1, 2, 3, 4})
 
 
+def test_colluder_pairs_are_the_pairs_within_each_colluding_group():
+    cfg = SimConfig(
+        n=10, p=0.5, intervals=3, alpha=0.6, seed=1,
+        adversaries=(
+            _profile("collude", [7, 2, 5]),
+            _profile("refuse_record", [1]),
+            _profile("collude", [9, 4]),
+        ),
+    )
+    assert cfg.colluder_pairs() == frozenset({(2, 5), (2, 7), (5, 7), (4, 9)})
+    assert SimConfig(n=5, p=0.5, intervals=3).colluder_pairs() == frozenset()
+
+
 def test_total_disappearance_never_in_any_event_list():
     cfg = SimConfig(
         n=6, p=1.0, intervals=3, delta=3, alpha=0.2, seed=8,

@@ -60,18 +60,25 @@ def test_framed_counts_every_robot_that_met_nobody():
         assert suites.framed(trace) == isolated
 
 
-@pytest.mark.parametrize("name,framed,flagged_runs", [("collusion_n25", 0, 20), ("framing_n25", 0, 19)])
+@pytest.mark.parametrize(
+    "name,framed,flagged_runs",
+    [("collusion_n25", 0, 20), ("framing_n25", 0, 0), ("disappearance_n25", 0, 0)],
+)
 def test_montecarlo_scenario_suite_counts_what_the_suite_counts(name, framed, flagged_runs, capsys):
+    """A run counts as collusion flagged only when the central view flags
+    one of the config's own colluding pairs; honest pairs that met in
+    every window interval are flagged by chance and do not count."""
     argv = ["montecarlo", "--config", str(CONFIGS / f"{name}.json"), "--runs", "20", "--trials", "2000"]
     assert main(argv + ["--format", "machine"]) == 0
     records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     (scenario,) = [r for r in records if r["record"] == "scenario-suite"]
-    traces = list(suites.runs(_config(name), 20))
+    config = _config(name)
+    traces = list(suites.runs(config, 20))
     assert scenario == {
         "record": "scenario-suite",
         "runs": 20,
         "honest_robots_framed": sum(len(suites.framed(t)) for t in traces),
-        "collusion_flagged_runs": sum(bool(suites.flagged(t, 0.05)) for t in traces),
+        "collusion_flagged_runs": sum(bool(suites.flagged(t, 0.05) & config.colluder_pairs()) for t in traces),
     }
     assert (scenario["honest_robots_framed"], scenario["collusion_flagged_runs"]) == (framed, flagged_runs)
 
