@@ -11,6 +11,23 @@ Key material is derived deterministically from the provisioning seed, so
 a swarm provisioned twice with the same (n, seed) is byte-identical.
 Private keys live only inside :class:`SigningIdentity` and are never
 serialized.
+
+Verification is a pure function of (verify key, message, signature), so
+verdicts are kept in one process-wide memo.  Signing seeds it: Ed25519
+signing is deterministic (RFC 8032) and a signature made with a private
+key always verifies under that key's own public key, so :func:`sign`
+records ``(public, message, signature) -> True`` and
+:func:`provision_swarm` records each certificate under the central key.
+``public`` is derived from the private key itself, never read from the
+identity's credential, so an identity whose credential does not match
+its key seeds nothing false: its signatures are checked with real crypto
+under that credential, and fail.  Every other triple is checked with real
+crypto on first sight and its verdict, true or false, is kept.  A
+simulation therefore never verifies its own signatures with real crypto;
+only foreign ones (a loaded trace in a fresh process, a forged
+signature) reach Ed25519.  The memo holds at most ``_VERIFY_MEMO_BOUND``
+(1 << 15) entries and is emptied as a whole when full; one run seeds
+links + 2n triples, 288 at n=48 over 4 intervals.
 """
 from __future__ import annotations
 
@@ -88,28 +105,26 @@ def _derive_private_key(material: bytes) -> Ed25519PrivateKey:
     return Ed25519PrivateKey.from_private_bytes(hashlib.sha256(_KEY_DOMAIN + material).digest())
 
 
-def _public_bytes(key: Ed25519PrivateKey) -> bytes:
-    from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
-
-    return key.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw)
-
-
-def _private_bytes(key: Ed25519PrivateKey) -> bytes:
-    from cryptography.hazmat.primitives.serialization import (
-        Encoding,
-        NoEncryption,
-        PrivateFormat,
-    )
-
-    return key.private_bytes(Encoding.Raw, PrivateFormat.Raw, NoEncryption())
-
-
 @lru_cache(maxsize=4096)
 def _load_public(verify_key: bytes) -> Ed25519PublicKey | None:
     try:
         return Ed25519PublicKey.from_public_bytes(verify_key)
     except (ValueError, TypeError):
         return None
+
+
+# The verify memo: (verify key, message, signature) -> verdict.  See the
+# module docstring for why seeding it at sign time is sound.
+_VERIFY_MEMO_BOUND = 1 << 15
+_verified: dict[tuple[bytes, bytes, bytes], bool] = {}
+
+
+def _remember(verify_key: bytes, message: bytes, signature: bytes, verdict: bool) -> None:
+    # Emptied as a whole when full: evicting the oldest key one at a time
+    # makes CPython rescan the deleted front slots on every insert.
+    if len(_verified) >= _VERIFY_MEMO_BOUND:
+        _verified.clear()
+    _verified[verify_key, message, signature] = verdict
 
 
 def credential_message(robot_id: int, verify_key: bytes) -> bytes:
@@ -122,51 +137,68 @@ def provision_swarm(n: int, seed: int) -> tuple[bytes, list[SigningIdentity]]:
 
     Returns the central verification key and one identity per robot,
     each carrying a certificate valid under the central key.  Pure in
-    (n, seed).
+    (n, seed); each certificate is recorded as valid in the verify memo.
     """
     if n < 1:
         raise ValueError(f"swarm size must be >= 1, got {n}")
     central = _derive_private_key(f"central:{seed}".encode())
-    central_vk = _public_bytes(central)
+    central_vk = central.public_key().public_bytes_raw()
     identities = []
     for robot_id in range(1, n + 1):
         key = _derive_private_key(f"robot:{seed}:{robot_id}".encode())
-        vk = _public_bytes(key)
-        cert = central.sign(credential_message(robot_id, vk))
+        vk = key.public_key().public_bytes_raw()
+        message = credential_message(robot_id, vk)
+        cert = central.sign(message)
+        _remember(central_vk, message, cert, True)
         cred = Credential(robot_id=robot_id, verify_key=vk, cert=cert)
-        identities.append(SigningIdentity(credential=cred, signing_key=_private_bytes(key)))
+        identities.append(SigningIdentity(credential=cred, signing_key=key.private_bytes_raw()))
     return central_vk, identities
 
 
 @lru_cache(maxsize=1024)
-def _load_private(signing_key: bytes) -> Ed25519PrivateKey:
-    return Ed25519PrivateKey.from_private_bytes(signing_key)
+def _load_private(signing_key: bytes) -> tuple[Ed25519PrivateKey, bytes]:
+    key = Ed25519PrivateKey.from_private_bytes(signing_key)
+    return key, key.public_key().public_bytes_raw()
 
 
 def sign(identity: SigningIdentity, message: bytes) -> bytes:
-    """Sign a message; the result verifies under ``identity.credential``."""
-    return _load_private(identity.signing_key).sign(message)
+    """Sign a message; the result verifies under ``identity.credential``
+    when that credential carries the identity's own key.
+
+    The signature is recorded as valid in the verify memo under the
+    public key derived from the signing key, never under the credential's
+    key, so the first :func:`verify` of it is a lookup.
+    """
+    key, public = _load_private(identity.signing_key)
+    message = bytes(message)
+    signature = key.sign(message)
+    _remember(public, message, signature, True)
+    return signature
 
 
-@lru_cache(maxsize=1 << 16)
 def _verify_cached(verify_key: bytes, message: bytes, signature: bytes) -> bool:
+    verdict = _verified.get((verify_key, message, signature))
+    if verdict is not None:
+        return verdict
+    verdict = False
     public = _load_public(verify_key)
-    if public is None:
-        return False
-    try:
-        public.verify(signature, message)
-        return True
-    except InvalidSignature:
-        return False
-    except (ValueError, TypeError):
-        return False
+    if public is not None:
+        try:
+            public.verify(signature, message)
+            verdict = True
+        except (InvalidSignature, ValueError, TypeError):
+            pass
+    _remember(verify_key, message, signature, verdict)
+    return verdict
 
 
 def verify(credential: Credential, message: bytes, signature: bytes) -> bool:
     """True iff ``signature`` was produced over ``message`` by the matching key.
 
-    Malformed signatures or keys are rejected, not raised.  Verification
-    is a pure function, so results are memoized process-wide.
+    Malformed signatures or keys are rejected, not raised.  Verdicts are
+    memoized process-wide; a signature this process made with
+    :func:`sign` is found in the memo, and any other one is checked with
+    real crypto on first sight.
     """
     return _verify_cached(credential.verify_key, bytes(message), bytes(signature))
 

@@ -58,6 +58,10 @@ from .graph import EncounterGraph, gen_interval_graph
 TRACE_FORMAT = "swarmchain-trace"
 TRACE_VERSION = 1
 
+# Largest link integer and byte-field length the link encoding can hold.
+_U32_MAX = 0xFFFFFFFF
+_BLOB_MAX = 0xFFFF
+
 BEHAVIOR_HONEST = "honest"
 BEHAVIORS = ("refuse_record", "refuse_give", "disappear", "collude", "forge_claim")
 
@@ -511,30 +515,45 @@ def _link_to_dict(link: HistoryLink) -> dict[str, Any]:
     }
 
 
+def _u32(value: Any, name: str) -> int:
+    if not _is_int(value) or not 0 <= value <= _U32_MAX:
+        raise ValueError(f"{name} must be an integer in 0..{_U32_MAX}, got {value!r}")
+    return value
+
+
+def _blob(text: Any, name: str) -> bytes:
+    value = bytes.fromhex(text)
+    if len(value) > _BLOB_MAX:
+        raise ValueError(f"{name} is {len(value)} bytes, at most {_BLOB_MAX}")
+    return value
+
+
 def _link_from_dict(data: Mapping[str, Any], where: str) -> HistoryLink:
+    # Integers and byte lengths must fit the unsigned 4- and 2-byte
+    # fields of the chain module's byte layouts.
     try:
         entries = []
         for j, e in enumerate(data["entries"]):
             cred = e["credential"]
             entries.append(
                 EventEntry(
-                    peer_id=e["peer"],
+                    peer_id=_u32(e["peer"], f"entries[{j}].peer"),
                     peer_link_digest=Digest.from_hex(e["digest"]),
-                    peer_signature=bytes.fromhex(e["signature"]),
+                    peer_signature=_blob(e["signature"], f"entries[{j}].signature"),
                     peer_credential=Credential(
-                        robot_id=cred["robot_id"],
-                        verify_key=bytes.fromhex(cred["verify_key"]),
-                        cert=bytes.fromhex(cred["cert"]),
+                        robot_id=_u32(cred["robot_id"], f"entries[{j}].credential.robot_id"),
+                        verify_key=_blob(cred["verify_key"], f"entries[{j}].credential.verify_key"),
+                        cert=_blob(cred["cert"], f"entries[{j}].credential.cert"),
                     ),
                 )
             )
-        interval = data["interval"]
+        interval = _u32(data["interval"], "interval")
         return HistoryLink(
-            owner_id=data["owner"],
+            owner_id=_u32(data["owner"], "owner"),
             interval=interval,
             events=EventList(interval=interval, entries=tuple(entries)),
             prev_digest=Digest.from_hex(data["prev"]),
-            signature=bytes.fromhex(data["signature"]),
+            signature=_blob(data["signature"], "signature"),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise TraceError(where, f"bad link: {exc}") from exc

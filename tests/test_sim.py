@@ -473,3 +473,67 @@ def test_trace_rejects_a_credential_outside_the_swarm(honest_trace_25, robot_id)
     with pytest.raises(TraceError) as err:
         SimTrace.from_dict(doc)
     assert err.value.location == "credentials[0]"
+
+
+def _first_link_with_entries(doc):
+    return next(i for i, link in enumerate(doc["links"]) if link["entries"])
+
+
+def _set(doc, i, path, value):
+    target = doc["links"][i]
+    *parents, last = path
+    for key in parents:
+        target = target[key]
+    target[last] = value
+
+
+_ENTRY = ("entries", 0)
+_TOO_LONG = "00" * 65536
+_BAD_LINK_FIELDS = [
+    (("owner",), -1),
+    (("owner",), 2**32),
+    (("owner",), "3"),
+    (("owner",), True),
+    (("interval",), 2**32),
+    (("interval",), "1"),
+    ((*_ENTRY, "peer"), -1),
+    ((*_ENTRY, "peer"), 2**32),
+    ((*_ENTRY, "peer"), "2"),
+    ((*_ENTRY, "credential", "robot_id"), -1),
+    ((*_ENTRY, "credential", "robot_id"), 2**32),
+    ((*_ENTRY, "credential", "robot_id"), "2"),
+    (("signature",), _TOO_LONG),
+    ((*_ENTRY, "signature"), _TOO_LONG),
+    ((*_ENTRY, "credential", "verify_key"), _TOO_LONG),
+    ((*_ENTRY, "credential", "cert"), _TOO_LONG),
+]
+
+
+@pytest.mark.parametrize(
+    "path,value",
+    _BAD_LINK_FIELDS,
+    ids=[
+        ".".join(map(str, path)) + ("=65536 bytes" if value is _TOO_LONG else f"={value!r}")
+        for path, value in _BAD_LINK_FIELDS
+    ],
+)
+def test_link_fields_must_fit_the_link_encoding(path, value, honest_trace_25, tmp_path, capsys):
+    from swarmchain.cli import main
+
+    doc = json.loads(honest_trace_25.to_json())
+    i = _first_link_with_entries(doc)
+    _set(doc, i, path, value)
+    with pytest.raises(TraceError) as err:
+        SimTrace.from_dict(doc)
+    assert err.value.location == f"links[{i}]"
+    trace = tmp_path / "trace.json"
+    trace.write_text(json.dumps(doc))
+    assert main(["analyze", "--trace", str(trace)]) == 2
+    assert f"links[{i}]" in capsys.readouterr().err
+
+
+def test_link_byte_fields_of_65535_bytes_load(honest_trace_25):
+    doc = json.loads(honest_trace_25.to_json())
+    i = _first_link_with_entries(doc)
+    _set(doc, i, (*_ENTRY, "credential", "cert"), "00" * 65535)
+    assert len(SimTrace.from_dict(doc).store) == len(doc["links"])
