@@ -307,7 +307,6 @@ class LinkStore:
 
     def __init__(self) -> None:
         self._links: dict[Digest, HistoryLink] = {}
-        self._closures: dict[Digest, frozenset[Digest]] = {}
 
     def insert(self, link: HistoryLink) -> Digest:
         d = link_digest(link)
@@ -328,37 +327,6 @@ class LinkStore:
 
     def links(self) -> Iterator[HistoryLink]:
         return iter(self._links.values())
-
-    def closure(self, head: Digest) -> frozenset[Digest]:
-        """All stored link digests reachable from ``head`` via previous-link
-        and entry references.  Dangling references are simply absent from
-        the result.  Cached per store; the cache assumes links are only
-        ever added after everything they reference."""
-        cached = self._closures.get(head)
-        if cached is not None:
-            return cached
-        link = self._links.get(head)
-        if link is None:
-            return frozenset()
-        out = {head}
-        complete = True
-        for ref in self._references(link):
-            if ref == GENESIS:
-                continue
-            sub = self.closure(ref)
-            if not sub:
-                complete = False
-            out.update(sub)
-        result = frozenset(out)
-        if complete:
-            self._closures[head] = result
-        return result
-
-    @staticmethod
-    def _references(link: HistoryLink) -> Iterator[Digest]:
-        yield link.prev_digest
-        for entry in link.events.entries:
-            yield entry.peer_link_digest
 
 
 @dataclass(frozen=True)

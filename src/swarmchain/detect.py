@@ -24,23 +24,26 @@ chain in full by the walk rule of :mod:`swarmchain.chain`
 (``walk_chain``), cross-checks that every claimed encounter is recorded
 by both participants, and reports coverage gaps.
 
-Cost.  A view built from a trace checks each of its links once
-(``check_link``) and takes the claims of each link's entries from a
-memo the trace's views share, so every stored entry goes through
-``check_entry`` once per trace, not once per view.  A report is then one
-pass over the view's claims for every pairing tally, the unpaired claims
-and the co-meeting intervals, plus O(1) per verdict.  Analyzing a trace
-from all n observers is thus O(n * claims per view) set operations on top
-of one entry check per stored entry.  The memo assumes the trace's store
-and credential table are not changed after the first view is built, as
-``LinkStore.closure`` assumes for its cache; a trace given another store
-or table object starts a fresh memo.
+Cost.  The first view of a trace builds the trace's :class:`ClaimIndex`:
+every stored link goes through ``check_link`` once, one iterative pass
+gives each link its closure mask, and each entry of a link that passes
+goes through ``check_entry`` once, when a view first holds the link.  A
+view is then its head's mask (the central view ORs every head's), and
+each detector is a handful of numpy operations over the trace's claims:
+O(links + claims) array work per view, Python work only for what a
+report lists, and no interval ever used as a bit position or an array
+size.  The index assumes the trace's store and credential table are not
+changed after the first view is built; a trace given another store or
+table object gets a fresh index.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Callable, Iterable, Mapping, NamedTuple
+from itertools import compress
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple
+
+import numpy as np
 
 from .chain import HistoryLink, LinkStore, check_entry, check_link, walk_chain
 from .crypto import Credential, Digest
@@ -73,22 +76,211 @@ class PairingVerdict:
         }
 
 
+class ClaimIndex:
+    """The links of one link table and the claims their entries make,
+    numbered once so that every view of the table is a bitmask.
+
+    Links are numbered in table order.  A link's closure mask (a Python
+    int) is its own bit OR the masks of the table links it references,
+    previous link and entry links alike; a dangling reference adds
+    nothing.  ``counted`` is the mask of the links that pass
+    ``check_link`` (every link when built with ``check_links`` false).
+    Each entry of a counted link names a claim ``(claimer, target,
+    interval)``; distinct claims are numbered in sorted order, so
+    duplicate entries collapse.  An entry counts once ``check_entry``
+    accepts it, resolving through the table; :meth:`accepted` checks each
+    link's entries once, when a view first holds the link, so links no
+    view holds cost no entry check.  The per-claim and per-link columns
+    are numpy arrays; robots are numbered densely, and no robot id or
+    interval is ever an array position.
+
+    A view picks its results out of Python lists (:meth:`select`), not
+    out of small arrays sized by what it holds: numpy keeps freed buffers
+    under 1 KiB for reuse, so such arrays leave kept buffers of ever new
+    sizes wherever the heap stood, and between ``analyze_n100`` traces
+    they were found pinning the top of the heap.
+    """
+
+    def __init__(
+        self,
+        table: Mapping[Digest, HistoryLink],
+        credentials: Mapping[int, Credential],
+        check_links: bool,
+    ) -> None:
+        self.table, self.credentials = table, credentials
+        self.digests = list(table)
+        self.links = list(table.values())
+        # digest bytes -> link number: bytes hash in C, a Digest does not
+        self.position = dict(zip([d.value for d in self.digests], range(len(self.links))))
+        counted = [
+            not check_links or check_link(link, credentials.get(link.owner_id)) is None for link in self.links
+        ]
+        self.counted = int.from_bytes(np.packbits(np.array(counted, bool), bitorder="little").tobytes(), "little")
+        self.unchecked = self.counted  # links whose entries await check_entry
+        find = self.position.get
+        refs: list[list[int]] = []
+        peers: list[int] = []
+        entry_link: list[int] = []
+        self.first_entry: list[int] = []
+        for i, link in enumerate(self.links):
+            entries = link.events.entries
+            found = [find(link.prev_digest.value), *[find(e.peer_link_digest.value) for e in entries]]
+            refs.append([j for j in found if j is not None])
+            self.first_entry.append(len(peers))
+            if counted[i]:
+                peers += [e.peer_id for e in entries]
+                entry_link += [i] * len(entries)
+        self.entry_ok = np.zeros(len(peers), bool)
+        self.masks = _closure_masks(refs)
+        owner_ids = np.array([link.owner_id for link in self.links], np.int64)
+        peer_ids = np.array(peers, np.int64)
+        self.link_t = np.array([link.interval for link in self.links], np.int64)
+        self.entry_link = np.array(entry_link, np.int64)
+        self.robots = _numbered(np.concatenate((owner_ids, peer_ids)))[0]
+        times = _numbered(self.link_t)[0]
+        robots, spans = len(self.robots), len(times)
+        owner = np.searchsorted(self.robots, owner_ids)
+        link_time = np.searchsorted(times, self.link_t)
+        # Claims and (owner, interval) slots are numbered in sorted order
+        # of one int64 key over the dense robot and interval numbers;
+        # robots**2 * intervals stays far below 2**63 for any trace that
+        # fits in memory.
+        slots, self.link_slot = _numbered(owner * spans + link_time)
+        self.slot_count = len(slots)
+        claimer = owner[self.entry_link]
+        target = np.searchsorted(self.robots, peer_ids)
+        claims, self.entry_claim = _numbered((claimer * robots + target) * spans + link_time[self.entry_link])
+        claimer, rest = np.divmod(claims, robots * spans)
+        target, time = np.divmod(rest, spans)
+        self.claim_t = times[time]
+        self.claim_forward = claimer < target  # dense numbers keep id order
+        # claim i - 1 is the same pair's claim for the interval before
+        pair = claims // spans
+        self.claim_continues = np.zeros(len(claims), bool)
+        self.claim_continues[1:] = (pair[1:] == pair[:-1]) & (self.claim_t[1:] == self.claim_t[:-1] + 1)
+        # -1 (no mirror claim, no slot) indexes the False sentinel a view appends
+        self.claim_mirror = _position(claims, (target * robots + claimer) * spans + time)
+        self.claim_slot = _position(slots, target * spans + time)
+        # a self-claim's partner is the sentinel robot len(robots)
+        self.claim_partner = np.where(claimer == target, robots, target)
+        self.link_owner, self.claim_claimer, self.claim_target = owner, claimer, target
+        self.robot_ids: list[int] = self.robots.tolist()
+
+    def accepted(self, mask: int) -> np.ndarray:
+        """Which entries ``check_entry`` accepts, as a bool array over the
+        entries; settled for every entry of a counted link in ``mask``."""
+        todo, resolve = mask & self.unchecked, self.table.get
+        for i in self.select(range(len(self.links)), self.bits(todo)) if todo else ():
+            link = self.links[i]
+            for row, entry in enumerate(link.events.entries, self.first_entry[i]):
+                self.entry_ok[row] = check_entry(entry, link.interval, resolve, self.credentials) is None
+        self.unchecked &= ~todo
+        return self.entry_ok
+
+    def mask_of(self, head: Digest | None) -> int:
+        """The closure mask of the link ``head`` names; 0 if none is indexed."""
+        i = None if head is None else self.position.get(head.value)
+        return 0 if i is None else self.masks[i]
+
+    def bits(self, mask: int) -> np.ndarray:
+        """The counted links of ``mask`` as a bool array over the links."""
+        raw = (mask & self.counted).to_bytes((len(self.links) + 7) // 8, "little")
+        return np.unpackbits(np.frombuffer(raw, np.uint8), count=len(self.links), bitorder="little").view(bool)
+
+    @cached_property
+    def claims(self) -> list[Claim]:
+        """Every claim, in claim order."""
+        robots = self.robots
+        return list(
+            zip(robots[self.claim_claimer].tolist(), robots[self.claim_target].tolist(), self.claim_t.tolist())
+        )
+
+    @staticmethod
+    def select(items: Iterable, mask: np.ndarray) -> Iterator:
+        """The items whose place in ``mask`` is set, in order."""
+        return compress(items, mask.tolist())
+
+    def per_robot(self, counts: np.ndarray) -> dict[int, int]:
+        """robot id -> count, for the robots whose count is nonzero."""
+        return {robot: count for robot, count in zip(self.robot_ids, counts.tolist()) if count}
+
+
+def _numbered(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct ``values`` in ascending order, and the number of each
+    value among them: ``np.unique`` without the ``numpy.ma`` import it
+    costs every run."""
+    ordered = np.sort(values)
+    first = np.ones(len(ordered), bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    distinct = ordered[first]
+    return distinct, np.searchsorted(distinct, values)
+
+
+def _position(keys: np.ndarray, wanted: np.ndarray) -> np.ndarray:
+    """Where each of ``wanted`` sits in the sorted ``keys``, -1 if absent."""
+    at = np.searchsorted(keys, wanted).clip(max=len(keys) - 1)
+    return np.where(keys[at] == wanted, at, -1)
+
+
+def _closure_masks(refs: list[list[int]]) -> list[int]:
+    """Each node's bit OR the masks of the nodes ``refs`` lists for it,
+    in one iterative depth-first pass.  A reference back into the current
+    path (impossible among content-addressed links) adds nothing."""
+    masks: list[int | None] = [None] * len(refs)
+    for root in range(len(refs)):
+        if masks[root] is not None:
+            continue
+        masks[root] = 0  # on the path
+        stack = [(root, iter(refs[root]))]
+        while stack:
+            node, pending = stack[-1]
+            for ref in pending:
+                if masks[ref] is None:
+                    masks[ref] = 0
+                    stack.append((ref, iter(refs[ref])))
+                    break
+            else:
+                stack.pop()
+                mask = 1 << node
+                for ref in refs[node]:
+                    mask |= masks[ref]
+                masks[node] = mask
+    return masks
+
+
+def _trace_index(trace: SimTrace) -> ClaimIndex:
+    """The index of ``trace``'s store, built on first use.
+
+    It is kept on the trace with the store and credential table it was
+    built from, so a copy of the trace given another store or table gets
+    its own.
+    """
+    kept = trace.__dict__.get("_claim_index")
+    if kept is None or kept[0] is not trace.store or kept[1] is not trace.credentials:
+        table = dict(zip(trace.store.digests(), trace.store.links()))
+        kept = trace.__dict__["_claim_index"] = (
+            trace.store, trace.credentials, ClaimIndex(table, trace.credentials, check_links=True)
+        )
+    return kept[2]
+
+
 class _PairingTally(NamedTuple):
-    """What one pass over a view's claims yields for the pairing detectors."""
+    """What the pairing detectors read of one view."""
 
     paired: dict[int, int]  # robot -> paired claims naming it (a self-claim once)
     unpaired: dict[int, int]  # robot -> decisively unpaired claims naming it
     unpaired_claims: tuple[Claim, ...]  # sorted
-    intervals: dict[tuple[int, int], int]  # (a, b), a < b -> bit t set for each interval t paired
+    mutual: np.ndarray  # bool per index claim: in view, and so is its mirror
 
 
 @dataclass
 class LocalView:
     """Chain content one observer can resolve, verified at ingestion.
 
-    ``accepted`` maps a link digest to the claims of that link's entries
-    that pass ``check_entry``.  Views of one trace share the trace's memo;
-    a view built directly starts with its own empty one.
+    ``index`` numbers the links the view draws on and ``mask`` selects
+    its links among them.  Views of one trace share the trace's index; a
+    view built directly indexes its own ``links``, every one counted, with
+    references resolved through ``links``.
     """
 
     observer: int | None
@@ -96,111 +288,101 @@ class LocalView:
     links: dict[Digest, HistoryLink]
     params: SimConfig
     credentials: dict[int, Credential]
-    accepted: dict[Digest, tuple[Claim, ...]] = field(default_factory=dict, repr=False, compare=False)
+    index: ClaimIndex | None = field(default=None, repr=False, compare=False)
+    mask: int = field(default=-1, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.index is None:
+            self.index = ClaimIndex(self.links, self.credentials, check_links=False)
 
     @classmethod
     def from_trace(cls, trace: SimTrace, observer: int) -> "LocalView":
-        head = trace.heads.get(observer)
-        digests = trace.store.closure(head) if head is not None else frozenset()
-        return cls._build(trace, observer, digests)
+        index = _trace_index(trace)
+        return cls._build(trace, observer, index, index.mask_of(trace.heads.get(observer)))
 
     @classmethod
     def central(cls, trace: SimTrace) -> "LocalView":
         """The post-task central perspective: union over all collected heads."""
-        digests: set[Digest] = set()
+        index = _trace_index(trace)
+        mask = 0
         for head in trace.heads.values():
-            if head is not None:
-                digests |= trace.store.closure(head)
-        return cls._build(trace, None, digests)
+            mask |= index.mask_of(head)
+        return cls._build(trace, None, index, mask)
 
     @classmethod
-    def _build(cls, trace: SimTrace, observer: int | None, digests: Iterable[Digest]) -> "LocalView":
-        links: dict[Digest, HistoryLink] = {}
-        for d in digests:
-            link = trace.store.get(d)
-            if link is None:
-                continue
-            if check_link(link, trace.credentials.get(link.owner_id)) is None:
-                links[d] = link
+    def _build(cls, trace: SimTrace, observer: int | None, index: ClaimIndex, mask: int) -> "LocalView":
         return cls(
             observer=observer,
             as_of=trace.config.intervals,
-            links=links,
+            links=dict(index.select(zip(index.digests, index.links), index.bits(mask))),
             params=trace.config,
             credentials=dict(trace.credentials),
-            accepted=_accepted_memo(trace),
+            index=index,
+            mask=mask,
         )
+
+    @cached_property
+    def _selected(self) -> tuple[np.ndarray, np.ndarray]:
+        """Bool arrays of the index's links and claims in view.  The claims
+        array carries one more, always False, slot for the index's -1."""
+        index = self.index
+        links = index.bits(self.mask)
+        claims = np.zeros(len(index.claim_t) + 1, bool)
+        claims[index.entry_claim[index.accepted(self.mask) & links[index.entry_link]]] = True
+        return links, claims
 
     @cached_property
     def evidence(self) -> dict[int, int]:
         """robot id -> latest interval with verified evidence it was alive."""
-        seen: dict[int, int] = {}
-        for robot, t in self._owners_at | {(b, t) for _, b, t in self.claims}:
-            if seen.get(robot, 0) < t:
-                seen[robot] = t
-        return seen
+        index, (links, claims) = self.index, self._selected
+        held = claims[:-1]
+        latest = np.zeros(len(index.robots), np.int64)
+        np.maximum.at(latest, index.link_owner, np.where(links, index.link_t, 0))
+        np.maximum.at(latest, index.claim_target, np.where(held, index.claim_t, 0))
+        return index.per_robot(latest)
 
     @cached_property
     def claims(self) -> frozenset[Claim]:
         """(claimer, target, interval) for every entry in view that passes
         ``check_entry``.
 
-        A link's entries are checked only when ``accepted`` lacks its
-        digest.  Sharing that memo across a trace's views is sound because
+        Each entry is checked once, when a view first holds its link,
+        resolving through the index's table.  For a view of a trace that
+        accepts exactly what resolving through the view's own links would:
         every view holds the ``check_link``-verified part of a closure of
-        the trace's store: whatever an entry of a link in view references
-        and the store holds is in the closure too, so resolving through
-        this view's links accepts exactly the entries that resolving
-        through the store does.
+        the trace's store, so whatever an entry of a link in view
+        references and the store holds is in the closure too.
         """
-        links, memo, credentials = self.links, self.accepted, self.credentials
-        out: set[Claim] = set()
-        for d, link in links.items():
-            accepted = memo.get(d)
-            if accepted is None:
-                t = link.interval
-                accepted = memo[d] = tuple(
-                    (link.owner_id, entry.peer_id, t)
-                    for entry in link.events.entries
-                    if check_entry(entry, t, links.get, credentials) is None
-                )
-            out.update(accepted)
-        return frozenset(out)
-
-    @cached_property
-    def _owners_at(self) -> frozenset[tuple[int, int]]:
-        """(owner, interval) pairs whose link is visible in this view."""
-        return frozenset((link.owner_id, link.interval) for link in self.links.values())
+        return frozenset(self.index.select(self.index.claims, self._selected[1][:-1]))
 
     @cached_property
     def _pairing(self) -> _PairingTally:
-        """The one pass over ``claims`` that every pairing detector reads.
+        """The tallies every pairing detector reads, as array operations
+        over the index's claims.
 
         A claim is paired when its reverse is claimed too, and decisively
         unpaired when it is not although the counterpart's link for that
         interval is visible; either way it counts for both robots it
         names, once for a self-claim.
         """
-        claims, owners_at = self.claims, self._owners_at
-        paired: dict[int, int] = {}
-        unpaired: dict[int, int] = {}
-        omissions: list[Claim] = []
-        intervals: dict[tuple[int, int], int] = {}
-        for claim in claims:
-            a, b, t = claim
-            if (b, a, t) in claims:
-                if a < b:  # counts the claim and its mirror, which names the same two robots
-                    paired[a] = paired.get(a, 0) + 2
-                    paired[b] = paired.get(b, 0) + 2
-                    pair = (a, b)
-                    intervals[pair] = intervals.get(pair, 0) | 1 << t
-                elif a == b:
-                    paired[a] = paired.get(a, 0) + 1
-            elif (b, t) in owners_at:
-                unpaired[a] = unpaired.get(a, 0) + 1
-                unpaired[b] = unpaired.get(b, 0) + 1
-                omissions.append(claim)
-        return _PairingTally(paired, unpaired, tuple(sorted(omissions)), intervals)
+        index, (links, claims) = self.index, self._selected
+        held = claims[:-1]
+        mutual = held & claims[index.claim_mirror]
+        visible = np.bincount(index.link_slot, links, index.slot_count + 1) > 0  # the last slot stands for -1
+        omitted = held & ~mutual & visible[index.claim_slot]
+        robots = len(index.robots)
+        paired = np.bincount(index.claim_claimer[mutual], minlength=robots) + np.bincount(
+            index.claim_partner[mutual], minlength=robots + 1
+        )[:robots]
+        unpaired = np.bincount(index.claim_claimer[omitted], minlength=robots) + np.bincount(
+            index.claim_target[omitted], minlength=robots
+        )
+        return _PairingTally(
+            index.per_robot(paired),
+            index.per_robot(unpaired),
+            tuple(index.select(index.claims, omitted)) if omitted.any() else (),
+            mutual,
+        )
 
     def unpaired_claims(self) -> tuple[Claim, ...]:
         """Claims with decisive omission evidence: the counterpart's link for
@@ -211,23 +393,10 @@ class LocalView:
 
     def paired_intervals(self) -> dict[tuple[int, int], set[int]]:
         """(a, b) with a < b -> intervals in which both sides recorded the meeting."""
-        return {
-            pair: {t for t in range(mask.bit_length()) if mask >> t & 1}
-            for pair, mask in self._pairing.intervals.items()
-        }
-
-
-def _accepted_memo(trace: SimTrace) -> dict[Digest, tuple[Claim, ...]]:
-    """The claims memo shared by ``trace``'s views, made on first use.
-
-    It is kept on the trace with the store and credential table it was
-    filled from, so a copy of the trace given another store or table
-    starts afresh.
-    """
-    memo = trace.__dict__.get("_accepted_claims")
-    if memo is None or memo[0] is not trace.store or memo[1] is not trace.credentials:
-        memo = trace.__dict__["_accepted_claims"] = (trace.store, trace.credentials, {})
-    return memo[2]
+        out: dict[tuple[int, int], set[int]] = {}
+        for a, b, t in self.index.select(self.index.claims, self._pairing.mutual & self.index.claim_forward):
+            out.setdefault((a, b), set()).add(t)
+        return out
 
 
 def detect_disappeared(view: LocalView, delta: int) -> frozenset[int]:
@@ -273,21 +442,26 @@ def detect_collusion(view: LocalView, delta: int, epsilon: float) -> frozenset[t
     """Pairs co-meeting in k consecutive window intervals with p**k < epsilon."""
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
-    p = view.params.p
-    window_start = max(1, view.as_of - delta + 1)
-    suspects: set[tuple[tuple[int, int], int]] = set()
-    for pair, mask in view._pairing.intervals.items():
-        run = best = 0
-        for t in range(window_start, view.as_of + 1):
-            if mask >> t & 1:
-                run += 1
-                if run > best:
-                    best = run
-            else:
-                run = 0
-        if best >= 1 and p**best < epsilon:
-            suspects.add((pair, best))
-    return frozenset(suspects)
+    index = view.index
+    t = index.claim_t
+    window = (t >= max(1, view.as_of - delta + 1)) & (t <= view.as_of)
+    held = view._pairing.mutual & index.claim_forward & window
+    # Claims are numbered in sorted order, so a pair's claims lie together
+    # by interval: a held claim starts a run unless the claim before it is
+    # held and is the same pair's claim for the interval before.
+    starts = held.copy()
+    starts[1:] &= ~(held[:-1] & index.claim_continues[1:])
+    first = np.flatnonzero(starts)
+    count = np.cumsum(held)
+    length = np.diff(np.append(count[first] - 1, count[-1:])).tolist()
+    # p**k never grows with k, so a pair is suspect once its longest run reaches the shortest implausible one
+    shortest = next((k for k in range(1, max(length, default=0) + 1) if view.params.p**k < epsilon), None)
+    longest: dict[tuple[int, int], int] = {}
+    for row, k in zip(first.tolist(), length) if shortest is not None else ():
+        if k >= shortest:
+            a, b, _ = index.claims[row]
+            longest[a, b] = max(longest.get((a, b), 0), k)
+    return frozenset(longest.items())
 
 
 @dataclass

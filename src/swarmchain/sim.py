@@ -434,9 +434,13 @@ class SimTrace:
                 robot = int(key)
             except ValueError:
                 raise TraceError(where, "robot id must be an integer") from None
+            if not 1 <= robot <= config.n or robot in heads:
+                raise TraceError(where, f"robot id must be a distinct integer in 1..{config.n}")
             if value is None:
                 heads[robot] = None
                 continue
+            if not isinstance(value, str):
+                raise TraceError(where, f"must be a hex digest or null, got {value!r}")
             try:
                 d = Digest.from_hex(value)
             except ValueError as exc:
@@ -445,25 +449,10 @@ class SimTrace:
                 raise TraceError(where, "head digest does not resolve to a stored link")
             heads[robot] = d
 
-        exchanges = []
-        for i, entry in enumerate(_list_field(data, "exchanges")):
-            where = f"exchanges[{i}]"
-            try:
-                exchanges.append(
-                    ExchangeRecord(
-                        interval=entry["interval"],
-                        a=entry["a"],
-                        b=entry["b"],
-                        a_gave=entry["a_gave"],
-                        b_gave=entry["b_gave"],
-                        a_recorded=entry["a_recorded"],
-                        b_recorded=entry["b_recorded"],
-                        fabricated=entry.get("fabricated", False),
-                        notes=tuple(entry.get("notes", ())),
-                    )
-                )
-            except (KeyError, TypeError) as exc:
-                raise TraceError(where, f"bad exchange record: {exc}") from exc
+        exchanges = [
+            _exchange_from_dict(entry, config, f"exchanges[{i}]")
+            for i, entry in enumerate(_list_field(data, "exchanges"))
+        ]
 
         return cls(
             config=config,
@@ -474,6 +463,38 @@ class SimTrace:
             store=store,
             exchanges=tuple(exchanges),
         )
+
+
+_EXCHANGE_FLAGS = ("a_gave", "b_gave", "a_recorded", "b_recorded")
+
+
+def _exchange_from_dict(data: Any, config: SimConfig, where: str) -> ExchangeRecord:
+    """An exchange record holding only what the simulator writes: an
+    interval of the run, robots 1 <= a < b <= n, boolean flags and a list
+    of note strings."""
+    if not isinstance(data, Mapping):
+        raise TraceError(where, "bad exchange record: must be an object")
+    try:
+        interval, a, b = data["interval"], data["a"], data["b"]
+        flags = {key: data[key] for key in _EXCHANGE_FLAGS}
+    except KeyError as exc:
+        raise TraceError(where, f"bad exchange record: missing {exc}") from None
+    flags["fabricated"] = data.get("fabricated", False)
+    notes = data.get("notes", [])
+    if not _is_int(interval) or not 1 <= interval <= config.intervals:
+        raise TraceError(
+            f"{where}.interval", f"must be an integer in 1..{config.intervals}, got {interval!r}"
+        )
+    if not (_is_int(a) and _is_int(b) and 1 <= a < b <= config.n):
+        raise TraceError(
+            where, f"a and b must be integers with 1 <= a < b <= {config.n}, got {a!r} and {b!r}"
+        )
+    for key, value in flags.items():
+        if not isinstance(value, bool):
+            raise TraceError(f"{where}.{key}", f"must be a boolean, got {value!r}")
+    if not isinstance(notes, list) or not all(isinstance(note, str) for note in notes):
+        raise TraceError(f"{where}.notes", f"must be a list of strings, got {notes!r}")
+    return ExchangeRecord(interval=interval, a=a, b=b, **flags, notes=tuple(notes))
 
 
 def _hex_field(data: Mapping[str, Any], key: str) -> bytes:

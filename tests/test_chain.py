@@ -24,7 +24,7 @@ from swarmchain.chain import (
 )
 from swarmchain.crypto import Digest, provision_swarm
 from swarmchain.detect import LocalView
-from swarmchain.sim import SimConfig
+from swarmchain.sim import SimConfig, SimTrace
 
 
 def _entry_for(identity, head):
@@ -352,14 +352,23 @@ def test_first_links_of_different_owners_do_not_collide(swarm5):
 
 
 def test_closure_covers_referenced_history(swarm5):
-    _, identities = swarm5
+    central, identities = swarm5
     store = LinkStore()
     heads = _grow_pairwise(identities, store, 3)
-    closure = store.closure(link_digest(heads[1]))
-    # everyone met everyone each interval, so the closure reaches every link
+    trace = SimTrace(
+        config=SimConfig(n=len(identities), p=1.0, intervals=3, delta=3, seed=0),
+        central_verify_key=central,
+        credentials=_issued(identities),
+        graphs=(),
+        heads={r: link_digest(head) for r, head in heads.items()},
+        store=store,
+        exchanges=(),
+    )
+    view = LocalView.from_trace(trace, 1)
+    # everyone met everyone each interval, so the view reaches every link
     # except the peers' final-interval links, which nothing references yet
     unreachable = {link_digest(heads[r]) for r in heads if r != 1}
-    assert closure == frozenset(store.digests()) - unreachable
+    assert set(view.links) == set(store.digests()) - unreachable
 
 
 @settings(max_examples=25, deadline=None)

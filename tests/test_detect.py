@@ -276,7 +276,6 @@ def test_tampered_stored_link_is_found(honest_trace_25):
     store = copy.copy(trace.store)
     store._links = dict(trace.store._links)
     store._links[link_digest(middle)] = mutated
-    store._closures = {}
     audit = central_audit(
         {r: trace.head_link(r) if r != 5 else victim_head for r in range(1, 26)},
         store,

@@ -1,9 +1,9 @@
 """The one pass per view behind the pairing detectors, and the per-trace
-memo of accepted entries behind ``LocalView.claims``.
+claim index behind ``LocalView.claims``.
 
 The pairing tallies, ``unpaired_claims()``, ``paired_intervals()`` and
 ``check_pairing`` are compared with a per-subject reference that rescans
-every claim for each subject.  The memo is compared with a fresh
+every claim for each subject.  The index is compared with a fresh
 ``check_entry`` pass over each view's own links.
 """
 import copy
@@ -149,7 +149,7 @@ def test_self_claim_counts_once_toward_its_owner():
     _assert_pass_matches_reference(view, 0.0)
 
 
-# -- the memo of accepted entries --------------------------------------------------------
+# -- the claim index ------------------------------------------------------------------
 
 
 def _fresh_claims(view):
@@ -204,10 +204,10 @@ def test_shared_memo_matches_a_fresh_pass_per_view(central_first):
     views = _all_views(trace, central_first)
     for view in views:
         assert view.claims == _fresh_claims(view)
-        assert view.accepted is central.accepted
+        assert view.index is central.index
         assert (1, 2, 2) not in view.claims
     assert (1, 3, 2) in central.claims
-    assert len(central.accepted) == len(central.links)  # each link's entries checked once
+    assert central.index.links == list(trace.store.links())  # each stored link's entries checked once
 
 
 def test_directly_built_view_computes_its_own_claims():
@@ -218,7 +218,7 @@ def test_directly_built_view_computes_its_own_claims():
     direct = LocalView(
         observer=None, as_of=3, links=without_q1, params=trace.config, credentials=dict(trace.credentials)
     )
-    assert direct.accepted == {} and direct.accepted is not shared.accepted
+    assert direct.index is not shared.index and direct.index.links == list(without_q1.values())
     assert direct.claims == _fresh_claims(direct)
     assert (1, 3, 2) in shared.claims and (1, 3, 2) not in direct.claims
 
@@ -230,7 +230,6 @@ def _tampered_store(store, victim):
     tampered = copy.copy(store)
     tampered._links = dict(store._links)
     tampered._links[link_digest(victim)] = decode_link(bytes(blob))
-    tampered._closures = {}
     return tampered
 
 
@@ -245,11 +244,11 @@ def test_traces_never_share_memo_entries():
     copied.store = tampered
     for other in (replaced, copied):
         for view in _all_views(other, central_first=True):
-            assert view.accepted is not before.accepted
+            assert view.index is not before.index
             assert view.claims == _fresh_claims(view)
             assert (1, 3, 2) not in view.claims
     assert LocalView.central(trace).claims == before.claims
 
     text = trace.to_json()
     first, second = SimTrace.from_json(text), SimTrace.from_json(text)
-    assert LocalView.central(first).accepted is not LocalView.central(second).accepted
+    assert LocalView.central(first).index is not LocalView.central(second).index

@@ -475,6 +475,63 @@ def test_trace_rejects_a_credential_outside_the_swarm(honest_trace_25, robot_id)
     assert err.value.location == "credentials[0]"
 
 
+def _set_head(doc, key, value):
+    doc["heads"][key] = value
+
+
+def _set_exchange(doc, key, value):
+    doc["exchanges"][0][key] = value
+
+
+_BAD_HEADS_AND_EXCHANGES = [
+    ("head-not-a-string", _set_head, ("1", 5), "heads.1"),
+    ("head-a-list", _set_head, ("2", ["00" * 32]), "heads.2"),
+    ("head-robot-0", _set_head, ("0", None), "heads.0"),
+    ("head-robot-26", _set_head, ("26", None), "heads.26"),
+    ("head-robot-repeated", _set_head, ("01", None), "heads.01"),
+    ("exchange-interval-string", _set_exchange, ("interval", "1"), "exchanges[0].interval"),
+    ("exchange-interval-bool", _set_exchange, ("interval", True), "exchanges[0].interval"),
+    ("exchange-interval-negative", _set_exchange, ("interval", -5), "exchanges[0].interval"),
+    ("exchange-interval-past-run", _set_exchange, ("interval", 4), "exchanges[0].interval"),
+    ("exchange-a-string", _set_exchange, ("a", "x"), "exchanges[0]"),
+    ("exchange-b-bool", _set_exchange, ("b", True), "exchanges[0]"),
+    ("exchange-b-outside-swarm", _set_exchange, ("b", 26), "exchanges[0]"),
+    ("exchange-a-not-below-b", _set_exchange, ("a", 25), "exchanges[0]"),
+    ("exchange-flag-int", _set_exchange, ("a_gave", 1), "exchanges[0].a_gave"),
+    ("exchange-flag-string", _set_exchange, ("b_recorded", "yes"), "exchanges[0].b_recorded"),
+    ("exchange-fabricated-null", _set_exchange, ("fabricated", None), "exchanges[0].fabricated"),
+    ("exchange-notes-string", _set_exchange, ("notes", "abc"), "exchanges[0].notes"),
+    ("exchange-notes-int", _set_exchange, ("notes", [1]), "exchanges[0].notes"),
+    ("exchange-missing-flag", lambda doc, *_: doc["exchanges"][0].pop("b_gave"), (None, None), "exchanges[0]"),
+    ("exchange-not-an-object", lambda doc, *_: doc["exchanges"].__setitem__(0, [1, 2]), (None, None), "exchanges[0]"),
+]
+
+
+@pytest.mark.parametrize(
+    "mutate,args,location",
+    [case[1:] for case in _BAD_HEADS_AND_EXCHANGES],
+    ids=[case[0] for case in _BAD_HEADS_AND_EXCHANGES],
+)
+def test_trace_refuses_bad_heads_and_exchange_records(mutate, args, location, honest_trace_25, tmp_path, capsys):
+    from swarmchain.cli import main
+
+    doc = json.loads(honest_trace_25.to_json())
+    assert doc["exchanges"][0]["a"] == 1 and doc["config"]["intervals"] == 3
+    mutate(doc, *args)
+    with pytest.raises(TraceError) as err:
+        SimTrace.from_dict(doc)
+    assert err.value.location == location
+    trace = tmp_path / "trace.json"
+    trace.write_text(json.dumps(doc))
+    assert main(["analyze", "--trace", str(trace)]) == 2
+    assert location in capsys.readouterr().err
+
+
+def test_loaded_exchange_records_round_trip(honest_trace_25):
+    text = honest_trace_25.to_json()
+    assert SimTrace.from_json(text).to_json() == text
+
+
 def _first_link_with_entries(doc):
     return next(i for i, link in enumerate(doc["links"]) if link["entries"])
 
