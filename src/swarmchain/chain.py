@@ -36,7 +36,7 @@ Full link encoding (``encode_link``)::
     payload   --  the canonical payload above, verbatim
     sig_len   2   big-endian unsigned, then the owner signature bytes
 
-The message a robot signs is ``digest(canonical_encode(...)).value``.  A
+The message a robot signs is ``digest(canonical_encode(...))``.  A
 link's store address is ``digest(encode_link(link))``: owner id and
 signature sit outside the signed payload, so links of different owners
 get distinct addresses even when their payloads coincide (e.g. first
@@ -182,11 +182,11 @@ def canonical_encode(events: EventList, t: int, prev: Digest) -> bytes:
     """
     if events.interval != t:
         raise ValueError(f"event list interval {events.interval} != {t}")
-    parts = [_PAYLOAD_MAGIC, struct.pack(">I", t), prev.value, struct.pack(">I", len(events.entries))]
+    parts = [_PAYLOAD_MAGIC, struct.pack(">I", t), prev, struct.pack(">I", len(events.entries))]
     for entry in events.entries:
         cred = entry.peer_credential
         parts.append(struct.pack(">I", entry.peer_id))
-        parts.append(entry.peer_link_digest.value)
+        parts.append(entry.peer_link_digest)
         parts.append(struct.pack(">H", len(entry.peer_signature)))
         parts.append(entry.peer_signature)
         parts.append(struct.pack(">I", cred.robot_id))
@@ -350,7 +350,7 @@ def offer_history(identity: SigningIdentity, head: HistoryLink | None) -> Histor
         return HistoryOffer(
             credential=identity.credential,
             link=None,
-            genesis_signature=sign(identity, GENESIS.value),
+            genesis_signature=sign(identity, GENESIS),
         )
     return HistoryOffer(credential=identity.credential, link=head)
 
@@ -395,7 +395,7 @@ def sign_link(signer: SigningIdentity, owner_id: int, events: EventList, prev: D
         interval=events.interval,
         events=events,
         prev_digest=prev,
-        signature=sign(signer, signed.value),
+        signature=sign(signer, signed),
     )
     object.__setattr__(link, "_payload", payload)
     object.__setattr__(link, "_signed_digest", signed)
@@ -425,7 +425,7 @@ def check_link(link: HistoryLink, credential: Credential | None) -> str | None:
     the reason (see the module docstring)."""
     if credential is None or link.owner_id != credential.robot_id:
         return "wrong-owner"
-    if not verify(credential, signed_digest(link).value, link.signature):
+    if not verify(credential, signed_digest(link), link.signature):
         return "bad-signature"
     return None
 
@@ -449,7 +449,7 @@ def check_entry(
     if credentials.get(entry.peer_id) != entry.peer_credential:
         return "uncertified-credential"
     if entry.peer_link_digest == GENESIS:
-        if not verify(entry.peer_credential, GENESIS.value, entry.peer_signature):
+        if not verify(entry.peer_credential, GENESIS, entry.peer_signature):
             return "bad-entry-signature"
         return None
     resolved = resolve(entry.peer_link_digest)

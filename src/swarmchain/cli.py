@@ -111,6 +111,10 @@ def cmd_analyze(args, out=None) -> int:
     delta = args.delta if args.delta is not None else config.delta
     alpha = args.alpha if args.alpha is not None else config.alpha
     epsilon = args.epsilon
+    if not 1 <= delta <= config.intervals:
+        raise ValueError(f"--delta must be in 1..intervals={config.intervals}, got {delta}")
+    if not 0.0 <= alpha < 1.0:
+        raise ValueError(f"--alpha must be in [0, 1), got {alpha}")
 
     observers = []
     for robot in range(1, config.n + 1):

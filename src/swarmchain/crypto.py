@@ -5,7 +5,8 @@ and a certificate binding (robot_id, verify_key) under the central key.
 The concrete algorithms (Ed25519 signatures, SHA-256 digests) are an
 internal detail of this module: callers treat signatures and digests as
 opaque bytes, so the scheme can be swapped without touching the rest of
-the code.
+the code.  A :class:`Digest` is a ``bytes`` of length ``DIGEST_SIZE``,
+usable wherever bytes are.
 
 Key material is derived deterministically from the provisioning seed, so
 a swarm provisioned twice with the same (n, seed) is byte-identical.
@@ -47,28 +48,17 @@ _KEY_DOMAIN = b"swarmchain:key:v1:"
 _CRED_DOMAIN = b"swarmchain:cred:v1:"
 
 
-@dataclass(frozen=True, eq=False)
-class Digest:
-    """Fixed-length hash output; equal inputs always hash to equal digests."""
+class Digest(bytes):
+    """A fixed-length hash output.  A digest is its bytes: it hashes,
+    compares, orders and encodes as the ``DIGEST_SIZE`` bytes it holds,
+    and the only thing the type adds is the length check."""
 
-    value: bytes
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.value) != DIGEST_SIZE:
-            raise ValueError(f"digest must be {DIGEST_SIZE} bytes, got {len(self.value)}")
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Digest) and self.value == other.value
-
-    def __hash__(self) -> int:
-        return hash(self.value)
-
-    def hex(self) -> str:
-        return self.value.hex()
-
-    @classmethod
-    def from_hex(cls, text: str) -> "Digest":
-        return cls(bytes.fromhex(text))
+    def __new__(cls, value: bytes) -> "Digest":
+        if len(value) != DIGEST_SIZE:
+            raise ValueError(f"digest must be {DIGEST_SIZE} bytes, got {len(value)}")
+        return super().__new__(cls, value)
 
 
 def digest(message: bytes) -> Digest:

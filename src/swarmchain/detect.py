@@ -77,22 +77,21 @@ class PairingVerdict:
 
 
 class ClaimIndex:
-    """The links of one link table and the claims their entries make,
-    numbered once so that every view of the table is a bitmask.
+    """The links of one store and the claims their entries make,
+    numbered once so that every view of the store is a bitmask.
 
-    Links are numbered in table order.  A link's closure mask (a Python
-    int) is its own bit OR the masks of the table links it references,
+    Links are numbered in store order.  A link's closure mask (a Python
+    int) is its own bit OR the masks of the stored links it references,
     previous link and entry links alike; a dangling reference adds
     nothing.  ``counted`` is the mask of the links that pass
-    ``check_link`` (every link when built with ``check_links`` false).
-    Each entry of a counted link names a claim ``(claimer, target,
-    interval)``; distinct claims are numbered in sorted order, so
-    duplicate entries collapse.  An entry counts once ``check_entry``
-    accepts it, resolving through the table; :meth:`accepted` checks each
-    link's entries once, when a view first holds the link, so links no
-    view holds cost no entry check.  The per-claim and per-link columns
-    are numpy arrays; robots are numbered densely, and no robot id or
-    interval is ever an array position.
+    ``check_link``.  Each entry of a counted link names a claim
+    ``(claimer, target, interval)``; distinct claims are numbered in
+    sorted order, so duplicate entries collapse.  An entry counts once
+    ``check_entry`` accepts it, resolving through the store;
+    :meth:`accepted` checks each link's entries once, when a view first
+    holds the link, so links no view holds cost no entry check.  The
+    per-claim and per-link columns are numpy arrays; robots are numbered
+    densely, and no robot id or interval is ever an array position.
 
     A view picks its results out of Python lists (:meth:`select`), not
     out of small arrays sized by what it holds: numpy keeps freed buffers
@@ -101,20 +100,12 @@ class ClaimIndex:
     they were found pinning the top of the heap.
     """
 
-    def __init__(
-        self,
-        table: Mapping[Digest, HistoryLink],
-        credentials: Mapping[int, Credential],
-        check_links: bool,
-    ) -> None:
-        self.table, self.credentials = table, credentials
-        self.digests = list(table)
-        self.links = list(table.values())
-        # digest bytes -> link number: bytes hash in C, a Digest does not
-        self.position = dict(zip([d.value for d in self.digests], range(len(self.links))))
-        counted = [
-            not check_links or check_link(link, credentials.get(link.owner_id)) is None for link in self.links
-        ]
+    def __init__(self, store: LinkStore, credentials: Mapping[int, Credential]) -> None:
+        self.store, self.credentials = store, credentials
+        self.digests = list(store.digests())
+        self.links = list(store.links())
+        self.position = dict(zip(self.digests, range(len(self.links))))
+        counted = [check_link(link, credentials.get(link.owner_id)) is None for link in self.links]
         self.counted = int.from_bytes(np.packbits(np.array(counted, bool), bitorder="little").tobytes(), "little")
         self.unchecked = self.counted  # links whose entries await check_entry
         find = self.position.get
@@ -124,7 +115,7 @@ class ClaimIndex:
         self.first_entry: list[int] = []
         for i, link in enumerate(self.links):
             entries = link.events.entries
-            found = [find(link.prev_digest.value), *[find(e.peer_link_digest.value) for e in entries]]
+            found = [find(link.prev_digest), *[find(e.peer_link_digest) for e in entries]]
             refs.append([j for j in found if j is not None])
             self.first_entry.append(len(peers))
             if counted[i]:
@@ -169,7 +160,7 @@ class ClaimIndex:
     def accepted(self, mask: int) -> np.ndarray:
         """Which entries ``check_entry`` accepts, as a bool array over the
         entries; settled for every entry of a counted link in ``mask``."""
-        todo, resolve = mask & self.unchecked, self.table.get
+        todo, resolve = mask & self.unchecked, self.store.get
         for i in self.select(range(len(self.links)), self.bits(todo)) if todo else ():
             link = self.links[i]
             for row, entry in enumerate(link.events.entries, self.first_entry[i]):
@@ -179,7 +170,7 @@ class ClaimIndex:
 
     def mask_of(self, head: Digest | None) -> int:
         """The closure mask of the link ``head`` names; 0 if none is indexed."""
-        i = None if head is None else self.position.get(head.value)
+        i = None if head is None else self.position.get(head)
         return 0 if i is None else self.masks[i]
 
     def bits(self, mask: int) -> np.ndarray:
@@ -257,10 +248,8 @@ def _trace_index(trace: SimTrace) -> ClaimIndex:
     """
     kept = trace.__dict__.get("_claim_index")
     if kept is None or kept[0] is not trace.store or kept[1] is not trace.credentials:
-        table = dict(zip(trace.store.digests(), trace.store.links()))
-        kept = trace.__dict__["_claim_index"] = (
-            trace.store, trace.credentials, ClaimIndex(table, trace.credentials, check_links=True)
-        )
+        index = ClaimIndex(trace.store, trace.credentials)
+        kept = trace.__dict__["_claim_index"] = (trace.store, trace.credentials, index)
     return kept[2]
 
 
@@ -277,28 +266,20 @@ class _PairingTally(NamedTuple):
 class LocalView:
     """Chain content one observer can resolve, verified at ingestion.
 
-    ``index`` numbers the links the view draws on and ``mask`` selects
-    its links among them.  Views of one trace share the trace's index; a
-    view built directly indexes its own ``links``, every one counted, with
-    references resolved through ``links``.
+    A view is built from a trace only.  ``index`` is the trace's index
+    and ``mask`` selects the view's links among its links.
     """
 
     observer: int | None
     as_of: int
-    links: dict[Digest, HistoryLink]
     params: SimConfig
-    credentials: dict[int, Credential]
-    index: ClaimIndex | None = field(default=None, repr=False, compare=False)
-    mask: int = field(default=-1, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.index is None:
-            self.index = ClaimIndex(self.links, self.credentials, check_links=False)
+    index: ClaimIndex = field(repr=False, compare=False)
+    mask: int = field(repr=False, compare=False)
 
     @classmethod
     def from_trace(cls, trace: SimTrace, observer: int) -> "LocalView":
         index = _trace_index(trace)
-        return cls._build(trace, observer, index, index.mask_of(trace.heads.get(observer)))
+        return cls(observer, trace.config.intervals, trace.config, index, index.mask_of(trace.heads.get(observer)))
 
     @classmethod
     def central(cls, trace: SimTrace) -> "LocalView":
@@ -307,19 +288,13 @@ class LocalView:
         mask = 0
         for head in trace.heads.values():
             mask |= index.mask_of(head)
-        return cls._build(trace, None, index, mask)
+        return cls(None, trace.config.intervals, trace.config, index, mask)
 
-    @classmethod
-    def _build(cls, trace: SimTrace, observer: int | None, index: ClaimIndex, mask: int) -> "LocalView":
-        return cls(
-            observer=observer,
-            as_of=trace.config.intervals,
-            links=dict(index.select(zip(index.digests, index.links), index.bits(mask))),
-            params=trace.config,
-            credentials=dict(trace.credentials),
-            index=index,
-            mask=mask,
-        )
+    @cached_property
+    def links(self) -> dict[Digest, HistoryLink]:
+        """digest -> link, for the links in view that pass ``check_link``."""
+        index = self.index
+        return dict(index.select(zip(index.digests, index.links), index.bits(self.mask)))
 
     @cached_property
     def _selected(self) -> tuple[np.ndarray, np.ndarray]:
@@ -347,7 +322,7 @@ class LocalView:
         ``check_entry``.
 
         Each entry is checked once, when a view first holds its link,
-        resolving through the index's table.  For a view of a trace that
+        resolving through the trace's store.  For a view of a trace that
         accepts exactly what resolving through the view's own links would:
         every view holds the ``check_link``-verified part of a closure of
         the trace's store, so whatever an entry of a link in view

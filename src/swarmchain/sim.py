@@ -326,9 +326,7 @@ class SimTrace:
         return {r: self.head_link(r) for r in range(1, self.config.n + 1)}
 
     def to_dict(self, manifest: Mapping[str, Any] | None = None) -> dict[str, Any]:
-        links = sorted(
-            self.store.links(), key=lambda l: (l.owner_id, l.interval, link_digest(l).hex())
-        )
+        links = sorted(self.store.links(), key=lambda l: (l.owner_id, l.interval, link_digest(l)))
         return {
             "format": TRACE_FORMAT,
             "version": TRACE_VERSION,
@@ -442,7 +440,7 @@ class SimTrace:
             if not isinstance(value, str):
                 raise TraceError(where, f"must be a hex digest or null, got {value!r}")
             try:
-                d = Digest.from_hex(value)
+                d = Digest.fromhex(value)
             except ValueError as exc:
                 raise TraceError(where, f"bad digest: {exc}") from exc
             if d not in store:
@@ -559,7 +557,7 @@ def _link_from_dict(data: Mapping[str, Any], where: str) -> HistoryLink:
             entries.append(
                 EventEntry(
                     peer_id=_u32(e["peer"], f"entries[{j}].peer"),
-                    peer_link_digest=Digest.from_hex(e["digest"]),
+                    peer_link_digest=Digest.fromhex(e["digest"]),
                     peer_signature=_blob(e["signature"], f"entries[{j}].signature"),
                     peer_credential=Credential(
                         robot_id=_u32(cred["robot_id"], f"entries[{j}].credential.robot_id"),
@@ -573,7 +571,7 @@ def _link_from_dict(data: Mapping[str, Any], where: str) -> HistoryLink:
             owner_id=_u32(data["owner"], "owner"),
             interval=interval,
             events=EventList(interval=interval, entries=tuple(entries)),
-            prev_digest=Digest.from_hex(data["prev"]),
+            prev_digest=Digest.fromhex(data["prev"]),
             signature=_blob(data["signature"], "signature"),
         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -640,7 +638,7 @@ class Simulation:
             return HistoryOffer(
                 credential=target_cred,
                 link=None,
-                genesis_signature=sign(self.identities[forger], GENESIS.value),
+                genesis_signature=sign(self.identities[forger], GENESIS),
             )
         forged = sign_link(self.identities[forger], target_cred.robot_id, EventList.empty(t - 1), GENESIS)
         self.store.insert(forged)

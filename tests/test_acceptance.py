@@ -208,13 +208,13 @@ def _forged_entry_count(trace, forgers, target):
         if entry is None:
             continue
         if entry.peer_link_digest == GENESIS:
-            ok = verify(entry.peer_credential, GENESIS.value, entry.peer_signature)
+            ok = verify(entry.peer_credential, GENESIS, entry.peer_signature)
         else:
             resolved = trace.store.get(entry.peer_link_digest)
             ok = (
                 resolved is not None
                 and resolved.owner_id == target
-                and verify(entry.peer_credential, signed_digest(resolved).value, entry.peer_signature)
+                and verify(entry.peer_credential, signed_digest(resolved), entry.peer_signature)
             )
         if not ok:
             bad += 1

@@ -83,7 +83,7 @@ def test_canonical_encode_injective_over_random_corpus(swarm5):
         prev = Digest(rng.randbytes(32))
         chosen = tuple(rng.sample(base_entries, rng.randint(0, len(base_entries))))
         events = EventList(interval=t, entries=chosen)
-        key = (t, prev.value, frozenset(e.peer_id for e in chosen))
+        key = (t, prev, frozenset(e.peer_id for e in chosen))
         blob = canonical_encode(events, t, prev)
         if blob in seen:
             assert seen[blob] == key
@@ -260,14 +260,22 @@ def test_depth_must_be_positive(swarm5):
 
 
 def _view(identities, links):
-    """The view holding exactly ``links``, for a swarm of ``identities``."""
-    return LocalView(
-        observer=None,
-        as_of=max(link.interval for link in links),
-        links={link_digest(link): link for link in links},
-        params=SimConfig(n=len(identities), p=0.5, intervals=2, delta=1, seed=0),
+    """The central view of a trace whose store holds exactly ``links``,
+    each owner's latest one its head, for a swarm of ``identities``."""
+    store, heads = LinkStore(), {}
+    for link in sorted(links, key=lambda link: link.interval):
+        heads[link.owner_id] = store.insert(link)
+    intervals = max(link.interval for link in links)
+    trace = SimTrace(
+        config=SimConfig(n=len(identities), p=0.5, intervals=intervals, delta=1, seed=0),
+        central_verify_key=b"",  # a view never reads it
         credentials=_issued(identities),
+        graphs=(),
+        heads=heads,
+        store=store,
+        exchanges=(),
     )
+    return LocalView.central(trace)
 
 
 def _two_robot_links(identities, record=(True, True)):

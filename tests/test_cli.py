@@ -147,6 +147,32 @@ def test_analyze_reports_position_of_first_failure(tmp_path, capsys):
     assert "links[2]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "option,value,p,code",
+    [
+        ("--delta", "0", 0.4, 2),
+        ("--delta", "-3", 0.4, 2),
+        ("--delta", "4", 0.4, 2),
+        ("--delta", "1", 0.4, 0),
+        ("--delta", "3", 0.4, 0),
+        # at p=0 nobody meets, so no pairing verdict ever reads alpha
+        ("--alpha", "1.0", 0.0, 2),
+        ("--alpha", "-0.1", 0.0, 2),
+        ("--alpha", "nan", 0.0, 2),
+        ("--alpha", "0", 0.0, 0),
+        ("--alpha", "0.99", 0.0, 0),
+    ],
+)
+def test_analyze_refuses_out_of_range_overrides(option, value, p, code, tmp_path, capsys):
+    config = _write_config(tmp_path, p=p)
+    trace = tmp_path / "trace.json"
+    main(["simulate", "--config", str(config), "--output", str(trace)])
+    capsys.readouterr()
+    assert main(["analyze", "--trace", str(trace), option, value]) == code
+    err = capsys.readouterr().err
+    assert (option in err) == (code == 2), err
+
+
 def test_prob_prints_reference_values(capsys):
     assert main(["prob", "--n", "25", "--p", "0.33", "--delta", "3"]) == 0
     text = capsys.readouterr().out

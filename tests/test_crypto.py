@@ -1,11 +1,14 @@
+import hashlib
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from swarmchain.chain import GENESIS
 from swarmchain.crypto import (
     DIGEST_SIZE,
+    Digest,
     digest,
     provision_swarm,
     sign,
@@ -119,7 +122,7 @@ def test_digest_deterministic_and_fixed_length():
         d1 = digest(message)
         d2 = digest(message)
         assert d1 == d2
-        assert len(d1.value) == DIGEST_SIZE
+        assert len(d1) == DIGEST_SIZE
 
 
 def test_digest_collision_free_over_random_corpus():
@@ -127,7 +130,7 @@ def test_digest_collision_free_over_random_corpus():
     seen = {}
     for i in range(100_000):
         message = rng.randbytes(rng.randint(0, 64))
-        d = digest(message).value
+        d = digest(message)
         if d in seen:
             assert seen[d] == message
         else:
@@ -137,7 +140,23 @@ def test_digest_collision_free_over_random_corpus():
 @settings(max_examples=100)
 @given(st.binary(max_size=500))
 def test_digest_hex_roundtrip(message):
-    from swarmchain.crypto import Digest
-
     d = digest(message)
-    assert Digest.from_hex(d.hex()) == d
+    loaded = Digest.fromhex(d.hex())
+    assert loaded == d and type(loaded) is Digest
+
+
+@pytest.mark.parametrize("value", [bytes(31), bytes(33), 32], ids=["31-bytes", "33-bytes", "int"])
+def test_digest_refuses_anything_but_its_size(value):
+    with pytest.raises((TypeError, ValueError)):
+        Digest(value)
+    if isinstance(value, bytes):
+        with pytest.raises(ValueError):
+            Digest.fromhex(value.hex())
+
+
+def test_a_digest_is_its_bytes():
+    b = hashlib.sha256(b"swarmchain").digest()
+    assert Digest(b) == b and b == Digest(b)
+    assert hash(Digest(b)) == hash(b)
+    assert digest(b"swarmchain") == b
+    assert GENESIS == bytes(32) and isinstance(GENESIS, Digest)

@@ -87,9 +87,9 @@ def _entry_case(reason, identities, store, links):
     if reason == "uncertified-credential":
         return offer_entry(offer_history(_self_keyed(PEER), None))
     if reason == "bad-entry-signature/genesis":
-        return EventEntry(PEER, GENESIS, sign(q, GENESIS.value), p.credential)
+        return EventEntry(PEER, GENESIS, sign(q, GENESIS), p.credential)
     if reason == "bad-entry-signature/linked":
-        return replace(good, peer_signature=sign(q, signed_digest(links["p2"]).value))
+        return replace(good, peer_signature=sign(q, signed_digest(links["p2"])))
     if reason == "missing-entry-link":
         return offer_entry(offer_history(p, links["unstored"]))
     if reason == "entry-digest-mismatch":
@@ -188,7 +188,7 @@ def _offer_case(case, identities, store, links):
     if case == "uncertified-credential":
         return offer_history(_self_keyed(PEER), None), 1, 1
     if case == "bad-entry-signature/wrong-key":
-        wrong_key = sign(q, GENESIS.value)
+        wrong_key = sign(q, GENESIS)
         return HistoryOffer(credential=p.credential, link=None, genesis_signature=wrong_key), 1, 1
     if case == "bad-entry-signature/tampered":
         tampered = replace(p2, signature=bytes([p2.signature[0] ^ 1]) + p2.signature[1:])

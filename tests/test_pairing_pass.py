@@ -157,7 +157,7 @@ def _fresh_claims(view):
         (link.owner_id, entry.peer_id, link.interval)
         for link in view.links.values()
         for entry in link.events.entries
-        if check_entry(entry, link.interval, view.links.get, view.credentials) is None
+        if check_entry(entry, link.interval, view.links.get, view.index.credentials) is None
     )
 
 
@@ -208,19 +208,6 @@ def test_shared_memo_matches_a_fresh_pass_per_view(central_first):
         assert (1, 2, 2) not in view.claims
     assert (1, 3, 2) in central.claims
     assert central.index.links == list(trace.store.links())  # each stored link's entries checked once
-
-
-def test_directly_built_view_computes_its_own_claims():
-    trace, links = _hostile_world()
-    shared = LocalView.central(trace)
-    assert shared.claims
-    without_q1 = {d: link for d, link in shared.links.items() if link is not links["q1"]}
-    direct = LocalView(
-        observer=None, as_of=3, links=without_q1, params=trace.config, credentials=dict(trace.credentials)
-    )
-    assert direct.index is not shared.index and direct.index.links == list(without_q1.values())
-    assert direct.claims == _fresh_claims(direct)
-    assert (1, 3, 2) in shared.claims and (1, 3, 2) not in direct.claims
 
 
 def _tampered_store(store, victim):

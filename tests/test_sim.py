@@ -324,7 +324,7 @@ def test_colluder_entries_verify_like_real_ones(colluder_trace_25):
         entry = _entry_naming(links[(3, t)], 7)
         resolved = trace.store.get(entry.peer_link_digest)
         assert resolved.owner_id == 7 and resolved.interval == t - 1
-        assert verify(entry.peer_credential, signed_digest(resolved).value, entry.peer_signature)
+        assert verify(entry.peer_credential, signed_digest(resolved), entry.peer_signature)
 
 
 def test_colluders_never_fake_meetings_with_honest_robots(colluder_trace_25):
@@ -364,11 +364,11 @@ def test_forged_offers_are_rejected_by_recipients():
         if entry is None:
             continue
         if entry.peer_link_digest == GENESIS:
-            assert verify(entry.peer_credential, GENESIS.value, entry.peer_signature)
+            assert verify(entry.peer_credential, GENESIS, entry.peer_signature)
         else:
             resolved = trace.store.get(entry.peer_link_digest)
             assert resolved.owner_id == 9
-            assert verify(entry.peer_credential, signed_digest(resolved).value, entry.peer_signature)
+            assert verify(entry.peer_credential, signed_digest(resolved), entry.peer_signature)
 
 
 def test_forger_chain_contains_the_planted_entry():
@@ -388,12 +388,10 @@ def test_forger_chain_contains_the_planted_entry():
     assert planted
     for t, entry in planted:
         if entry.peer_link_digest == GENESIS:
-            assert not verify(entry.peer_credential, GENESIS.value, entry.peer_signature)
+            assert not verify(entry.peer_credential, GENESIS, entry.peer_signature)
         else:
             resolved = trace.store.get(entry.peer_link_digest)
-            assert not verify(
-                entry.peer_credential, signed_digest(resolved).value, entry.peer_signature
-            )
+            assert not verify(entry.peer_credential, signed_digest(resolved), entry.peer_signature)
 
 
 # -- trace serialization ---------------------------------------------------------
@@ -489,6 +487,8 @@ _BAD_HEADS_AND_EXCHANGES = [
     ("head-robot-0", _set_head, ("0", None), "heads.0"),
     ("head-robot-26", _set_head, ("26", None), "heads.26"),
     ("head-robot-repeated", _set_head, ("01", None), "heads.01"),
+    ("head-31-bytes", _set_head, ("1", "00" * 31), "heads.1"),
+    ("head-33-bytes", _set_head, ("1", "00" * 33), "heads.1"),
     ("exchange-interval-string", _set_exchange, ("interval", "1"), "exchanges[0].interval"),
     ("exchange-interval-bool", _set_exchange, ("interval", True), "exchanges[0].interval"),
     ("exchange-interval-negative", _set_exchange, ("interval", -5), "exchanges[0].interval"),
@@ -563,6 +563,10 @@ _BAD_LINK_FIELDS = [
     ((*_ENTRY, "signature"), _TOO_LONG),
     ((*_ENTRY, "credential", "verify_key"), _TOO_LONG),
     ((*_ENTRY, "credential", "cert"), _TOO_LONG),
+    (("prev",), "00" * 31),
+    (("prev",), "00" * 33),
+    ((*_ENTRY, "digest"), "00" * 31),
+    ((*_ENTRY, "digest"), "00" * 33),
 ]
 
 
@@ -570,7 +574,8 @@ _BAD_LINK_FIELDS = [
     "path,value",
     _BAD_LINK_FIELDS,
     ids=[
-        ".".join(map(str, path)) + ("=65536 bytes" if value is _TOO_LONG else f"={value!r}")
+        ".".join(map(str, path))
+        + (f"={len(value) // 2} bytes" if isinstance(value, str) and len(value) > 8 else f"={value!r}")
         for path, value in _BAD_LINK_FIELDS
     ],
 )

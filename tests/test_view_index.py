@@ -237,8 +237,11 @@ def test_two_links_by_one_owner_for_one_interval_collapse_their_claims():
     assert len(central_view.index.entry_claim) > len(central_view.claims)  # (1, 2, 1) twice, one claim
     assert (1, 2, 1) in central_view.claims and (1, 3, 1) in central_view.claims
     _assert_views_match(trace, 2)
-    direct = LocalView(None, 2, dict(central_view.links), trace.config, dict(trace.credentials))
-    assert direct.claims == central_view.claims
+    alone = LinkStore()
+    for link in central_view.links.values():
+        alone.insert(link)
+    alone_view = LocalView.central(_trace(central, identities, alone, {1: first, 2: t2, 3: h3}, 2))
+    assert alone_view.claims == central_view.claims
 
 
 def test_a_refused_link_keeps_its_references_in_the_closure():
@@ -280,8 +283,8 @@ def test_a_dangling_reference_adds_nothing():
 
 
 def test_an_empty_view_reports_everyone_disappeared():
-    params = SimConfig(n=3, p=0.5, intervals=3, delta=3, seed=0)
-    view = LocalView(observer=None, as_of=3, links={}, params=params, credentials={})
+    central, identities = provision_swarm(3, seed=9)
+    view = LocalView.central(_trace(central, identities, LinkStore(), {1: None, 2: None, 3: None}, 3))
     report = compile_report(view, *DELTA_ALPHA_EPSILON)
     assert view.claims == frozenset() and view.evidence == {} and view.paired_intervals() == {}
     assert report.disappeared == {(1, 0), (2, 0), (3, 0)} and report.revoked == {1, 2, 3}
