@@ -36,6 +36,11 @@ Full link encoding (``encode_link``)::
     payload   --  the canonical payload above, verbatim
     sig_len   2   big-endian unsigned, then the owner signature bytes
 
+:func:`decode_link` is the canonical inverse of ``encode_link``: it
+accepts only bytes that ``encode_link`` produces (entries strictly
+ascending by peer id, nothing truncated or trailing), so a decoded link
+re-encodes to exactly the bytes it was read from.
+
 The message a robot signs is ``digest(canonical_encode(...))``.  A
 link's store address is ``digest(encode_link(link))``: owner id and
 signature sit outside the signed payload, so links of different owners
@@ -236,70 +241,68 @@ def link_digest(link: HistoryLink) -> Digest:
     return cached
 
 
-class _Reader:
-    def __init__(self, data: bytes) -> None:
-        self.data = data
-        self.pos = 0
-
-    def take(self, size: int, what: str) -> bytes:
-        if self.pos + size > len(self.data):
-            raise EncodingError(f"truncated while reading {what} at offset {self.pos}")
-        out = self.data[self.pos : self.pos + size]
-        self.pos += size
-        return out
-
-    def u32(self, what: str) -> int:
-        return struct.unpack(">I", self.take(4, what))[0]
-
-    def u16(self, what: str) -> int:
-        return struct.unpack(">H", self.take(2, what))[0]
-
-
-def _decode_payload(reader: _Reader) -> tuple[int, Digest, tuple[EventEntry, ...]]:
-    if reader.take(2, "payload magic") != _PAYLOAD_MAGIC:
-        raise EncodingError("bad payload magic")
-    interval = reader.u32("interval")
-    prev = Digest(reader.take(DIGEST_SIZE, "prev digest"))
-    count = reader.u32("entry count")
-    entries = []
-    for i in range(count):
-        peer_id = reader.u32(f"entry[{i}] peer id")
-        peer_digest = Digest(reader.take(DIGEST_SIZE, f"entry[{i}] digest"))
-        sig = reader.take(reader.u16(f"entry[{i}] sig length"), f"entry[{i}] signature")
-        cred_id = reader.u32(f"entry[{i}] credential id")
-        vk = reader.take(reader.u16(f"entry[{i}] key length"), f"entry[{i}] verify key")
-        cert = reader.take(reader.u16(f"entry[{i}] cert length"), f"entry[{i}] certificate")
-        entries.append(
-            EventEntry(
-                peer_id=peer_id,
-                peer_link_digest=peer_digest,
-                peer_signature=sig,
-                peer_credential=Credential(robot_id=cred_id, verify_key=vk, cert=cert),
-            )
-        )
-    return interval, prev, tuple(entries)
+_LINK_HEAD = struct.Struct(">2sI2sI32sI")  # link magic, owner, payload magic, interval, prev, count
+_ENTRY_HEAD = struct.Struct(">I32sH")  # peer id, link digest, signature length
+_CRED_HEAD = struct.Struct(">IH")  # credential id, verify-key length
+_LENGTH = struct.Struct(">H")
+_PAYLOAD_START = 6  # after the link magic and the owner id
 
 
 def decode_link(data: bytes) -> HistoryLink:
-    """Inverse of :func:`encode_link`; raises :class:`EncodingError` on malformed bytes."""
-    reader = _Reader(data)
-    if reader.take(2, "link magic") != _LINK_MAGIC:
-        raise EncodingError("bad link magic")
-    owner = reader.u32("owner id")
-    interval, prev, entries = _decode_payload(reader)
-    signature = reader.take(reader.u16("sig length"), "signature")
-    if reader.pos != len(data):
-        raise EncodingError(f"{len(data) - reader.pos} trailing bytes after link")
+    """The canonical inverse of :func:`encode_link`.
+
+    Accepts exactly the bytes ``encode_link`` can produce: entries in
+    strictly ascending peer order, nothing truncated or trailing, and a
+    link that :class:`EventList` and :class:`HistoryLink` accept; anything
+    else raises :class:`EncodingError`.  Hence ``encode_link(decode_link(b))
+    == b``, so the link keeps its payload slice and ``digest(b)`` as its
+    cached payload and address instead of encoding itself again.
+    """
     try:
-        return HistoryLink(
+        link_magic, owner, payload_magic, interval, prev, count = _LINK_HEAD.unpack_from(data)
+        if link_magic != _LINK_MAGIC or payload_magic != _PAYLOAD_MAGIC:
+            raise EncodingError("bad magic")
+        pos = _LINK_HEAD.size
+        entries = []
+        last_peer = -1
+        for _ in range(count):
+            peer, peer_digest, size = _ENTRY_HEAD.unpack_from(data, pos)
+            if peer <= last_peer:
+                raise EncodingError(f"entry for peer {peer} after peer {last_peer}: not in ascending order")
+            last_peer = peer
+            pos += _ENTRY_HEAD.size
+            # A slice cut short leaves pos past the end, where the next read fails.
+            signature = data[pos : pos + size]
+            pos += size
+            cred_id, size = _CRED_HEAD.unpack_from(data, pos)
+            pos += _CRED_HEAD.size
+            verify_key = data[pos : pos + size]
+            pos += size
+            (size,) = _LENGTH.unpack_from(data, pos)
+            pos += _LENGTH.size
+            cert = data[pos : pos + size]
+            pos += size
+            entries.append(EventEntry(peer, Digest(peer_digest), signature, Credential(cred_id, verify_key, cert)))
+        payload_end = pos
+        (size,) = _LENGTH.unpack_from(data, pos)
+        pos += _LENGTH.size + size
+    except struct.error as exc:
+        raise EncodingError(f"truncated link: {exc}") from None
+    if pos != len(data):
+        raise EncodingError(f"link is {len(data)} bytes, its fields take {pos}")
+    try:
+        link = HistoryLink(
             owner_id=owner,
             interval=interval,
-            events=EventList(interval=interval, entries=entries),
-            prev_digest=prev,
-            signature=signature,
+            events=EventList(interval=interval, entries=tuple(entries)),
+            prev_digest=Digest(prev),
+            signature=data[payload_end + _LENGTH.size :],
         )
     except ValueError as exc:
         raise EncodingError(str(exc)) from exc
+    object.__setattr__(link, "_payload", data[_PAYLOAD_START:payload_end])
+    object.__setattr__(link, "_link_digest", digest(data))
+    return link
 
 
 class LinkStore:

@@ -30,6 +30,7 @@ from .sim import (
     SimConfig,
     SimTrace,
     TraceError,
+    dump_json,
     run_manifest,
     run_simulation,
 )
@@ -62,7 +63,7 @@ def _resolve_seed(config: SimConfig, override: int | None, out) -> SimConfig:
 
 def _emit(doc: dict[str, Any], path: str | None) -> None:
     if path:
-        Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        Path(path).write_text(dump_json(doc))
 
 
 def cmd_simulate(args, out=None) -> int:

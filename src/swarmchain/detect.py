@@ -403,12 +403,14 @@ def check_pairing(view: LocalView, subject: int, alpha: float, n: int, p: float)
     all is indeterminate, not suspicious: isolation may just be graph
     sparsity.
     """
-    tally = view._pairing
+    return _pairing_verdict(view._pairing, subject, pairing_threshold(n, p, alpha))
+
+
+def _pairing_verdict(tally: _PairingTally, subject: int, threshold: int) -> PairingVerdict:
     paired = tally.paired.get(subject, 0) // 2  # each paired encounter contributes both directions
     unpaired = tally.unpaired.get(subject, 0)
     if paired == 0 and unpaired == 0:
         return PairingVerdict(status="indeterminate", paired=0, unpaired=0, threshold=0)
-    threshold = pairing_threshold(n, p, alpha)
     status = "trusted" if unpaired == 0 or paired >= threshold else "suspicious"
     return PairingVerdict(status=status, paired=paired, unpaired=unpaired, threshold=threshold)
 
@@ -504,10 +506,9 @@ def compile_report(
     disappeared = frozenset(
         (r, evidence.get(r, 0)) for r in detect_disappeared(view, delta)
     )
+    tally, threshold = view._pairing, pairing_threshold(view.params.n, view.params.p, alpha)
     pairing = tuple(
-        (r, check_pairing(view, r, alpha, view.params.n, view.params.p))
-        for r in range(1, view.params.n + 1)
-        if r != view.observer
+        (r, _pairing_verdict(tally, r, threshold)) for r in range(1, view.params.n + 1) if r != view.observer
     )
     report = SuspicionReport(
         observer=view.observer,

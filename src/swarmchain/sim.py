@@ -32,13 +32,14 @@ import numpy as np
 from . import __version__
 from .chain import (
     GENESIS,
-    EventEntry,
     EventList,
     HistoryLink,
     HistoryOffer,
     LinkStore,
     build_event_list,
     check_offer,
+    decode_link,
+    encode_link,
     extend_history,
     link_digest,
     offer_entry,
@@ -56,11 +57,7 @@ from .crypto import (
 from .graph import EncounterGraph, gen_interval_graph
 
 TRACE_FORMAT = "swarmchain-trace"
-TRACE_VERSION = 1
-
-# Largest link integer and byte-field length the link encoding can hold.
-_U32_MAX = 0xFFFFFFFF
-_BLOB_MAX = 0xFFFF
+TRACE_VERSION = 2
 
 BEHAVIOR_HONEST = "honest"
 BEHAVIORS = ("refuse_record", "refuse_give", "disappear", "collude", "forge_claim")
@@ -345,7 +342,7 @@ class SimTrace:
                 {"interval": g.interval, "n": g.n, "edges": [list(e) for e in sorted(g.edges)]}
                 for g in self.graphs
             ],
-            "links": [_link_to_dict(link) for link in links],
+            "links": [encode_link(link).hex() for link in links],
             "heads": {
                 str(r): (d.hex() if d is not None else None) for r, d in sorted(self.heads.items())
             },
@@ -353,7 +350,7 @@ class SimTrace:
         }
 
     def to_json(self, manifest: Mapping[str, Any] | None = None) -> str:
-        return json.dumps(self.to_dict(manifest), indent=2, sort_keys=True) + "\n"
+        return dump_json(self.to_dict(manifest))
 
     @classmethod
     def from_json(cls, text: str) -> "SimTrace":
@@ -419,8 +416,11 @@ class SimTrace:
                 raise TraceError(where, f"bad graph: {exc}") from exc
 
         store = LinkStore()
-        for i, entry in enumerate(_list_field(data, "links")):
-            store.insert(_link_from_dict(entry, where=f"links[{i}]"))
+        for i, text in enumerate(_list_field(data, "links")):
+            try:
+                store.insert(decode_link(bytes.fromhex(text)))
+            except (TypeError, ValueError) as exc:  # EncodingError is a ValueError
+                raise TraceError(f"links[{i}]", f"bad link: {exc}") from exc
 
         heads: dict[int, Digest | None] = {}
         raw_heads = data.get("heads")
@@ -495,6 +495,12 @@ def _exchange_from_dict(data: Any, config: SimConfig, where: str) -> ExchangeRec
     return ExchangeRecord(interval=interval, a=a, b=b, **flags, notes=tuple(notes))
 
 
+def dump_json(doc: Mapping[str, Any]) -> str:
+    """The text of every JSON artifact: keys sorted, no indentation (only
+    then does CPython encode in C), one trailing newline."""
+    return json.dumps(doc, sort_keys=True) + "\n"
+
+
 def _hex_field(data: Mapping[str, Any], key: str) -> bytes:
     value = data.get(key)
     if not isinstance(value, str):
@@ -510,72 +516,6 @@ def _list_field(data: Mapping[str, Any], key: str) -> list:
     if not isinstance(value, list):
         raise TraceError(key, "must be a list")
     return value
-
-
-def _link_to_dict(link: HistoryLink) -> dict[str, Any]:
-    return {
-        "owner": link.owner_id,
-        "interval": link.interval,
-        "prev": link.prev_digest.hex(),
-        "signature": link.signature.hex(),
-        "entries": [
-            {
-                "peer": e.peer_id,
-                "digest": e.peer_link_digest.hex(),
-                "signature": e.peer_signature.hex(),
-                "credential": {
-                    "robot_id": e.peer_credential.robot_id,
-                    "verify_key": e.peer_credential.verify_key.hex(),
-                    "cert": e.peer_credential.cert.hex(),
-                },
-            }
-            for e in link.events.entries
-        ],
-    }
-
-
-def _u32(value: Any, name: str) -> int:
-    if not _is_int(value) or not 0 <= value <= _U32_MAX:
-        raise ValueError(f"{name} must be an integer in 0..{_U32_MAX}, got {value!r}")
-    return value
-
-
-def _blob(text: Any, name: str) -> bytes:
-    value = bytes.fromhex(text)
-    if len(value) > _BLOB_MAX:
-        raise ValueError(f"{name} is {len(value)} bytes, at most {_BLOB_MAX}")
-    return value
-
-
-def _link_from_dict(data: Mapping[str, Any], where: str) -> HistoryLink:
-    # Integers and byte lengths must fit the unsigned 4- and 2-byte
-    # fields of the chain module's byte layouts.
-    try:
-        entries = []
-        for j, e in enumerate(data["entries"]):
-            cred = e["credential"]
-            entries.append(
-                EventEntry(
-                    peer_id=_u32(e["peer"], f"entries[{j}].peer"),
-                    peer_link_digest=Digest.fromhex(e["digest"]),
-                    peer_signature=_blob(e["signature"], f"entries[{j}].signature"),
-                    peer_credential=Credential(
-                        robot_id=_u32(cred["robot_id"], f"entries[{j}].credential.robot_id"),
-                        verify_key=_blob(cred["verify_key"], f"entries[{j}].credential.verify_key"),
-                        cert=_blob(cred["cert"], f"entries[{j}].credential.cert"),
-                    ),
-                )
-            )
-        interval = _u32(data["interval"], "interval")
-        return HistoryLink(
-            owner_id=_u32(data["owner"], "owner"),
-            interval=interval,
-            events=EventList(interval=interval, entries=tuple(entries)),
-            prev_digest=Digest.fromhex(data["prev"]),
-            signature=_blob(data["signature"], "signature"),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise TraceError(where, f"bad link: {exc}") from exc
 
 
 class Simulation:

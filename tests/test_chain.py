@@ -1,5 +1,8 @@
+import dataclasses
+import json
 import random
 import struct
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -22,9 +25,11 @@ from swarmchain.chain import (
     signed_digest,
     verify_chain,
 )
-from swarmchain.crypto import Digest, provision_swarm
+from swarmchain.crypto import Digest, digest, provision_swarm
 from swarmchain.detect import LocalView
-from swarmchain.sim import SimConfig, SimTrace
+from swarmchain.sim import SimConfig, SimTrace, run_simulation
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _entry_for(identity, head):
@@ -131,6 +136,47 @@ def test_decode_rejects_trailing_bytes(swarm5):
     link = extend_history(identities[0], None, EventList.empty(1), store)
     with pytest.raises(EncodingError):
         decode_link(encode_link(link) + b"\x00")
+
+
+@pytest.fixture(scope="module")
+def config_traces():
+    """The simulated trace of every shipped config."""
+    return [
+        run_simulation(SimConfig.from_dict(json.loads(path.read_text())))
+        for path in sorted(CONFIGS.glob("*.json"))
+    ]
+
+
+def test_decode_link_is_the_canonical_inverse(config_traces):
+    """Every stored link decodes from its encoding to itself, and the payload
+    and address a decoded link caches are those its fields encode to."""
+    for trace in config_traces:
+        for link in trace.store.links():
+            decoded = decode_link(encode_link(link))
+            assert decoded == link
+            fresh = dataclasses.replace(decoded)  # the same fields, nothing cached
+            assert decoded.__dict__["_payload"] == canonical_encode(fresh.events, fresh.interval, fresh.prev_digest)
+            assert decoded.__dict__["_link_digest"] == digest(encode_link(fresh)) == link_digest(link)
+
+
+def test_every_link_decode_accepts_re_encodes_to_its_own_bytes(config_traces):
+    """Single-bit flips of stored links: a mutation is refused, or its fields
+    encode to exactly the mutated bytes."""
+    links = [link for trace in config_traces for link in trace.store.links()]
+    rng = random.Random(20_211)
+    accepted = refused = 0
+    for _ in range(3000):
+        blob = bytearray(encode_link(rng.choice(links)))
+        blob[rng.randrange(len(blob))] ^= 1 << rng.randrange(8)
+        try:
+            decoded = decode_link(bytes(blob))
+        except EncodingError:
+            refused += 1
+            continue
+        accepted += 1
+        assert encode_link(dataclasses.replace(decoded)) == blob
+        assert link_digest(decoded) == digest(bytes(blob))
+    assert accepted and refused
 
 
 # -- event list construction -------------------------------------------------

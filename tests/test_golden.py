@@ -20,31 +20,31 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 # name: (sha256 of the trace JSON, sha256 of the report JSON without manifest)
 PINS = {
     "collusion_n25": (
-        "3d42154fe7746a18244a1ef164204cf59e16e74b2db17029c1605bb06a45f5f6",
+        "0afb27a3df8fd0825637859059c82b02d496024cfbc9d45d1e2b48ebfe8189c9",
         "ee5384a97cb54d498fbd034b65cb1f31c06d1346ebccda85b40eb72e558d77b6",
     ),
     "disappearance_n25": (
-        "cb54c12945956b4c1e79301eac78a2a397fab2cbcd22417a826e904c51e0aa6f",
+        "c7cfebb1ceda1d0b7f3411e883845bb0cf1062cad45e498943fe97999af7ff46",
         "4aa68ef0b7d1ab90ccaed0e049dcf1268c103524262a03db073ac021f7de7775",
     ),
     "forge_n10": (
-        "68ce4c5b7ff0fd4ddf612e5a80abb1ca11cd214d1983ce3733c1e21ad341c294",
+        "e631c5d0e4f364e95996767466c3f041b13280722bd466ebdc2ccff411572348",
         "18e88c4346c1dd544272b1301b0325f46c1a3bb24428645f8b11d994b4d60189",
     ),
     "framing_n25": (
-        "ecb1b3ff16137b2a41240e6b7e08c1ee7a1fe2226ea8a26a542432fcfeb3764f",
+        "150e9e4fab8842d5072c233834fdeb587a85ed64e3fa438beebba208cd8fef0d",
         "f4442d53a4f5297b8ce10547c178d637e9e9415c1d3ce367009295817509ad61",
     ),
     "framing_n48": (
-        "ed4f32e65b7885454aaabf7a512f6c58cc8f81c652511a9d0eb9586880f02654",
+        "6a0feee03c2e2ef2020e214005e400f1055ea5941e8f4ee52fa08b2b527c2c30",
         "16df718ab180648129d9f7905e55305ad75dc640013a9fbdeb76edc7ffe855cd",
     ),
     "honest_n25": (
-        "f78d9ea1d8dcb6196700b925c3714f95a1b87ba607b39b9481fa4339bd59273e",
+        "5a6a84d993aa37e2e0441ec84a34e5522c5bdee892622ec56824a849264607b7",
         "a5e35ae8b7b96e5b2a274a649b1b83aff33edbfa97402b12c47336e7cada0572",
     ),
     "honest_n48": (
-        "c2320b3728a66e8e76bb0be45e8d614fafebf2bc7ac69ca65157e02883c74c8a",
+        "39dde15dd6db223e8e8a37faf21cc1698e53f9b216d23ae7b9d07e5d54d7f0dd",
         "01a78cfda9e810121845f7d467598ef9c4407798b17e6c1b2468e8c9009df15d",
     ),
 }

@@ -1,9 +1,10 @@
 import json
+import struct
 
 import pytest
 
-from swarmchain.chain import GENESIS, signed_digest, verify_chain
-from swarmchain.crypto import verify
+from swarmchain.chain import GENESIS, decode_link, encode_link, signed_digest, verify_chain
+from swarmchain.crypto import digest, verify
 from swarmchain.sim import (
     AdversaryProfile,
     ConfigError,
@@ -429,9 +430,24 @@ def test_trace_rejects_wrong_format():
     assert err.value.location == "format"
 
 
+@pytest.mark.parametrize("version", [1, 3, "2", None])
+def test_trace_refuses_a_version_it_cannot_read(version, honest_trace_25, tmp_path, capsys):
+    from swarmchain.cli import main
+
+    doc = {**json.loads(honest_trace_25.to_json()), "version": version}
+    with pytest.raises(TraceError) as err:
+        SimTrace.from_json(json.dumps(doc))
+    assert err.value.location == "version"
+    trace = tmp_path / "trace.json"
+    trace.write_text(json.dumps(doc))
+    assert main(["analyze", "--trace", str(trace)]) == 2
+    assert "version" in capsys.readouterr().err
+
+
 def test_trace_reports_position_of_first_bad_link(honest_trace_25):
     doc = json.loads(honest_trace_25.to_json())
-    doc["links"][3]["signature"] = "zz-not-hex"
+    doc["links"][3] = "zz-not-hex"
+    doc["links"][4] = doc["links"][4][:-2]
     with pytest.raises(TraceError) as err:
         SimTrace.from_dict(doc)
     assert err.value.location == "links[3]"
@@ -532,59 +548,137 @@ def test_loaded_exchange_records_round_trip(honest_trace_25):
     assert SimTrace.from_json(text).to_json() == text
 
 
-def _first_link_with_entries(doc):
-    return next(i for i, link in enumerate(doc["links"]) if link["entries"])
+def _segments(link):
+    """The fields of ``encode_link(link)`` in layout order, as (name, bytes);
+    a length-prefixed field carries its length mod 2**16, as a u16 must."""
+
+    def u32(value):
+        return struct.pack(">I", value)
+
+    def blob(value):
+        return struct.pack(">H", len(value) & 0xFFFF) + value
+
+    segments = [
+        ("magic", b"L1"),
+        ("owner", u32(link.owner_id)),
+        ("payload magic", b"E1"),
+        ("interval", u32(link.interval)),
+        ("prev", link.prev_digest),
+        ("count", u32(len(link.events.entries))),
+    ]
+    for j, e in enumerate(link.events.entries):
+        cred = e.peer_credential
+        segments += [
+            (f"entries.{j}.peer", u32(e.peer_id)),
+            (f"entries.{j}.digest", e.peer_link_digest),
+            (f"entries.{j}.signature", blob(e.peer_signature)),
+            (f"entries.{j}.credential.robot_id", u32(cred.robot_id)),
+            (f"entries.{j}.credential.verify_key", blob(cred.verify_key)),
+            (f"entries.{j}.credential.cert", blob(cred.cert)),
+        ]
+    segments.append(("signature", blob(link.signature)))
+    assert b"".join(value for _, value in segments) == encode_link(link)
+    return segments
 
 
-def _set(doc, i, path, value):
-    target = doc["links"][i]
-    *parents, last = path
-    for key in parents:
-        target = target[key]
-    target[last] = value
+def _link_with_entries(doc):
+    """Position and link of the first stored link at interval 1 with two or more entries."""
+    for i, text in enumerate(doc["links"]):
+        link = decode_link(bytes.fromhex(text))
+        if link.interval == 1 and len(link.events.entries) >= 2:
+            return i, link
+    raise AssertionError("no interval-1 link with two entries; pick another trace")
 
 
-_ENTRY = ("entries", 0)
-_TOO_LONG = "00" * 65536
-_BAD_LINK_FIELDS = [
-    (("owner",), -1),
-    (("owner",), 2**32),
-    (("owner",), "3"),
-    (("owner",), True),
-    (("interval",), 2**32),
-    (("interval",), "1"),
-    ((*_ENTRY, "peer"), -1),
-    ((*_ENTRY, "peer"), 2**32),
-    ((*_ENTRY, "peer"), "2"),
-    ((*_ENTRY, "credential", "robot_id"), -1),
-    ((*_ENTRY, "credential", "robot_id"), 2**32),
-    ((*_ENTRY, "credential", "robot_id"), "2"),
-    (("signature",), _TOO_LONG),
-    ((*_ENTRY, "signature"), _TOO_LONG),
-    ((*_ENTRY, "credential", "verify_key"), _TOO_LONG),
-    ((*_ENTRY, "credential", "cert"), _TOO_LONG),
-    (("prev",), "00" * 31),
-    (("prev",), "00" * 33),
-    ((*_ENTRY, "digest"), "00" * 31),
-    ((*_ENTRY, "digest"), "00" * 33),
+def _with_field(name, raw):
+    """Replace one field of the link with raw bytes, its length prefix included
+    for a length-prefixed field."""
+
+    def mutate(segments):
+        return [(n, raw if n == name else value) for n, value in segments]
+
+    return mutate
+
+
+def _blob_of(size):
+    return struct.pack(">H", size & 0xFFFF) + bytes(size)
+
+
+def _first_entries_as(*order):
+    """Replace the first len(order) entries of the link by its entries ``order``."""
+
+    def mutate(segments):
+        entries = [segments[6 + 6 * j : 12 + 6 * j] for j in range((len(segments) - 7) // 6)]
+        chosen = [segment for j in order for segment in entries[j]]
+        return segments[:6] + chosen + segments[6 + 6 * len(order) :]
+
+    return mutate
+
+
+def _set_text(text):
+    return lambda doc, i: doc["links"].__setitem__(i, text)
+
+
+def _edit_text(edit):
+    return lambda doc, i: doc["links"].__setitem__(i, edit(doc["links"][i]))
+
+
+def _edit_bytes(mutate):
+    def edit(doc, i):
+        segments = _segments(decode_link(bytes.fromhex(doc["links"][i])))
+        doc["links"][i] = b"".join(value for _, value in mutate(segments)).hex()
+
+    return edit
+
+
+_TOO_WIDE = (2**32).to_bytes(5, "big")  # 2**32 takes five bytes, a u32 field four
+_BAD_LINKS = [
+    # the text of a stored link
+    ("a number", _set_text(5)),
+    ("a version-1 link object", _set_text({"owner": 1, "interval": 1, "entries": []})),
+    ("non-hex text", _set_text("zz-not-hex")),
+    ("odd-length hex", _edit_text(lambda text: text[:-1])),
+    # the bytes of a stored link
+    ("truncated by one byte", _edit_text(lambda text: text[:-2])),
+    ("one trailing byte", _edit_text(lambda text: text + "00")),
+    ("bad link magic", _edit_text(lambda text: "4c32" + text[4:])),
+    ("bad payload magic", _edit_bytes(_with_field("payload magic", b"E2"))),
+    ("entries out of peer order", _edit_bytes(_first_entries_as(1, 0))),
+    ("duplicate peer", _edit_bytes(_first_entries_as(0, 0))),
+    ("interval 0", _edit_bytes(_with_field("interval", bytes(4)))),
+    ("interval 1 with a non-genesis prev", _edit_bytes(_with_field("prev", b"\x01" * 32))),
+    # one field that does not fit its place in the layout
+    ("owner=4294967296", _edit_bytes(_with_field("owner", _TOO_WIDE))),
+    ("interval=4294967296", _edit_bytes(_with_field("interval", _TOO_WIDE))),
+    ("entries.0.peer=4294967296", _edit_bytes(_with_field("entries.0.peer", _TOO_WIDE))),
+    (
+        "entries.0.credential.robot_id=4294967296",
+        _edit_bytes(_with_field("entries.0.credential.robot_id", _TOO_WIDE)),
+    ),
+    ("signature=65536 bytes", _edit_bytes(_with_field("signature", _blob_of(65536)))),
+    ("entries.0.signature=65536 bytes", _edit_bytes(_with_field("entries.0.signature", _blob_of(65536)))),
+    (
+        "entries.0.credential.verify_key=65536 bytes",
+        _edit_bytes(_with_field("entries.0.credential.verify_key", _blob_of(65536))),
+    ),
+    (
+        "entries.0.credential.cert=65536 bytes",
+        _edit_bytes(_with_field("entries.0.credential.cert", _blob_of(65536))),
+    ),
+    ("prev=31 bytes", _edit_bytes(_with_field("prev", bytes(31)))),
+    ("prev=33 bytes", _edit_bytes(_with_field("prev", bytes(33)))),
+    ("entries.0.digest=31 bytes", _edit_bytes(_with_field("entries.0.digest", bytes(31)))),
+    ("entries.0.digest=33 bytes", _edit_bytes(_with_field("entries.0.digest", bytes(33)))),
 ]
 
 
-@pytest.mark.parametrize(
-    "path,value",
-    _BAD_LINK_FIELDS,
-    ids=[
-        ".".join(map(str, path))
-        + (f"={len(value) // 2} bytes" if isinstance(value, str) and len(value) > 8 else f"={value!r}")
-        for path, value in _BAD_LINK_FIELDS
-    ],
-)
-def test_link_fields_must_fit_the_link_encoding(path, value, honest_trace_25, tmp_path, capsys):
+@pytest.mark.parametrize("mutate", [case[1] for case in _BAD_LINKS], ids=[case[0] for case in _BAD_LINKS])
+def test_link_fields_must_fit_the_link_encoding(mutate, honest_trace_25, tmp_path, capsys):
     from swarmchain.cli import main
 
     doc = json.loads(honest_trace_25.to_json())
-    i = _first_link_with_entries(doc)
-    _set(doc, i, path, value)
+    i, _ = _link_with_entries(doc)
+    mutate(doc, i)
     with pytest.raises(TraceError) as err:
         SimTrace.from_dict(doc)
     assert err.value.location == f"links[{i}]"
@@ -596,6 +690,11 @@ def test_link_fields_must_fit_the_link_encoding(path, value, honest_trace_25, tm
 
 def test_link_byte_fields_of_65535_bytes_load(honest_trace_25):
     doc = json.loads(honest_trace_25.to_json())
-    i = _first_link_with_entries(doc)
-    _set(doc, i, (*_ENTRY, "credential", "cert"), "00" * 65535)
-    assert len(SimTrace.from_dict(doc).store) == len(doc["links"])
+    i, link = _link_with_entries(doc)
+    segments = _segments(link)
+    for name in ("signature", "entries.0.signature", "entries.0.credential.verify_key", "entries.0.credential.cert"):
+        segments = _with_field(name, _blob_of(65535))(segments)
+    doc["links"][i] = b"".join(value for _, value in segments).hex()
+    loaded = SimTrace.from_dict(doc).store
+    assert len(loaded) == len(doc["links"])
+    assert loaded.get(digest(bytes.fromhex(doc["links"][i]))).events.entries[0].peer_credential.cert == bytes(65535)
