@@ -96,6 +96,22 @@ The exchange (:func:`check_offer`), the local views and the central
 audit (``detect``) decide what counts by these rules alone.
 :func:`verify_chain` rejects at the first walk finding but a late start
 (at depth 1 also forgiving ``missing-entry-link``); the audit reads them all.
+
+Walk record rule: :func:`verify_chain` keeps, per store, a record of
+accepted walks, ``(link digest, owner credential) -> deepest accepted
+depth``.  A walk that ends with every finding an accepted entry or a
+``late-start`` records each link it walked at the depth it had left
+there; a refusal is never recorded, nor is a depth-1 accept that forgave
+a ``missing-entry-link`` (the link may be stored later).  A walk stops,
+accepting the rest, at the first link (the head included) whose recorded
+depth covers the rest of its window.  Sound because a store only grows
+and is content-addressed: a stored link never changes, so the findings
+of a strictly accepted walk stay the same.  The record assumes that the
+store's link table and the credential table are never altered in place
+(only :meth:`LinkStore.insert` adds to the link table); it is tagged with
+both table objects, so a copy of the store given a new table, or another
+credential table, starts an empty record.  The audit passes no record and
+walks every chain in full.
 """
 from __future__ import annotations
 
@@ -178,28 +194,51 @@ class HistoryLink:
             raise ValueError("a link at interval 1 must reference the genesis digest")
 
 
+_LINK_PREFIX = struct.Struct(">2sI")  # link magic, owner
+_PAYLOAD_HEAD = struct.Struct(">2sI32sI")  # payload magic, interval, prev, count
+_ENTRY_HEAD = struct.Struct(">I32sH")  # peer id, link digest, signature length
+_CRED_HEAD = struct.Struct(">IH")  # credential id, verify-key length
+_LENGTH = struct.Struct(">H")
+_PAYLOAD_START = _LINK_PREFIX.size
+
+
+def _entry_bytes(entry: EventEntry) -> bytes:
+    """An entry's normative bytes in the payload, encoded once and cached
+    on the entry (see :func:`offer_entry`: receivers share one entry)."""
+    cached = entry.__dict__.get("_bytes")
+    if cached is None:
+        if len(entry.peer_link_digest) != DIGEST_SIZE:
+            raise ValueError(f"entry link digest must be {DIGEST_SIZE} bytes")
+        cred = entry.peer_credential
+        cached = b"".join(
+            [
+                _ENTRY_HEAD.pack(entry.peer_id, entry.peer_link_digest, len(entry.peer_signature)),
+                entry.peer_signature,
+                _CRED_HEAD.pack(cred.robot_id, len(cred.verify_key)),
+                cred.verify_key,
+                _LENGTH.pack(len(cred.cert)),
+                cred.cert,
+            ]
+        )
+        object.__setattr__(entry, "_bytes", cached)
+    return cached
+
+
 def canonical_encode(events: EventList, t: int, prev: Digest) -> bytes:
     """Deterministic, injective encoding of the signed link payload.
 
     Field order is fixed, variable-length fields are length-prefixed,
     and entries appear sorted by ascending peer id, so logically equal
-    inputs encode identically regardless of construction order.
+    inputs encode identically regardless of construction order.  The
+    header is packed with the layouts :func:`decode_link` reads and joined
+    with each entry's cached bytes.
     """
     if events.interval != t:
         raise ValueError(f"event list interval {events.interval} != {t}")
-    parts = [_PAYLOAD_MAGIC, struct.pack(">I", t), prev, struct.pack(">I", len(events.entries))]
-    for entry in events.entries:
-        cred = entry.peer_credential
-        parts.append(struct.pack(">I", entry.peer_id))
-        parts.append(entry.peer_link_digest)
-        parts.append(struct.pack(">H", len(entry.peer_signature)))
-        parts.append(entry.peer_signature)
-        parts.append(struct.pack(">I", cred.robot_id))
-        parts.append(struct.pack(">H", len(cred.verify_key)))
-        parts.append(cred.verify_key)
-        parts.append(struct.pack(">H", len(cred.cert)))
-        parts.append(cred.cert)
-    return b"".join(parts)
+    if len(prev) != DIGEST_SIZE:
+        raise ValueError(f"previous link digest must be {DIGEST_SIZE} bytes")
+    entries = events.entries
+    return b"".join([_PAYLOAD_HEAD.pack(_PAYLOAD_MAGIC, t, prev, len(entries)), *map(_entry_bytes, entries)])
 
 
 def _payload_bytes(link: HistoryLink) -> bytes:
@@ -223,10 +262,9 @@ def encode_link(link: HistoryLink) -> bytes:
     """Full serialized form of a link (owner, payload, signature)."""
     return b"".join(
         [
-            _LINK_MAGIC,
-            struct.pack(">I", link.owner_id),
+            _LINK_PREFIX.pack(_LINK_MAGIC, link.owner_id),
             _payload_bytes(link),
-            struct.pack(">H", len(link.signature)),
+            _LENGTH.pack(len(link.signature)),
             link.signature,
         ]
     )
@@ -241,13 +279,6 @@ def link_digest(link: HistoryLink) -> Digest:
     return cached
 
 
-_LINK_HEAD = struct.Struct(">2sI2sI32sI")  # link magic, owner, payload magic, interval, prev, count
-_ENTRY_HEAD = struct.Struct(">I32sH")  # peer id, link digest, signature length
-_CRED_HEAD = struct.Struct(">IH")  # credential id, verify-key length
-_LENGTH = struct.Struct(">H")
-_PAYLOAD_START = 6  # after the link magic and the owner id
-
-
 def decode_link(data: bytes) -> HistoryLink:
     """The canonical inverse of :func:`encode_link`.
 
@@ -259,10 +290,11 @@ def decode_link(data: bytes) -> HistoryLink:
     cached payload and address instead of encoding itself again.
     """
     try:
-        link_magic, owner, payload_magic, interval, prev, count = _LINK_HEAD.unpack_from(data)
+        link_magic, owner = _LINK_PREFIX.unpack_from(data)
+        payload_magic, interval, prev, count = _PAYLOAD_HEAD.unpack_from(data, _PAYLOAD_START)
         if link_magic != _LINK_MAGIC or payload_magic != _PAYLOAD_MAGIC:
             raise EncodingError("bad magic")
-        pos = _LINK_HEAD.size
+        pos = _PAYLOAD_START + _PAYLOAD_HEAD.size
         entries = []
         last_peer = -1
         for _ in range(count):
@@ -359,20 +391,20 @@ def offer_history(identity: SigningIdentity, head: HistoryLink | None) -> Histor
 
 
 def offer_entry(offer: HistoryOffer) -> EventEntry:
-    """The event entry that witnesses an offer's giver."""
-    if offer.link is None:
-        return EventEntry(
+    """The event entry that witnesses an offer's giver.  It is built once
+    and cached on the offer, so every receiver's event list holds the
+    same entry object (and its bytes are encoded once)."""
+    entry = offer.__dict__.get("_entry")
+    if entry is None:
+        link = offer.link
+        entry = EventEntry(
             peer_id=offer.credential.robot_id,
-            peer_link_digest=GENESIS,
-            peer_signature=offer.genesis_signature,
+            peer_link_digest=GENESIS if link is None else link_digest(link),
+            peer_signature=offer.genesis_signature if link is None else link.signature,
             peer_credential=offer.credential,
         )
-    return EventEntry(
-        peer_id=offer.credential.robot_id,
-        peer_link_digest=link_digest(offer.link),
-        peer_signature=offer.link.signature,
-        peer_credential=offer.credential,
-    )
+        object.__setattr__(offer, "_entry", entry)
+    return entry
 
 
 def build_event_list(t: int, offers: Iterable[HistoryOffer]) -> EventList:
@@ -481,12 +513,16 @@ class ChainVerdict:
         return self.ok
 
 
+WalkRecord = dict[tuple[Digest, Credential], int]
+
+
 def walk_chain(
     head: HistoryLink,
     owner_credential: Credential | None,
     store: LinkStore,
     credentials: Mapping[int, Credential],
     depth: int | None,
+    record: WalkRecord | None = None,
 ) -> Iterator[tuple[int, int, str | None, int | None]]:
     """Every finding of the walk rule (see the module docstring) from
     ``head`` toward genesis, in walk order, over at most ``depth`` links
@@ -494,22 +530,38 @@ def walk_chain(
     the intervals it covers, its reason and an entry's peer; each entry of
     a checked link yields one (reason None if accepted), a link one only
     if refused.
+
+    With a walk ``record`` (and a ``depth``), the walk follows the walk
+    record rule of the module docstring: it stops at the first link whose
+    recorded depth covers the rest of the window, and a walk that ends
+    with every finding an accepted entry or a late start records each
+    link it walked.
     """
     link, walked = head, 1
+    strict, walked_digests = True, []
     while True:
+        if record is not None:
+            d = link_digest(link)
+            if record.get((d, owner_credential), 0) > depth - walked:
+                break
+            walked_digests.append(d)
         t = link.interval
         reason = check_link(link, owner_credential)
         if reason is not None:
+            strict = False
             yield t, t, reason, None
             if reason == "wrong-owner":
                 return
         else:
             for entry in link.events.entries:
-                yield t, t, check_entry(entry, t, store.get, credentials), entry.peer_id
+                reason = check_entry(entry, t, store.get, credentials)
+                if reason is not None:
+                    strict = False
+                yield t, t, reason, entry.peer_id
         if link.prev_digest == GENESIS and t > 1:
             yield 1, t - 1, "late-start", None
         if link.prev_digest == GENESIS or walked == depth:
-            return
+            break
         prev = store.get(link.prev_digest)
         if prev is None:
             yield t - 1, t - 1, "missing-link", None
@@ -521,8 +573,25 @@ def walk_chain(
             yield prev.interval, prev.interval, "interval-order", None
             return
         if prev.interval < t - 1:
+            strict = False
             yield prev.interval + 1, t - 1, "interval-gap", None
         link, walked = prev, walked + 1
+    if strict and record is not None:
+        for covered, d in enumerate(walked_digests):
+            key = (d, owner_credential)
+            record[key] = max(record.get(key, 0), depth - covered)
+
+
+def _walk_record(store: LinkStore, credentials: Mapping[int, Credential]) -> WalkRecord:
+    """The walk record of ``store`` under ``credentials``, started on first
+    use.  It is kept on the store with the link table and the credential
+    table it was filled under, so a copy of the store given another table,
+    or a walk under another credential table, starts an empty one.
+    """
+    kept = store.__dict__.get("_walks")
+    if kept is None or kept[0] is not store._links or kept[1] is not credentials:
+        kept = store.__dict__["_walks"] = (store._links, credentials, {})
+    return kept[2]
 
 
 def verify_chain(
@@ -535,11 +604,14 @@ def verify_chain(
     """The first :func:`walk_chain` finding over the ``depth`` most recent
     links, at its last interval, but a late start and, at ``depth`` 1, a
     missing entry link (the head's signature covers entry digests as bytes).
+    The walk reads and fills the store's walk record (see the module
+    docstring), so each accepted link is walked once.
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     forgiven = (None, "late-start") if depth > 1 else (None, "late-start", "missing-entry-link")
-    for _, last, reason, _ in walk_chain(head, owner_credential, store, credentials, depth):
+    record = _walk_record(store, credentials)
+    for _, last, reason, _ in walk_chain(head, owner_credential, store, credentials, depth, record):
         if reason not in forgiven:
             return ChainVerdict(ok=False, reason=reason, interval=last)
     return ChainVerdict(ok=True)

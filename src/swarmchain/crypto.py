@@ -11,7 +11,9 @@ usable wherever bytes are.
 Key material is derived deterministically from the provisioning seed, so
 a swarm provisioned twice with the same (n, seed) is byte-identical.
 Private keys live only inside :class:`SigningIdentity` and are never
-serialized.
+serialized.  Each key is loaded once: :func:`provision_swarm` loads every
+derived key through the same cache that :func:`sign` reads, so a run
+pays n + 1 key loads and :func:`sign` never loads a key again.
 
 Verification is a pure function of (verify key, message, signature), so
 verdicts are kept in one process-wide memo.  Signing seeds it: Ed25519
@@ -91,10 +93,6 @@ class SigningIdentity:
         return self.credential.robot_id
 
 
-def _derive_private_key(material: bytes) -> Ed25519PrivateKey:
-    return Ed25519PrivateKey.from_private_bytes(hashlib.sha256(_KEY_DOMAIN + material).digest())
-
-
 @lru_cache(maxsize=4096)
 def _load_public(verify_key: bytes) -> Ed25519PublicKey | None:
     try:
@@ -122,33 +120,37 @@ def credential_message(robot_id: int, verify_key: bytes) -> bytes:
     return _CRED_DOMAIN + robot_id.to_bytes(4, "big") + verify_key
 
 
-def provision_swarm(n: int, seed: int) -> tuple[bytes, list[SigningIdentity]]:
-    """Provision a swarm of ``n`` robots with ids 1..n.
-
-    Returns the central verification key and one identity per robot,
-    each carrying a certificate valid under the central key.  Pure in
-    (n, seed); each certificate is recorded as valid in the verify memo.
-    """
-    if n < 1:
-        raise ValueError(f"swarm size must be >= 1, got {n}")
-    central = _derive_private_key(f"central:{seed}".encode())
-    central_vk = central.public_key().public_bytes_raw()
-    identities = []
-    for robot_id in range(1, n + 1):
-        key = _derive_private_key(f"robot:{seed}:{robot_id}".encode())
-        vk = key.public_key().public_bytes_raw()
-        message = credential_message(robot_id, vk)
-        cert = central.sign(message)
-        _remember(central_vk, message, cert, True)
-        cred = Credential(robot_id=robot_id, verify_key=vk, cert=cert)
-        identities.append(SigningIdentity(credential=cred, signing_key=key.private_bytes_raw()))
-    return central_vk, identities
+def _derive_key_bytes(material: str) -> bytes:
+    return hashlib.sha256(_KEY_DOMAIN + material.encode()).digest()
 
 
 @lru_cache(maxsize=1024)
 def _load_private(signing_key: bytes) -> tuple[Ed25519PrivateKey, bytes]:
     key = Ed25519PrivateKey.from_private_bytes(signing_key)
     return key, key.public_key().public_bytes_raw()
+
+
+def provision_swarm(n: int, seed: int) -> tuple[bytes, list[SigningIdentity]]:
+    """Provision a swarm of ``n`` robots with ids 1..n.
+
+    Returns the central verification key and one identity per robot,
+    each carrying a certificate valid under the central key.  Pure in
+    (n, seed); each certificate is recorded as valid in the verify memo,
+    and each key is loaded into the cache :func:`sign` reads.
+    """
+    if n < 1:
+        raise ValueError(f"swarm size must be >= 1, got {n}")
+    central, central_vk = _load_private(_derive_key_bytes(f"central:{seed}"))
+    identities = []
+    for robot_id in range(1, n + 1):
+        signing_key = _derive_key_bytes(f"robot:{seed}:{robot_id}")
+        vk = _load_private(signing_key)[1]
+        message = credential_message(robot_id, vk)
+        cert = central.sign(message)
+        _remember(central_vk, message, cert, True)
+        cred = Credential(robot_id=robot_id, verify_key=vk, cert=cert)
+        identities.append(SigningIdentity(credential=cred, signing_key=signing_key))
+    return central_vk, identities
 
 
 def sign(identity: SigningIdentity, message: bytes) -> bytes:

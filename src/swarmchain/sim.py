@@ -390,7 +390,7 @@ class SimTrace:
             except (KeyError, TypeError, ValueError) as exc:
                 raise TraceError(where, f"bad credential: {exc}") from exc
             robot = credential.robot_id
-            if not isinstance(robot, int) or not 1 <= robot <= config.n:
+            if not _is_int(robot) or not 1 <= robot <= config.n:
                 raise TraceError(where, f"robot_id must be an integer in 1..{config.n}, got {robot!r}")
             if robot in credentials:
                 raise TraceError(where, f"repeated robot_id {robot}")
@@ -401,19 +401,7 @@ class SimTrace:
             if r not in credentials:
                 raise TraceError("credentials", f"missing credential for robot {r}")
 
-        graphs = []
-        for i, entry in enumerate(_list_field(data, "graphs")):
-            where = f"graphs[{i}]"
-            try:
-                graphs.append(
-                    EncounterGraph(
-                        n=entry["n"],
-                        interval=entry["interval"],
-                        edges=frozenset((u, v) for u, v in entry["edges"]),
-                    )
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise TraceError(where, f"bad graph: {exc}") from exc
+        graphs = [_graph_from_dict(entry, config, i) for i, entry in enumerate(_list_field(data, "graphs"))]
 
         store = LinkStore()
         for i, text in enumerate(_list_field(data, "links")):
@@ -463,21 +451,51 @@ class SimTrace:
         )
 
 
-_EXCHANGE_FLAGS = ("a_gave", "b_gave", "a_recorded", "b_recorded")
+def _graph_from_dict(data: Any, config: SimConfig, i: int) -> EncounterGraph:
+    """The graph record at ``graphs[i]`` as the simulator writes it: the
+    graph of interval i + 1 (so at most one per interval, in order; a
+    trace built by hand may hold fewer), over the run's ``n``, with
+    distinct edges that are pairs of robot ids 1 <= u < v <= n."""
+    where = f"graphs[{i}]"
+    if not isinstance(data, dict):
+        raise TraceError(where, "bad graph: must be an object")
+    try:
+        n, interval, edges = data["n"], data["interval"], data["edges"]
+    except KeyError as exc:
+        raise TraceError(where, f"bad graph: missing {exc}") from None
+    if not _is_int(interval) or interval != i + 1 or interval > config.intervals:
+        raise TraceError(where, f"bad graph: expected interval {i + 1} of 1..{config.intervals}, got {interval!r}")
+    if not _is_int(n) or n != config.n:
+        raise TraceError(where, f"bad graph: n must be {config.n}, got {n!r}")
+    if not isinstance(edges, list):
+        raise TraceError(where, f"bad graph: edges must be a list, got {edges!r}")
+    pairs = set()
+    for edge in edges:
+        if not (isinstance(edge, list) and len(edge) == 2 and _is_int(edge[0]) and _is_int(edge[1])):
+            raise TraceError(where, f"bad graph: edge {edge!r} is not a pair of integers")
+        u, v = edge
+        if not 1 <= u < v <= n or (u, v) in pairs:
+            raise TraceError(where, f"bad graph: edge {edge!r} is not a distinct pair 1 <= u < v <= {n}")
+        pairs.add((u, v))
+    return EncounterGraph(n=n, interval=interval, edges=frozenset(pairs))
+
+
+_EXCHANGE_FLAGS = ("a_gave", "b_gave", "a_recorded", "b_recorded", "fabricated")
 
 
 def _exchange_from_dict(data: Any, config: SimConfig, where: str) -> ExchangeRecord:
     """An exchange record holding only what the simulator writes: an
     interval of the run, robots 1 <= a < b <= n, boolean flags and a list
     of note strings."""
-    if not isinstance(data, Mapping):
+    if not isinstance(data, dict):  # JSON objects load as dicts
         raise TraceError(where, "bad exchange record: must be an object")
     try:
         interval, a, b = data["interval"], data["a"], data["b"]
-        flags = {key: data[key] for key in _EXCHANGE_FLAGS}
+        a_gave, b_gave = data["a_gave"], data["b_gave"]
+        a_recorded, b_recorded = data["a_recorded"], data["b_recorded"]
     except KeyError as exc:
         raise TraceError(where, f"bad exchange record: missing {exc}") from None
-    flags["fabricated"] = data.get("fabricated", False)
+    fabricated = data.get("fabricated", False)
     notes = data.get("notes", [])
     if not _is_int(interval) or not 1 <= interval <= config.intervals:
         raise TraceError(
@@ -487,12 +505,12 @@ def _exchange_from_dict(data: Any, config: SimConfig, where: str) -> ExchangeRec
         raise TraceError(
             where, f"a and b must be integers with 1 <= a < b <= {config.n}, got {a!r} and {b!r}"
         )
-    for key, value in flags.items():
+    for key, value in zip(_EXCHANGE_FLAGS, (a_gave, b_gave, a_recorded, b_recorded, fabricated)):
         if not isinstance(value, bool):
             raise TraceError(f"{where}.{key}", f"must be a boolean, got {value!r}")
     if not isinstance(notes, list) or not all(isinstance(note, str) for note in notes):
         raise TraceError(f"{where}.notes", f"must be a list of strings, got {notes!r}")
-    return ExchangeRecord(interval=interval, a=a, b=b, **flags, notes=tuple(notes))
+    return ExchangeRecord(interval, a, b, a_gave, b_gave, a_recorded, b_recorded, fabricated, tuple(notes))
 
 
 def dump_json(doc: Mapping[str, Any]) -> str:
@@ -596,23 +614,8 @@ class Simulation:
         self._pairs_this_interval.add((a, b))
 
         notes: list[str] = []
-        gave: dict[int, bool] = {}
-        recorded: dict[int, bool] = {}
-        for giver, receiver in ((a, b), (b, a)):
-            gave[giver] = self.behavior[giver] != "refuse_give"
-            recorded[receiver] = False
-            if not gave[giver]:
-                notes.append(f"withheld:{giver}->{receiver}")
-                continue
-            offer, reason = self._checked_offer(giver, t)
-            if self.behavior[receiver] == "refuse_record":
-                notes.append(f"unrecorded:{giver}->{receiver}")
-                continue
-            if reason is None:
-                self._queues[receiver].append(offer)
-                recorded[receiver] = True
-            else:
-                notes.append(f"invalid-offer:{giver}->{receiver}")
+        a_gave, b_recorded = self._hand_over(a, b, t, notes)
+        b_gave, a_recorded = self._hand_over(b, a, t, notes)
         for forger, victim in ((a, b), (b, a)):
             if self.behavior[forger] == "forge_claim":
                 forged, reason = self._checked_offer(forger, t, forged=True)
@@ -625,15 +628,31 @@ class Simulation:
             interval=t,
             a=a,
             b=b,
-            a_gave=gave[a],
-            b_gave=gave[b],
-            a_recorded=recorded[a],
-            b_recorded=recorded[b],
+            a_gave=a_gave,
+            b_gave=b_gave,
+            a_recorded=a_recorded,
+            b_recorded=b_recorded,
             fabricated=fabricated,
             notes=tuple(notes),
         )
         self.exchanges.append(record)
         return record
+
+    def _hand_over(self, giver: int, receiver: int, t: int, notes: list[str]) -> tuple[bool, bool]:
+        """One direction of an exchange: whether ``giver`` gave its history
+        and whether ``receiver`` recorded it; anomalies go to ``notes``."""
+        if self.behavior[giver] == "refuse_give":
+            notes.append(f"withheld:{giver}->{receiver}")
+            return False, False
+        offer, reason = self._checked_offer(giver, t)
+        if self.behavior[receiver] == "refuse_record":
+            notes.append(f"unrecorded:{giver}->{receiver}")
+            return True, False
+        if reason is not None:
+            notes.append(f"invalid-offer:{giver}->{receiver}")
+            return True, False
+        self._queues[receiver].append(offer)
+        return True, True
 
     def _close_interval(self, r: int, t: int) -> None:
         events = build_event_list(t, self._queues[r])

@@ -1,13 +1,16 @@
+import copy
 import dataclasses
 import json
 import random
 import struct
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from swarmchain import chain
 from swarmchain.chain import (
     GENESIS,
     EncodingError,
@@ -16,6 +19,7 @@ from swarmchain.chain import (
     LinkStore,
     build_event_list,
     canonical_encode,
+    check_entry,
     decode_link,
     encode_link,
     extend_history,
@@ -25,7 +29,7 @@ from swarmchain.chain import (
     signed_digest,
     verify_chain,
 )
-from swarmchain.crypto import Digest, digest, provision_swarm
+from swarmchain.crypto import Credential, Digest, digest, provision_swarm
 from swarmchain.detect import LocalView
 from swarmchain.sim import SimConfig, SimTrace, run_simulation
 
@@ -108,6 +112,76 @@ def test_peer_id_difference_changes_bytes(swarm5):
     a = canonical_encode(EventList(interval=1, entries=(e1,)), 1, GENESIS)
     b = canonical_encode(EventList(interval=1, entries=(e2,)), 1, GENESIS)
     assert a != b
+
+
+def _layout_payload(events, t, prev):
+    """The canonical payload of the module docstring, field by field."""
+    parts = [b"E1", struct.pack(">I", t), prev, struct.pack(">I", len(events.entries))]
+    for entry in events.entries:
+        cred = entry.peer_credential
+        parts.append(struct.pack(">I", entry.peer_id))
+        parts.append(entry.peer_link_digest)
+        parts.append(struct.pack(">H", len(entry.peer_signature)))
+        parts.append(entry.peer_signature)
+        parts.append(struct.pack(">I", cred.robot_id))
+        parts.append(struct.pack(">H", len(cred.verify_key)))
+        parts.append(cred.verify_key)
+        parts.append(struct.pack(">H", len(cred.cert)))
+        parts.append(cred.cert)
+    return b"".join(parts)
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda path: path.stem)
+def test_canonical_encode_follows_the_layout_on_every_stored_link(path):
+    """Simulated links (entries shared between receivers, bytes cached) and
+    the same links loaded from JSON (nothing cached) encode as the layout."""
+    trace = run_simulation(SimConfig.from_dict(json.loads(path.read_text())))
+    loaded = SimTrace.from_json(trace.to_json())
+    assert len(loaded.store) == len(trace.store)
+    for store in (trace.store, loaded.store):
+        for link in store.links():
+            expected = _layout_payload(link.events, link.interval, link.prev_digest)
+            assert canonical_encode(link.events, link.interval, link.prev_digest) == expected
+            assert encode_link(link)[6 : 6 + len(expected)] == expected
+
+
+_blobs = st.integers(0, 300).flatmap(lambda size: st.binary(min_size=size, max_size=size))
+_entries = st.builds(
+    EventEntry,
+    peer_id=st.integers(0, 2**32 - 1),
+    peer_link_digest=st.binary(min_size=32, max_size=32).map(Digest),
+    peer_signature=_blobs,
+    peer_credential=st.builds(Credential, robot_id=st.integers(0, 2**32 - 1), verify_key=_blobs, cert=_blobs),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    t=st.integers(1, 2**32 - 1),
+    prev=st.binary(min_size=32, max_size=32).map(Digest),
+    entries=st.lists(_entries, max_size=6, unique_by=lambda entry: entry.peer_id),
+)
+def test_canonical_encode_follows_the_layout_on_any_event_list(t, prev, entries):
+    events = EventList(interval=t, entries=tuple(entries))
+    expected = _layout_payload(events, t, prev)
+    assert canonical_encode(events, t, prev) == expected
+    assert canonical_encode(events, t, prev) == expected  # from the cached entry bytes
+
+
+def test_receivers_share_one_entry_per_offer(swarm5):
+    _, identities = swarm5
+    offer = offer_history(identities[0], None)
+    lists = [build_event_list(1, [offer]) for _ in range(3)]
+    assert {id(events.entries[0]) for events in lists} == {id(offer_entry(offer))}
+
+
+def test_canonical_encode_refuses_a_digest_of_another_length(swarm5):
+    _, identities = swarm5
+    entry = dataclasses.replace(_entry_for(identities[1], None), peer_link_digest=b"\x00" * 31)
+    with pytest.raises(ValueError):
+        canonical_encode(EventList(interval=1, entries=(entry,)), 1, GENESIS)
+    with pytest.raises(ValueError):
+        canonical_encode(EventList.empty(1), 1, b"\x00" * 33)
 
 
 def test_link_encoding_roundtrip(swarm5):
@@ -300,6 +374,114 @@ def test_depth_must_be_positive(swarm5):
     link = extend_history(identities[0], None, EventList.empty(1), store)
     with pytest.raises(ValueError):
         verify_chain(link, identities[0].credential, store, depth=0, credentials=_issued(identities))
+
+
+# -- the walk record ------------------------------------------------------------
+
+
+def test_walk_record_keeps_no_refusal(swarm5):
+    """A refused chain is refused again, and accepted once its missing
+    previous link is stored."""
+    _, identities = swarm5
+    full = LinkStore()
+    heads = _grow_pairwise(identities, full, 3)
+    owner, head = identities[0], heads[1]
+    middle = full.get(head.prev_digest)
+    store = LinkStore()
+    for link in full.links():
+        if link is not middle:
+            store.insert(link)
+    issued = _issued(identities)
+    for _ in range(2):
+        verdict = verify_chain(head, owner.credential, store, 3, issued)
+        assert (verdict.ok, verdict.reason, verdict.interval) == (False, "missing-link", 2)
+    store.insert(middle)
+    assert verify_chain(head, owner.credential, store, 3, issued)
+
+
+def test_walk_record_keeps_no_forgiven_accept(swarm5):
+    """A depth-1 accept that forgave a missing entry link is not kept: once
+    that link is stored, at the wrong interval, the chain is refused."""
+    _, identities = swarm5
+    owner, peer = identities[0], identities[1]
+    elsewhere = LinkStore()
+    p1 = extend_history(peer, None, EventList.empty(1), elsewhere)
+    o1 = extend_history(owner, None, EventList.empty(1), elsewhere)
+    o2 = extend_history(owner, o1, EventList.empty(2), elsewhere)
+    store = LinkStore()
+    head = extend_history(owner, o2, build_event_list(3, [offer_history(peer, p1)]), store)
+    issued = _issued(identities)
+    (entry,) = head.events.entries
+    assert check_entry(entry, 3, store.get, issued) == "missing-entry-link"
+    assert verify_chain(head, owner.credential, store, 1, issued)
+    store.insert(p1)
+    verdict = verify_chain(head, owner.credential, store, 1, issued)
+    assert (verdict.ok, verdict.reason, verdict.interval) == (False, "entry-interval-mismatch", 3)
+
+
+def test_walk_record_is_tied_to_its_tables(swarm5):
+    """After a clean walk, a copy of the store with a tampered link table,
+    and the same store under another credential table, each refuse."""
+    _, identities = swarm5
+    store = LinkStore()
+    heads = _grow_pairwise(identities, store, 3)
+    owner, head = identities[0], heads[1]
+    issued = _issued(identities)
+    assert verify_chain(head, owner.credential, store, 3, issued)
+
+    middle = store.get(head.prev_digest)
+    blob = bytearray(encode_link(middle))
+    blob[10] ^= 0x01
+    tampered = copy.copy(store)
+    tampered._links = dict(store._links)
+    tampered._links[link_digest(middle)] = decode_link(bytes(blob))
+    verdict = verify_chain(head, owner.credential, tampered, 3, issued)
+    assert (verdict.ok, verdict.reason, verdict.interval) == (False, "digest-mismatch", 2)
+
+    _, strangers = provision_swarm(5, seed=100)
+    reissued = dict(issued)
+    reissued[2] = strangers[1].credential
+    verdict = verify_chain(head, owner.credential, store, 3, reissued)
+    assert (verdict.ok, verdict.reason, verdict.interval) == (False, "uncertified-credential", 3)
+    assert verify_chain(head, owner.credential, store, 3, issued)
+
+
+def test_walk_record_covers_only_the_depth_it_walked(swarm5):
+    """An accept at depth 2 does not answer for depth 3: the walk goes on
+    to the missing link below."""
+    _, identities = swarm5
+    full = LinkStore()
+    heads = _grow_pairwise(identities, full, 3)
+    owner, head = identities[0], heads[1]
+    store = LinkStore()
+    for link in full.links():
+        if (link.owner_id, link.interval) != (1, 1):
+            store.insert(link)
+    issued = _issued(identities)
+    assert verify_chain(head, owner.credential, store, 2, issued)
+    verdict = verify_chain(head, owner.credential, store, 3, issued)
+    assert (verdict.ok, verdict.reason, verdict.interval) == (False, "missing-link", 1)
+
+
+@pytest.mark.parametrize("name", ["framing_n25", "forge_n10"])
+def test_verify_chain_walks_each_stored_entry_once_per_run(name, monkeypatch):
+    """Every entry finding of every ``verify_chain`` walk in one run, by
+    (owner, interval, peer): each stored link's entries are checked once."""
+    walked = Counter()
+    walk = chain.walk_chain
+
+    def counting_walk(head, *rest):
+        for finding in walk(head, *rest):
+            first, _, _, peer = finding
+            if peer is not None:
+                walked[head.owner_id, first, peer] += 1
+            yield finding
+
+    monkeypatch.setattr(chain, "walk_chain", counting_walk)
+    trace = run_simulation(SimConfig.from_dict(json.loads((CONFIGS / f"{name}.json").read_text())))
+    stored = sum(len(link.events.entries) for link in trace.store.links())
+    assert 0 < len(walked) <= stored
+    assert set(walked.values()) == {1}
 
 
 # -- encounter pairing ---------------------------------------------------------

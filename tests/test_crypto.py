@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from swarmchain import crypto
 from swarmchain.chain import GENESIS
 from swarmchain.crypto import (
     DIGEST_SIZE,
@@ -15,6 +16,7 @@ from swarmchain.crypto import (
     verify,
     verify_credential,
 )
+from swarmchain.sim import AdversaryProfile, SimConfig, run_simulation
 
 
 def test_single_robot_cert_verifies():
@@ -160,3 +162,25 @@ def test_a_digest_is_its_bytes():
     assert hash(Digest(b)) == hash(b)
     assert digest(b"swarmchain") == b
     assert GENESIS == bytes(32) and isinstance(GENESIS, Digest)
+
+
+def test_a_run_loads_each_key_once(monkeypatch):
+    """Provisioning loads the central key and each robot key; signing,
+    forged signatures included, loads none again."""
+    loads = []
+    real = crypto.Ed25519PrivateKey
+
+    class CountingKey:
+        @staticmethod
+        def from_private_bytes(data):
+            loads.append(data)
+            return real.from_private_bytes(data)
+
+    monkeypatch.setattr(crypto, "Ed25519PrivateKey", CountingKey)
+    crypto._load_private.cache_clear()
+    config = SimConfig(
+        n=10, p=0.4, intervals=4, delta=2, alpha=0.1, seed=73,
+        adversaries=(AdversaryProfile("forge_claim", frozenset({4}), target=7),),
+    )
+    run_simulation(config)
+    assert len(loads) == len(set(loads)) == config.n + 1

@@ -480,7 +480,7 @@ def test_trace_rejects_a_repeated_credential(honest_trace_25):
     assert "repeated" in str(err.value)
 
 
-@pytest.mark.parametrize("robot_id", ["1", 0, 26])
+@pytest.mark.parametrize("robot_id", ["1", 0, 26, True])
 def test_trace_rejects_a_credential_outside_the_swarm(honest_trace_25, robot_id):
     doc = json.loads(honest_trace_25.to_json())
     doc["credentials"][0]["robot_id"] = robot_id
@@ -495,6 +495,18 @@ def _set_head(doc, key, value):
 
 def _set_exchange(doc, key, value):
     doc["exchanges"][0][key] = value
+
+
+def _set_graph(doc, index, value):
+    doc["graphs"][index] = value
+
+
+def _swap_graphs(doc, *_):
+    doc["graphs"][0], doc["graphs"][1] = doc["graphs"][1], doc["graphs"][0]
+
+
+def _add_graph(doc, *_):
+    doc["graphs"].append({"interval": 4, "n": 25, "edges": []})
 
 
 _BAD_HEADS_AND_EXCHANGES = [
@@ -520,6 +532,17 @@ _BAD_HEADS_AND_EXCHANGES = [
     ("exchange-notes-int", _set_exchange, ("notes", [1]), "exchanges[0].notes"),
     ("exchange-missing-flag", lambda doc, *_: doc["exchanges"][0].pop("b_gave"), (None, None), "exchanges[0]"),
     ("exchange-not-an-object", lambda doc, *_: doc["exchanges"].__setitem__(0, [1, 2]), (None, None), "exchanges[0]"),
+    ("graph-interval-99-n-4", _set_graph, (0, {"interval": 99, "n": 4, "edges": []}), "graphs[0]"),
+    ("graph-n-1000", _set_graph, (0, {"interval": 1, "n": 1000, "edges": [[1, 999]]}), "graphs[0]"),
+    ("graph-n-bool", _set_graph, (0, {"interval": 1, "n": True, "edges": []}), "graphs[0]"),
+    ("graph-interval-bool", _set_graph, (0, {"interval": True, "n": 25, "edges": []}), "graphs[0]"),
+    ("graph-edge-floats", _set_graph, (1, {"interval": 2, "n": 25, "edges": [[1.0, 2.5]]}), "graphs[1]"),
+    ("graph-edge-bool", _set_graph, (1, {"interval": 2, "n": 25, "edges": [[True, 2]]}), "graphs[1]"),
+    ("graph-edge-repeated", _set_graph, (2, {"interval": 3, "n": 25, "edges": [[1, 2], [1, 2]]}), "graphs[2]"),
+    ("graph-edge-triple", _set_graph, (2, {"interval": 3, "n": 25, "edges": [[1, 2, 3]]}), "graphs[2]"),
+    ("graph-not-an-object", _set_graph, (2, [1, 2]), "graphs[2]"),
+    ("graph-out-of-order", _swap_graphs, (None, None), "graphs[0]"),
+    ("graph-past-run", _add_graph, (None, None), "graphs[3]"),
 ]
 
 
