@@ -11,9 +11,9 @@ usable wherever bytes are.
 Key material is derived deterministically from the provisioning seed, so
 a swarm provisioned twice with the same (n, seed) is byte-identical.
 Private keys live only inside :class:`SigningIdentity` and are never
-serialized.  Each key is loaded once: :func:`provision_swarm` loads every
-derived key through the same cache that :func:`sign` reads, so a run
-pays n + 1 key loads and :func:`sign` never loads a key again.
+serialized.  Each key is loaded once: a :class:`SigningIdentity` loads
+its key when it is made and keeps it, so provisioning a swarm pays n + 1
+key loads whatever n is, and :func:`sign` never loads a key again.
 
 Verification is a pure function of (verify key, message, signature), so
 verdicts are kept in one process-wide memo.  Signing seeds it: Ed25519
@@ -35,7 +35,7 @@ links + 2n triples, 288 at n=48 over 4 intervals.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import lru_cache
 
 from cryptography.exceptions import InvalidSignature
@@ -83,10 +83,23 @@ class SigningIdentity:
 
     The signing key is held only by the robot (and central control); it
     is excluded from repr output and must never enter traces or reports.
+    The key is loaded once and kept with its public bytes: ``key`` passes
+    one already loaded from ``signing_key``, otherwise it is loaded here.
     """
 
     credential: Credential
     signing_key: bytes = field(repr=False)
+    key: InitVar[Ed25519PrivateKey | None] = None
+    _key: Ed25519PrivateKey = field(init=False, repr=False, compare=False)
+    _public: bytes = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self, key: Ed25519PrivateKey | None) -> None:
+        if key is None:
+            key = Ed25519PrivateKey.from_private_bytes(self.signing_key)
+        elif key.private_bytes_raw() != self.signing_key:
+            raise ValueError("loaded key does not match signing_key")
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_public", key.public_key().public_bytes_raw())
 
     @property
     def robot_id(self) -> int:
@@ -124,32 +137,27 @@ def _derive_key_bytes(material: str) -> bytes:
     return hashlib.sha256(_KEY_DOMAIN + material.encode()).digest()
 
 
-@lru_cache(maxsize=1024)
-def _load_private(signing_key: bytes) -> tuple[Ed25519PrivateKey, bytes]:
-    key = Ed25519PrivateKey.from_private_bytes(signing_key)
-    return key, key.public_key().public_bytes_raw()
-
-
 def provision_swarm(n: int, seed: int) -> tuple[bytes, list[SigningIdentity]]:
     """Provision a swarm of ``n`` robots with ids 1..n.
 
     Returns the central verification key and one identity per robot,
     each carrying a certificate valid under the central key.  Pure in
-    (n, seed); each certificate is recorded as valid in the verify memo,
-    and each key is loaded into the cache :func:`sign` reads.
+    (n, seed); each certificate is recorded as valid in the verify memo.
     """
     if n < 1:
         raise ValueError(f"swarm size must be >= 1, got {n}")
-    central, central_vk = _load_private(_derive_key_bytes(f"central:{seed}"))
+    central = Ed25519PrivateKey.from_private_bytes(_derive_key_bytes(f"central:{seed}"))
+    central_vk = central.public_key().public_bytes_raw()
     identities = []
     for robot_id in range(1, n + 1):
         signing_key = _derive_key_bytes(f"robot:{seed}:{robot_id}")
-        vk = _load_private(signing_key)[1]
+        key = Ed25519PrivateKey.from_private_bytes(signing_key)
+        vk = key.public_key().public_bytes_raw()
         message = credential_message(robot_id, vk)
         cert = central.sign(message)
         _remember(central_vk, message, cert, True)
         cred = Credential(robot_id=robot_id, verify_key=vk, cert=cert)
-        identities.append(SigningIdentity(credential=cred, signing_key=signing_key))
+        identities.append(SigningIdentity(credential=cred, signing_key=signing_key, key=key))
     return central_vk, identities
 
 
@@ -161,10 +169,9 @@ def sign(identity: SigningIdentity, message: bytes) -> bytes:
     public key derived from the signing key, never under the credential's
     key, so the first :func:`verify` of it is a lookup.
     """
-    key, public = _load_private(identity.signing_key)
     message = bytes(message)
-    signature = key.sign(message)
-    _remember(public, message, signature, True)
+    signature = identity._key.sign(message)
+    _remember(identity._public, message, signature, True)
     return signature
 
 

@@ -164,9 +164,9 @@ def test_a_digest_is_its_bytes():
     assert GENESIS == bytes(32) and isinstance(GENESIS, Digest)
 
 
-def test_a_run_loads_each_key_once(monkeypatch):
-    """Provisioning loads the central key and each robot key; signing,
-    forged signatures included, loads none again."""
+@pytest.fixture
+def key_loads(monkeypatch):
+    """The raw bytes of every Ed25519 private-key load."""
     loads = []
     real = crypto.Ed25519PrivateKey
 
@@ -177,10 +177,27 @@ def test_a_run_loads_each_key_once(monkeypatch):
             return real.from_private_bytes(data)
 
     monkeypatch.setattr(crypto, "Ed25519PrivateKey", CountingKey)
-    crypto._load_private.cache_clear()
+    return loads
+
+
+def test_a_run_loads_each_key_once(key_loads):
+    """Provisioning loads the central key and each robot key; signing,
+    forged signatures included, loads none again."""
     config = SimConfig(
         n=10, p=0.4, intervals=4, delta=2, alpha=0.1, seed=73,
         adversaries=(AdversaryProfile("forge_claim", frozenset({4}), target=7),),
     )
     run_simulation(config)
-    assert len(loads) == len(set(loads)) == config.n + 1
+    assert len(key_loads) == len(set(key_loads)) == config.n + 1
+
+
+def test_a_swarm_larger_than_any_key_cache_loads_each_key_once(key_loads):
+    config = SimConfig(n=1100, p=0.0, intervals=2, delta=1, seed=5)
+    run_simulation(config)
+    assert len(key_loads) == len(set(key_loads)) == config.n + 1
+
+
+def test_an_identity_refuses_a_key_loaded_from_other_bytes():
+    _, (robot1, robot2) = provision_swarm(2, seed=6)
+    with pytest.raises(ValueError):
+        crypto.SigningIdentity(robot1.credential, robot1.signing_key, key=robot2._key)

@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swarmchain.prob import (
+    _BLOCK_CELLS,
+    _MC_CHUNK,
     Estimate,
     InfeasibleError,
     ProbQuery,
@@ -68,12 +70,22 @@ def test_pair_meets_all_validation():
 
 
 def test_query_validation():
-    with pytest.raises(ValueError):
-        ProbQuery(1, 0.5, 3)
-    with pytest.raises(ValueError):
-        ProbQuery(5, -0.1, 3)
-    with pytest.raises(ValueError):
-        ProbQuery(5, 0.5, 0)
+    rows = [
+        ("n", lambda: ProbQuery(1, 0.5, 3)),
+        ("n", lambda: ProbQuery(48.5, 0.17, 3)),
+        ("n", lambda: ProbQuery(True, 0.17, 3)),
+        ("p", lambda: ProbQuery(5, -0.1, 3)),
+        ("p", lambda: ProbQuery(48, True, 3)),
+        ("p", lambda: ProbQuery(48, "0.17", 3)),
+        ("delta", lambda: ProbQuery(5, 0.5, 0)),
+        ("delta", lambda: ProbQuery(48, 0.17, True)),
+        ("delta", lambda: ProbQuery(48, 0.17, 3.0)),
+        ("trials", lambda: mc_report_within(ProbQuery(48, 0.17, 3), 2.5, 1)),
+        ("trials", lambda: mc_report_within(ProbQuery(48, 0.17, 3), True, 1)),
+    ]
+    for field, call in rows:
+        with pytest.raises(ValueError, match=f"^{field}:"):
+            call()
 
 
 @settings(max_examples=200)
@@ -235,6 +247,75 @@ def test_mc_memory_stays_small_at_n100():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+def _mc_hits_one_shot(q, trials, seed):
+    """Reference sampler: each chunk's uniforms in one whole draw, as
+    ``mc_report_within`` did before it drew in blocks."""
+    streams = np.random.SeedSequence(seed).spawn((trials + _MC_CHUNK - 1) // _MC_CHUNK)
+    width = 2 * (q.n - 2) + 1
+    hits = 0
+    for i, stream in enumerate(streams):
+        m = min(_MC_CHUNK, trials - i * _MC_CHUNK)
+        edges = np.random.default_rng(stream).random((m, q.delta, width)) < q.p
+        hits += int(_report_events(edges).sum())
+    return hits
+
+
+def _block_trials(q):
+    return max(1, _BLOCK_CELLS // (q.delta * (2 * (q.n - 2) + 1)))
+
+
+# (2, .5, 3) has one edge column; p = 0 and p = 1 pin the degenerate draws.
+STREAM_SHAPES = [(2, 0.5, 3), (3, 0.5, 2), (48, 0.17, 3), (1000, 0.01, 2), (48, 0.0, 3), (48, 1.0, 3)]
+STREAM_CASES = [
+    pytest.param(shape, trials, id="{}-{}-{}-{}".format(*shape, trials))
+    for shape in STREAM_SHAPES
+    for block in [_block_trials(ProbQuery(*shape))]
+    for trials in sorted({1, block - 1, block, block + 1, 20_000, 20_001, 45_000} - {0})
+    # the reference holds a whole chunk; keep it under 64 MiB of uniforms
+    if min(trials, _MC_CHUNK) * shape[2] * (2 * (shape[0] - 2) + 1) * 8 <= 64 * 2**20
+]
+
+
+@pytest.mark.parametrize("shape,trials", STREAM_CASES)
+def test_blocked_draw_matches_one_shot_stream(shape, trials):
+    q = ProbQuery(*shape)
+    est = mc_report_within(q, trials, seed=trials)
+    assert est.point == _mc_hits_one_shot(q, trials, seed=trials) / trials
+
+
+@pytest.mark.parametrize(
+    "q,seed,hits",
+    [(ProbQuery(25, 0.33, 3), 20_240_601, 99_968), (ProbQuery(3, 0.5, 2), 31_337, 81_248)],
+    ids=["criterion-2", "criterion-3"],
+)
+def test_acceptance_estimates_are_pinned(q, seed, hits):
+    assert mc_report_within(q, trials=100_000, seed=seed).point == hits / 100_000
+
+
+def _mc_peak(q, trials, seed):
+    tracemalloc.start()
+    try:
+        mc_report_within(q, trials, seed)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+@pytest.mark.parametrize("trials", [20_000, 100_000])
+def test_mc_memory_is_one_block_at_n48(trials):
+    # One whole 20 000-trial draw at this shape is 44.6 MB of uniforms.
+    assert _mc_peak(ProbQuery(48, 0.17, 3), trials, seed=8) < 4 * 2**20
+
+
+def test_mc_runs_one_trial_blocks_when_a_trial_exceeds_the_budget():
+    q = ProbQuery(100_000, 0.001, 2)
+    trial_bytes = 8 * q.delta * (2 * (q.n - 2) + 1)
+    assert trial_bytes > 8 * _BLOCK_CELLS
+    assert _mc_peak(q, 3, seed=4) < 1.5 * trial_bytes
+    assert mc_report_within(q, 3, seed=4).point == _mc_hits_one_shot(q, 3, seed=4) / 3
 
 
 def test_pairing_threshold_rounds_up():
