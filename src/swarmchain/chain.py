@@ -111,12 +111,15 @@ store's link table and the credential table are never altered in place
 (only :meth:`LinkStore.insert` adds to the link table); it is tagged with
 both table objects, so a copy of the store given a new table, or another
 credential table, starts an empty record.  The audit passes no record and
-walks every chain in full.
+walks every chain in full; it passes the entry verdicts its claim index
+(``detect.ClaimIndex``) has settled, so the walk runs :func:`check_entry`
+only on refused entries, for their reason.
 """
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .crypto import (
@@ -202,6 +205,25 @@ _LENGTH = struct.Struct(">H")
 _PAYLOAD_START = _LINK_PREFIX.size
 
 
+def _credential_bytes(credential: Credential) -> bytes:
+    """A credential's normative bytes in an entry (cred_id through the
+    certificate), encoded once and cached on the credential: every entry
+    that embeds an issued credential joins these bytes, and
+    :func:`decode_link` matches them to share the issued object."""
+    cached = credential.__dict__.get("_bytes")
+    if cached is None:
+        cached = b"".join(
+            [
+                _CRED_HEAD.pack(credential.robot_id, len(credential.verify_key)),
+                credential.verify_key,
+                _LENGTH.pack(len(credential.cert)),
+                credential.cert,
+            ]
+        )
+        object.__setattr__(credential, "_bytes", cached)
+    return cached
+
+
 def _entry_bytes(entry: EventEntry) -> bytes:
     """An entry's normative bytes in the payload, encoded once and cached
     on the entry (see :func:`offer_entry`: receivers share one entry)."""
@@ -209,15 +231,11 @@ def _entry_bytes(entry: EventEntry) -> bytes:
     if cached is None:
         if len(entry.peer_link_digest) != DIGEST_SIZE:
             raise ValueError(f"entry link digest must be {DIGEST_SIZE} bytes")
-        cred = entry.peer_credential
         cached = b"".join(
             [
                 _ENTRY_HEAD.pack(entry.peer_id, entry.peer_link_digest, len(entry.peer_signature)),
                 entry.peer_signature,
-                _CRED_HEAD.pack(cred.robot_id, len(cred.verify_key)),
-                cred.verify_key,
-                _LENGTH.pack(len(cred.cert)),
-                cred.cert,
+                _credential_bytes(entry.peer_credential),
             ]
         )
         object.__setattr__(entry, "_bytes", cached)
@@ -279,7 +297,7 @@ def link_digest(link: HistoryLink) -> Digest:
     return cached
 
 
-def decode_link(data: bytes) -> HistoryLink:
+def decode_link(data: bytes, issued: Mapping[int, Credential] | None = None) -> HistoryLink:
     """The canonical inverse of :func:`encode_link`.
 
     Accepts exactly the bytes ``encode_link`` can produce: entries in
@@ -288,7 +306,12 @@ def decode_link(data: bytes) -> HistoryLink:
     else raises :class:`EncodingError`.  Hence ``encode_link(decode_link(b))
     == b``, so the link keeps its payload slice and ``digest(b)`` as its
     cached payload and address instead of encoding itself again.
+
+    ``issued`` is the credential table central control issued: an entry
+    whose credential bytes are exactly its peer's issued credential's
+    holds that issued object, and any other credential decodes to its own.
     """
+    find_issued = {}.get if issued is None else issued.get
     try:
         link_magic, owner = _LINK_PREFIX.unpack_from(data)
         payload_magic, interval, prev, count = _PAYLOAD_HEAD.unpack_from(data, _PAYLOAD_START)
@@ -306,15 +329,21 @@ def decode_link(data: bytes) -> HistoryLink:
             # A slice cut short leaves pos past the end, where the next read fails.
             signature = data[pos : pos + size]
             pos += size
-            cred_id, size = _CRED_HEAD.unpack_from(data, pos)
-            pos += _CRED_HEAD.size
-            verify_key = data[pos : pos + size]
-            pos += size
-            (size,) = _LENGTH.unpack_from(data, pos)
-            pos += _LENGTH.size
-            cert = data[pos : pos + size]
-            pos += size
-            entries.append(EventEntry(peer, Digest(peer_digest), signature, Credential(cred_id, verify_key, cert)))
+            credential = find_issued(peer)
+            issued_bytes = b"" if credential is None else _credential_bytes(credential)
+            if issued_bytes and data.startswith(issued_bytes, pos):
+                pos += len(issued_bytes)
+            else:
+                cred_id, size = _CRED_HEAD.unpack_from(data, pos)
+                pos += _CRED_HEAD.size
+                verify_key = data[pos : pos + size]
+                pos += size
+                (size,) = _LENGTH.unpack_from(data, pos)
+                pos += _LENGTH.size
+                cert = data[pos : pos + size]
+                pos += size
+                credential = Credential(cred_id, verify_key, cert)
+            entries.append(EventEntry(peer, Digest(peer_digest), signature, credential))
         payload_end = pos
         (size,) = _LENGTH.unpack_from(data, pos)
         pos += _LENGTH.size + size
@@ -481,7 +510,8 @@ def check_entry(
     """
     if entry.peer_id != entry.peer_credential.robot_id:
         return "entry-credential-mismatch"
-    if credentials.get(entry.peer_id) != entry.peer_credential:
+    issued = credentials.get(entry.peer_id)
+    if issued is not entry.peer_credential and issued != entry.peer_credential:
         return "uncertified-credential"
     if entry.peer_link_digest == GENESIS:
         if not verify(entry.peer_credential, GENESIS, entry.peer_signature):
@@ -523,6 +553,7 @@ def walk_chain(
     credentials: Mapping[int, Credential],
     depth: int | None,
     record: WalkRecord | None = None,
+    settled: Callable[[HistoryLink], Iterable[bool]] | None = None,
 ) -> Iterator[tuple[int, int, str | None, int | None]]:
     """Every finding of the walk rule (see the module docstring) from
     ``head`` toward genesis, in walk order, over at most ``depth`` links
@@ -530,6 +561,11 @@ def walk_chain(
     the intervals it covers, its reason and an entry's peer; each entry of
     a checked link yields one (reason None if accepted), a link one only
     if refused.
+
+    ``settled`` gives, for a link that passes ``check_link``, whether
+    ``check_entry`` (through ``store`` under ``credentials``) accepts each
+    of its entries, as already decided elsewhere; the walk then runs
+    ``check_entry`` only on the entries it refuses, for their reason.
 
     With a walk ``record`` (and a ``depth``), the walk follows the walk
     record rule of the module docstring: it stops at the first link whose
@@ -553,8 +589,9 @@ def walk_chain(
             if reason == "wrong-owner":
                 return
         else:
-            for entry in link.events.entries:
-                reason = check_entry(entry, t, store.get, credentials)
+            known = repeat(False) if settled is None else settled(link)
+            for entry, accepted in zip(link.events.entries, known):
+                reason = None if accepted else check_entry(entry, t, store.get, credentials)
                 if reason is not None:
                     strict = False
                 yield t, t, reason, entry.peer_id

@@ -24,17 +24,27 @@ chain in full by the walk rule of :mod:`swarmchain.chain`
 (``walk_chain``), cross-checks that every claimed encounter is recorded
 by both participants, and reports coverage gaps.
 
-Cost.  The first view of a trace builds the trace's :class:`ClaimIndex`:
-every stored link goes through ``check_link`` once, one iterative pass
-gives each link its closure mask, and each entry of a link that passes
-goes through ``check_entry`` once, when a view first holds the link.  A
-view is then its head's mask (the central view ORs every head's), and
-each detector is a handful of numpy operations over the trace's claims:
-O(links + claims) array work per view, Python work only for what a
-report lists, and no interval ever used as a bit position or an array
-size.  The index assumes the trace's store and credential table are not
-changed after the first view is built; a trace given another store or
-table object gets a fresh index.
+Cost.  A store's :class:`ClaimIndex` is built once, by the first view or
+audit that reads the store under a credential table, and kept on the
+store.  Every stored link goes through ``check_link`` once, one
+iterative pass gives each link its closure mask, and each entry of a
+link that passes goes through ``check_entry`` once, when a view or the
+audit first holds the link.  The index also keeps the per-trace
+constants every reader shares: each claim's entry, the claims grouped by
+claimer and by target, the links grouped by owner, the window claims of each
+``(as_of, delta)`` and one :class:`PairingVerdict` per distinct
+``(paired, unpaired, threshold)``.  A view is then its head's mask (the
+central view ORs every head's), and a report is a handful of numpy passes
+over the claims (gathers, segment sums with ``np.add.reduceat``, a run
+filter) plus Python work only for the n robots' rows and what the report
+lists; no interval is ever a bit position or an array size.  The audit
+walks each chain with ``walk_chain`` but takes the entry verdicts of
+every counted link from the index, so ``check_entry`` runs again only on
+refused entries, for their reason.  The index assumes that the store's
+link table and the credential table are not altered in place; it is
+tagged with both table objects and the table's size, so a store given
+another table, grown by :meth:`LinkStore.insert`, or read under another
+credential table gets a fresh index.
 """
 from __future__ import annotations
 
@@ -45,13 +55,14 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
-from .chain import HistoryLink, LinkStore, check_entry, check_link, walk_chain
+from .chain import HistoryLink, LinkStore, check_entry, check_link, link_digest, walk_chain
 from .crypto import Credential, Digest
 from .prob import pairing_threshold
 from .sim import SimConfig, SimTrace
 
 
 Claim = tuple[int, int, int]  # (claimer, target, interval)
+_NONE = np.zeros(0, np.int64)  # no claim numbers
 
 
 class InsufficientHistoryError(ValueError):
@@ -91,20 +102,25 @@ class ClaimIndex:
     :meth:`accepted` checks each link's entries once, when a view first
     holds the link, so links no view holds cost no entry check.  The
     per-claim and per-link columns are numpy arrays; robots are numbered
-    densely, and no robot id or interval is ever an array position.
+    densely, and no robot id or interval is ever an array position.  A
+    per-robot array has one more slot, always 0, that the -1 of an absent
+    robot indexes.
 
-    A view picks its results out of Python lists (:meth:`select`), not
-    out of small arrays sized by what it holds: numpy keeps freed buffers
-    under 1 KiB for reuse, so such arrays leave kept buffers of ever new
-    sizes wherever the heap stood, and between ``analyze_n100`` traces
-    they were found pinning the top of the heap.
+    A view's masks and tallies are sized by the trace (its links, claims
+    or robots), never by what the view holds: numpy keeps freed buffers
+    under 1 KiB for reuse, and small arrays of ever new sizes were once
+    found pinning the top of the heap between ``analyze_n100`` traces.
+    Only the claim numbers a detector picks out vary with the view.  The
+    index holds no reference to the store it is kept on, so the two are
+    freed together by reference counting.
     """
 
     def __init__(self, store: LinkStore, credentials: Mapping[int, Credential]) -> None:
-        self.store, self.credentials = store, credentials
+        self.credentials = credentials
         self.digests = list(store.digests())
         self.links = list(store.links())
         self.position = dict(zip(self.digests, range(len(self.links))))
+        self.resolve = dict(zip(self.digests, self.links)).get  # the store's get, as indexed
         counted = [check_link(link, credentials.get(link.owner_id)) is None for link in self.links]
         self.counted = int.from_bytes(np.packbits(np.array(counted, bool), bitorder="little").tobytes(), "little")
         self.unchecked = self.counted  # links whose entries await check_entry
@@ -152,21 +168,54 @@ class ClaimIndex:
         # -1 (no mirror claim, no slot) indexes the False sentinel a view appends
         self.claim_mirror = _position(claims, (target * robots + claimer) * spans + time)
         self.claim_slot = _position(slots, target * spans + time)
-        # a self-claim's partner is the sentinel robot len(robots)
-        self.claim_partner = np.where(claimer == target, robots, target)
-        self.link_owner, self.claim_claimer, self.claim_target = owner, claimer, target
+        self.claim_claimer, self.claim_target = claimer, target
         self.robot_ids: list[int] = self.robots.tolist()
+
+        # Per-trace constants of the per-view passes.  Each claim is read
+        # through its first entry; duplicate entries are few (a fork).
+        by_claim = np.argsort(self.entry_claim, kind="stable")
+        first = np.ones(len(by_claim), bool)
+        first[1:] = self.entry_claim[by_claim[1:]] != self.entry_claim[by_claim[:-1]]
+        self.claim_entry, self.repeat_entry = by_claim[first], by_claim[~first]
+        self.claim_link = self.entry_link[self.claim_entry]
+        self.claim_ok = self.entry_ok[self.claim_entry]  # refreshed by accepted()
+        # Claims are in claimer order already; targets and link owners get an order.
+        self.claimer_start, self.claimers = _segments(claimer)
+        self.by_target = np.argsort(target, kind="stable")
+        self.target_t = self.claim_t[self.by_target]
+        self.target_start, self.targets = _segments(target[self.by_target])
+        self.by_owner = np.argsort(owner, kind="stable")
+        self.owner_t = self.link_t[self.by_owner]
+        self.owner_start, self.owners = _segments(owner[self.by_owner])
+        self.self_claims = np.flatnonzero(claimer == target)
+        self._windows: dict[tuple[int, int], np.ndarray] = {}
+        self._swarms: dict[int, np.ndarray] = {}
+        self._verdicts: dict[int, dict[int, PairingVerdict]] = {}  # threshold -> counts key -> verdict
 
     def accepted(self, mask: int) -> np.ndarray:
         """Which entries ``check_entry`` accepts, as a bool array over the
         entries; settled for every entry of a counted link in ``mask``."""
-        todo, resolve = mask & self.unchecked, self.store.get
-        for i in self.select(range(len(self.links)), self.bits(todo)) if todo else ():
+        todo, resolve = mask & self.unchecked, self.resolve
+        if not todo:
+            return self.entry_ok
+        for i in self.select(range(len(self.links)), self.bits(todo)):
             link = self.links[i]
             for row, entry in enumerate(link.events.entries, self.first_entry[i]):
                 self.entry_ok[row] = check_entry(entry, link.interval, resolve, self.credentials) is None
         self.unchecked &= ~todo
+        self.claim_ok = self.entry_ok[self.claim_entry]
         return self.entry_ok
+
+    def held(self, links: np.ndarray) -> np.ndarray:
+        """The claims of the accepted entries of ``links`` (a bool array
+        over the links, every one settled by :meth:`accepted`), as a bool
+        array over the claims with one more, always False, slot for -1."""
+        claims = np.zeros(len(self.claim_t) + 1, bool)
+        np.logical_and(self.claim_ok, links[self.claim_link], out=claims[:-1])
+        repeats = self.repeat_entry
+        if len(repeats):
+            claims[self.entry_claim[repeats[self.entry_ok[repeats] & links[self.entry_link[repeats]]]]] = True
+        return claims
 
     def mask_of(self, head: Digest | None) -> int:
         """The closure mask of the link ``head`` names; 0 if none is indexed."""
@@ -178,22 +227,55 @@ class ClaimIndex:
         raw = (mask & self.counted).to_bytes((len(self.links) + 7) // 8, "little")
         return np.unpackbits(np.frombuffer(raw, np.uint8), count=len(self.links), bitorder="little").view(bool)
 
-    @cached_property
-    def claims(self) -> list[Claim]:
-        """Every claim, in claim order."""
+    def claims_at(self, numbers: np.ndarray) -> list[Claim]:
+        """The claims numbered ``numbers``, in that order."""
         robots = self.robots
         return list(
-            zip(robots[self.claim_claimer].tolist(), robots[self.claim_target].tolist(), self.claim_t.tolist())
+            zip(
+                robots[self.claim_claimer[numbers]].tolist(),
+                robots[self.claim_target[numbers]].tolist(),
+                self.claim_t[numbers].tolist(),
+            )
         )
+
+    def window(self, as_of: int, delta: int) -> np.ndarray:
+        """The numbers of the forward claims (claimer < target) of the last
+        ``delta`` intervals up to ``as_of``, ascending."""
+        key = (as_of, delta)
+        claims = self._windows.get(key)
+        if claims is None:
+            t = self.claim_t
+            inside = self.claim_forward & (t >= max(1, as_of - delta + 1)) & (t <= as_of)
+            claims = self._windows[key] = np.flatnonzero(inside)
+        return claims
+
+    def swarm(self, n: int) -> np.ndarray:
+        """The dense numbers of robots 1..n, -1 for a robot not indexed."""
+        dense = self._swarms.get(n)
+        if dense is None:
+            dense = self._swarms[n] = _position(self.robots, np.arange(1, n + 1))
+        return dense
+
+    def verdicts(self, paired: np.ndarray, unpaired: np.ndarray, threshold: int) -> list[PairingVerdict]:
+        """The pairing verdict for each robot's paired and unpaired counts,
+        one shared object per distinct counts and threshold (verdicts are
+        frozen)."""
+        stride = len(self.claim_t) + 1  # above any count of claims naming one robot
+        keys = (paired * stride + unpaired).tolist()
+        shared = self._verdicts.setdefault(threshold, {})
+        for key in set(keys).difference(shared):
+            good, bad = divmod(key, stride)
+            if good == 0 and bad == 0:
+                shared[key] = PairingVerdict(status="indeterminate", paired=0, unpaired=0, threshold=0)
+            else:
+                status = "trusted" if bad == 0 or good >= threshold else "suspicious"
+                shared[key] = PairingVerdict(status=status, paired=good, unpaired=bad, threshold=threshold)
+        return list(map(shared.__getitem__, keys))
 
     @staticmethod
     def select(items: Iterable, mask: np.ndarray) -> Iterator:
         """The items whose place in ``mask`` is set, in order."""
         return compress(items, mask.tolist())
-
-    def per_robot(self, counts: np.ndarray) -> dict[int, int]:
-        """robot id -> count, for the robots whose count is nonzero."""
-        return {robot: count for robot, count in zip(self.robot_ids, counts.tolist()) if count}
 
 
 def _numbered(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -207,8 +289,18 @@ def _numbered(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return distinct, np.searchsorted(distinct, values)
 
 
+def _segments(ordered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each run of equal values in ``ordered`` starts, and its value."""
+    first = np.ones(len(ordered), bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    starts = np.flatnonzero(first)
+    return starts, ordered[starts]
+
+
 def _position(keys: np.ndarray, wanted: np.ndarray) -> np.ndarray:
     """Where each of ``wanted`` sits in the sorted ``keys``, -1 if absent."""
+    if not len(keys):
+        return np.full(len(wanted), -1, np.int64)
     at = np.searchsorted(keys, wanted).clip(max=len(keys) - 1)
     return np.where(keys[at] == wanted, at, -1)
 
@@ -239,26 +331,28 @@ def _closure_masks(refs: list[list[int]]) -> list[int]:
     return masks
 
 
-def _trace_index(trace: SimTrace) -> ClaimIndex:
-    """The index of ``trace``'s store, built on first use.
+def _claim_index(store: LinkStore, credentials: Mapping[int, Credential]) -> ClaimIndex:
+    """The claim index of ``store`` under ``credentials``, built on first use.
 
-    It is kept on the trace with the store and credential table it was
-    built from, so a copy of the trace given another store or table gets
+    It is kept on the store with the link table, its size and the
+    credential table it was built from, so a copy of the store given
+    another table, a store grown since, or another credential table gets
     its own.
     """
-    kept = trace.__dict__.get("_claim_index")
-    if kept is None or kept[0] is not trace.store or kept[1] is not trace.credentials:
-        index = ClaimIndex(trace.store, trace.credentials)
-        kept = trace.__dict__["_claim_index"] = (trace.store, trace.credentials, index)
-    return kept[2]
+    kept = store.__dict__.get("_claim_index")
+    table = store._links
+    if kept is None or kept[0] is not table or kept[1] != len(table) or kept[2] is not credentials:
+        kept = store.__dict__["_claim_index"] = (table, len(table), credentials, ClaimIndex(store, credentials))
+    return kept[3]
 
 
 class _PairingTally(NamedTuple):
-    """What the pairing detectors read of one view."""
+    """What the pairing detectors read of one view; the per-robot arrays
+    are over the index's dense robot numbers."""
 
-    paired: dict[int, int]  # robot -> paired claims naming it (a self-claim once)
-    unpaired: dict[int, int]  # robot -> decisively unpaired claims naming it
-    unpaired_claims: tuple[Claim, ...]  # sorted
+    paired: np.ndarray  # paired claims naming each robot (a self-claim once)
+    unpaired: np.ndarray  # decisively unpaired claims naming each robot
+    omitted: np.ndarray  # the decisively unpaired claims' numbers, ascending
     mutual: np.ndarray  # bool per index claim: in view, and so is its mirror
 
 
@@ -266,8 +360,9 @@ class _PairingTally(NamedTuple):
 class LocalView:
     """Chain content one observer can resolve, verified at ingestion.
 
-    A view is built from a trace only.  ``index`` is the trace's index
-    and ``mask`` selects the view's links among its links.
+    A view is built from a trace only.  ``index`` is the claim index of
+    the trace's store and ``mask`` selects the view's links among its
+    links.
     """
 
     observer: int | None
@@ -278,13 +373,13 @@ class LocalView:
 
     @classmethod
     def from_trace(cls, trace: SimTrace, observer: int) -> "LocalView":
-        index = _trace_index(trace)
+        index = _claim_index(trace.store, trace.credentials)
         return cls(observer, trace.config.intervals, trace.config, index, index.mask_of(trace.heads.get(observer)))
 
     @classmethod
     def central(cls, trace: SimTrace) -> "LocalView":
         """The post-task central perspective: union over all collected heads."""
-        index = _trace_index(trace)
+        index = _claim_index(trace.store, trace.credentials)
         mask = 0
         for head in trace.heads.values():
             mask |= index.mask_of(head)
@@ -301,20 +396,26 @@ class LocalView:
         """Bool arrays of the index's links and claims in view.  The claims
         array carries one more, always False, slot for the index's -1."""
         index = self.index
+        index.accepted(self.mask)
         links = index.bits(self.mask)
-        claims = np.zeros(len(index.claim_t) + 1, bool)
-        claims[index.entry_claim[index.accepted(self.mask) & links[index.entry_link]]] = True
-        return links, claims
+        return links, index.held(links)
+
+    @cached_property
+    def _latest(self) -> np.ndarray:
+        """The latest interval with verified evidence of each robot (0:
+        none), over the dense robot numbers and the absent robot's slot:
+        segment maxima over the links by owner and the claims by target."""
+        index, (links, claims) = self.index, self._selected
+        latest = np.zeros(len(index.robots) + 1, np.int64)
+        latest[index.owners] = np.maximum.reduceat(links[index.by_owner] * index.owner_t, index.owner_start)
+        named = np.maximum.reduceat(claims[index.by_target] * index.target_t, index.target_start)
+        latest[index.targets] = np.maximum(latest[index.targets], named)
+        return latest
 
     @cached_property
     def evidence(self) -> dict[int, int]:
         """robot id -> latest interval with verified evidence it was alive."""
-        index, (links, claims) = self.index, self._selected
-        held = claims[:-1]
-        latest = np.zeros(len(index.robots), np.int64)
-        np.maximum.at(latest, index.link_owner, np.where(links, index.link_t, 0))
-        np.maximum.at(latest, index.claim_target, np.where(held, index.claim_t, 0))
-        return index.per_robot(latest)
+        return {robot: t for robot, t in zip(self.index.robot_ids, self._latest.tolist()) if t}
 
     @cached_property
     def claims(self) -> frozenset[Claim]:
@@ -328,7 +429,7 @@ class LocalView:
         the trace's store, so whatever an entry of a link in view
         references and the store holds is in the closure too.
         """
-        return frozenset(self.index.select(self.index.claims, self._selected[1][:-1]))
+        return frozenset(self.index.claims_at(np.flatnonzero(self._selected[1][:-1])))
 
     @cached_property
     def _pairing(self) -> _PairingTally:
@@ -338,55 +439,65 @@ class LocalView:
         A claim is paired when its reverse is claimed too, and decisively
         unpaired when it is not although the counterpart's link for that
         interval is visible; either way it counts for both robots it
-        names, once for a self-claim.
+        names, once for a self-claim.  A claim's mirror is paired exactly
+        when it is, so a robot's paired count is twice the paired claims
+        it makes, less its paired self-claims: one segment sum over the
+        claims in claimer order.
         """
         index, (links, claims) = self.index, self._selected
         held = claims[:-1]
         mutual = held & claims[index.claim_mirror]
-        visible = np.bincount(index.link_slot, links, index.slot_count + 1) > 0  # the last slot stands for -1
-        omitted = held & ~mutual & visible[index.claim_slot]
-        robots = len(index.robots)
-        paired = np.bincount(index.claim_claimer[mutual], minlength=robots) + np.bincount(
-            index.claim_partner[mutual], minlength=robots + 1
-        )[:robots]
+        robots = len(index.robots) + 1
+        paired = np.zeros(robots, np.int64)
+        paired[index.claimers] = 2 * np.add.reduceat(mutual, index.claimer_start)
+        selfs = index.self_claims
+        if len(selfs):
+            np.subtract.at(paired, index.claim_claimer[selfs], mutual[selfs].astype(np.int64))
+        omitted = np.flatnonzero(held & ~mutual) if np.count_nonzero(held) > np.count_nonzero(mutual) else _NONE
+        if len(omitted):
+            visible = np.zeros(index.slot_count + 1, bool)  # the last slot stands for -1
+            visible[index.link_slot[links]] = True
+            omitted = omitted[visible[index.claim_slot[omitted]]]
         unpaired = np.bincount(index.claim_claimer[omitted], minlength=robots) + np.bincount(
             index.claim_target[omitted], minlength=robots
         )
-        return _PairingTally(
-            index.per_robot(paired),
-            index.per_robot(unpaired),
-            tuple(index.select(index.claims, omitted)) if omitted.any() else (),
-            mutual,
-        )
+        return _PairingTally(paired, unpaired, omitted, mutual)
 
     def unpaired_claims(self) -> tuple[Claim, ...]:
         """Claims with decisive omission evidence: the counterpart's link for
         that interval is visible and does not record the meeting.  Claims
         whose counterpart link is simply not visible yet prove nothing and
         are not listed."""
-        return self._pairing.unpaired_claims
+        omitted = self._pairing.omitted
+        return tuple(self.index.claims_at(omitted)) if len(omitted) else ()
 
     def paired_intervals(self) -> dict[tuple[int, int], set[int]]:
         """(a, b) with a < b -> intervals in which both sides recorded the meeting."""
         out: dict[tuple[int, int], set[int]] = {}
-        for a, b, t in self.index.select(self.index.claims, self._pairing.mutual & self.index.claim_forward):
+        index = self.index
+        for a, b, t in index.claims_at(np.flatnonzero(self._pairing.mutual & index.claim_forward)):
             out.setdefault((a, b), set()).add(t)
         return out
 
 
-def detect_disappeared(view: LocalView, delta: int) -> frozenset[int]:
-    """Robots with no verified evidence in the last ``delta`` intervals."""
+def _last_seen(view: LocalView, delta: int) -> tuple[list[int], list[int]]:
+    """The robots of 1..n but the observer without verified evidence in the
+    last ``delta`` intervals, and the latest interval with evidence of each."""
     if view.as_of < delta:
         raise InsufficientHistoryError(
             f"view spans {view.as_of} intervals, need at least delta={delta}"
         )
-    window_start = view.as_of - delta + 1
-    evidence = view.evidence
-    return frozenset(
-        r
-        for r in range(1, view.params.n + 1)
-        if r != view.observer and evidence.get(r, 0) < window_start
-    )
+    last = view._latest[view.index.swarm(view.params.n)]
+    gone = last < view.as_of - delta + 1
+    if view.observer is not None and 1 <= view.observer <= view.params.n:
+        gone[view.observer - 1] = False
+    rows = np.flatnonzero(gone)
+    return (rows + 1).tolist(), last[rows].tolist()
+
+
+def detect_disappeared(view: LocalView, delta: int) -> frozenset[int]:
+    """Robots with no verified evidence in the last ``delta`` intervals."""
+    return frozenset(_last_seen(view, delta)[0])
 
 
 def check_pairing(view: LocalView, subject: int, alpha: float, n: int, p: float) -> PairingVerdict:
@@ -403,16 +514,11 @@ def check_pairing(view: LocalView, subject: int, alpha: float, n: int, p: float)
     all is indeterminate, not suspicious: isolation may just be graph
     sparsity.
     """
-    return _pairing_verdict(view._pairing, subject, pairing_threshold(n, p, alpha))
-
-
-def _pairing_verdict(tally: _PairingTally, subject: int, threshold: int) -> PairingVerdict:
-    paired = tally.paired.get(subject, 0) // 2  # each paired encounter contributes both directions
-    unpaired = tally.unpaired.get(subject, 0)
-    if paired == 0 and unpaired == 0:
-        return PairingVerdict(status="indeterminate", paired=0, unpaired=0, threshold=0)
-    status = "trusted" if unpaired == 0 or paired >= threshold else "suspicious"
-    return PairingVerdict(status=status, paired=paired, unpaired=unpaired, threshold=threshold)
+    index, tally = view.index, view._pairing
+    robot = _position(index.robots, np.array([subject], np.int64))
+    # each paired encounter contributes both directions
+    (verdict,) = index.verdicts(tally.paired[robot] // 2, tally.unpaired[robot], pairing_threshold(n, p, alpha))
+    return verdict
 
 
 def detect_collusion(view: LocalView, delta: int, epsilon: float) -> frozenset[tuple[tuple[int, int], int]]:
@@ -420,24 +526,25 @@ def detect_collusion(view: LocalView, delta: int, epsilon: float) -> frozenset[t
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
     index = view.index
-    t = index.claim_t
-    window = (t >= max(1, view.as_of - delta + 1)) & (t <= view.as_of)
-    held = view._pairing.mutual & index.claim_forward & window
+    window = index.window(view.as_of, delta)
+    held = window[view._pairing.mutual[window]]
+    if not len(held):
+        return frozenset()
     # Claims are numbered in sorted order, so a pair's claims lie together
-    # by interval: a held claim starts a run unless the claim before it is
-    # held and is the same pair's claim for the interval before.
-    starts = held.copy()
-    starts[1:] &= ~(held[:-1] & index.claim_continues[1:])
-    first = np.flatnonzero(starts)
-    count = np.cumsum(held)
-    length = np.diff(np.append(count[first] - 1, count[-1:])).tolist()
+    # by interval: a run goes on from one held claim to the next unless the
+    # next is not the claim after it or not the same pair's next interval.
+    bounds = np.ones(len(held) + 1, bool)
+    np.logical_or(held[1:] != held[:-1] + 1, ~index.claim_continues[held[1:]], out=bounds[1:-1])
+    bounds = np.flatnonzero(bounds)
+    length = bounds[1:] - bounds[:-1]
     # p**k never grows with k, so a pair is suspect once its longest run reaches the shortest implausible one
-    shortest = next((k for k in range(1, max(length, default=0) + 1) if view.params.p**k < epsilon), None)
+    shortest = next((k for k in range(1, int(length.max()) + 1) if view.params.p**k < epsilon), None)
+    if shortest is None:
+        return frozenset()
+    suspect = length >= shortest
     longest: dict[tuple[int, int], int] = {}
-    for row, k in zip(first.tolist(), length) if shortest is not None else ():
-        if k >= shortest:
-            a, b, _ = index.claims[row]
-            longest[a, b] = max(longest.get((a, b), 0), k)
+    for (a, b, _), k in zip(index.claims_at(held[bounds[:-1][suspect]]), length[suspect].tolist()):
+        longest[a, b] = max(longest.get((a, b), 0), k)
     return frozenset(longest.items())
 
 
@@ -502,21 +609,21 @@ def compile_report(
     policy: RevocationPolicy | None = None,
 ) -> SuspicionReport:
     """Run every detector over one view and assemble the report."""
-    evidence = view.evidence
-    disappeared = frozenset(
-        (r, evidence.get(r, 0)) for r in detect_disappeared(view, delta)
+    n, index, tally = view.params.n, view.index, view._pairing
+    robots = index.swarm(n)
+    verdicts = index.verdicts(
+        tally.paired[robots] // 2, tally.unpaired[robots], pairing_threshold(n, view.params.p, alpha)
     )
-    tally, threshold = view._pairing, pairing_threshold(view.params.n, view.params.p, alpha)
-    pairing = tuple(
-        (r, _pairing_verdict(tally, r, threshold)) for r in range(1, view.params.n + 1) if r != view.observer
-    )
+    pairing = list(zip(range(1, n + 1), verdicts))
+    if view.observer is not None and 1 <= view.observer <= n:
+        del pairing[view.observer - 1]
     report = SuspicionReport(
         observer=view.observer,
         as_of=view.as_of,
-        disappeared=disappeared,
+        disappeared=frozenset(zip(*_last_seen(view, delta))),
         unpaired_claims=view.unpaired_claims(),
         collusion_suspects=detect_collusion(view, delta, epsilon),
-        pairing=pairing,
+        pairing=tuple(pairing),
     )
     report.revoked = update_revocation(report, policy)
     return report
@@ -604,36 +711,62 @@ def central_audit(
     cross-check, interval gaps and late starts are coverage gaps, every
     other finding is a verification failure.  A chain that stops short of
     the final interval is a coverage gap too, and missing heads are listed.
+
+    The audit is the second reader of the store's :class:`ClaimIndex`
+    (the one the trace's views read): the walk takes each checked link's
+    entry verdicts from it, so ``check_entry`` runs only on the entries
+    the index refused, for their reason.  Its claims are the index claims
+    of the accepted entries of the links the walks checked; a claim
+    without its mirror is unpaired, and a forward claim with it is an
+    encounter.  Every head is a link the store holds, and ``credentials``
+    maps each robot id to that robot's credential, as in every loaded
+    trace; otherwise the walk meets a link the index does not count and
+    the audit raises ``ValueError``.
     """
+    index = _claim_index(store, credentials)
+    mask = 0
+    for head in heads.values():
+        if head is not None:
+            mask |= index.mask_of(link_digest(head))
+    entry_ok = index.accepted(mask)
+    walked = np.zeros(len(index.links), bool)
+
+    def settled(link: HistoryLink) -> list[bool]:
+        d = link_digest(link)
+        i = index.position.get(d)
+        if i is None or not index.counted >> i & 1 or link_digest(index.links[i]) != d:
+            raise ValueError(f"link {d.hex()} is not a counted link of the store's claim index")
+        walked[i] = True
+        first = index.first_entry[i]
+        return entry_ok[first : first + len(link.events.entries)].tolist()
+
     failures: list[tuple[int, int, str]] = []
     gaps: list[tuple[int, int, int]] = []
     missing: list[int] = []
-    claims: set[tuple[int, int, int]] = set()
-
     for robot in sorted(heads):
         head = heads[robot]
         if head is None:
             missing.append(robot)
             continue
-        for first, last, reason, peer in walk_chain(head, credentials.get(robot), store, credentials, None):
+        for first, last, reason, _ in walk_chain(head, credentials.get(robot), store, credentials, None, settled=settled):
             if reason is None:
-                claims.add((robot, peer, first))
-            elif reason in ("interval-gap", "late-start"):
+                continue
+            if reason in ("interval-gap", "late-start"):
                 gaps.append((robot, first, last))
             else:
                 failures.append((robot, last, reason))
         if head.interval < total_intervals:
             gaps.append((robot, head.interval + 1, total_intervals))
 
-    unpaired = tuple(sorted((a, b, t) for (a, b, t) in claims if (b, a, t) not in claims))
-    encounters = frozenset((a, b, t) for (a, b, t) in claims if a < b and (b, a, t) in claims)
+    claims = index.held(walked)
+    held, mirrored = claims[:-1], claims[index.claim_mirror]
     return AuditReport(
         total_intervals=total_intervals,
         verification_failures=tuple(failures),
-        unpaired_claims=unpaired,
+        unpaired_claims=tuple(index.claims_at(np.flatnonzero(held & ~mirrored))),
         gaps=tuple(gaps),
         missing_heads=tuple(missing),
-        encounters=encounters,
+        encounters=frozenset(index.claims_at(np.flatnonzero(held & mirrored & index.claim_forward))),
     )
 
 

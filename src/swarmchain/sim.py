@@ -406,7 +406,7 @@ class SimTrace:
         store = LinkStore()
         for i, text in enumerate(_list_field(data, "links")):
             try:
-                store.insert(decode_link(bytes.fromhex(text)))
+                store.insert(decode_link(bytes.fromhex(text), credentials))
             except (TypeError, ValueError) as exc:  # EncodingError is a ValueError
                 raise TraceError(f"links[{i}]", f"bad link: {exc}") from exc
 
@@ -418,8 +418,10 @@ class SimTrace:
             where = f"heads.{key}"
             try:
                 robot = int(key)
-            except ValueError:
+            except (TypeError, ValueError):
                 raise TraceError(where, "robot id must be an integer") from None
+            if str(robot) != key:  # int() also reads "+3", " 7", "1_0", "0010" and other digit scripts
+                raise TraceError(where, f"robot id must be written as {str(robot)!r}")
             if not 1 <= robot <= config.n or robot in heads:
                 raise TraceError(where, f"robot id must be a distinct integer in 1..{config.n}")
             if value is None:
@@ -435,10 +437,7 @@ class SimTrace:
                 raise TraceError(where, "head digest does not resolve to a stored link")
             heads[robot] = d
 
-        exchanges = [
-            _exchange_from_dict(entry, config, f"exchanges[{i}]")
-            for i, entry in enumerate(_list_field(data, "exchanges"))
-        ]
+        exchanges = [_exchange_from_dict(entry, config, i) for i, entry in enumerate(_list_field(data, "exchanges"))]
 
         return cls(
             config=config,
@@ -483,33 +482,34 @@ def _graph_from_dict(data: Any, config: SimConfig, i: int) -> EncounterGraph:
 _EXCHANGE_FLAGS = ("a_gave", "b_gave", "a_recorded", "b_recorded", "fabricated")
 
 
-def _exchange_from_dict(data: Any, config: SimConfig, where: str) -> ExchangeRecord:
-    """An exchange record holding only what the simulator writes: an
-    interval of the run, robots 1 <= a < b <= n, boolean flags and a list
-    of note strings."""
+def _exchange_from_dict(data: Any, config: SimConfig, i: int) -> ExchangeRecord:
+    """The exchange record at ``exchanges[i]``, holding only what the
+    simulator writes: an interval of the run, robots 1 <= a < b <= n,
+    boolean flags and a list of note strings.  The location is formatted
+    only for a refused record."""
     if not isinstance(data, dict):  # JSON objects load as dicts
-        raise TraceError(where, "bad exchange record: must be an object")
+        raise TraceError(f"exchanges[{i}]", "bad exchange record: must be an object")
     try:
         interval, a, b = data["interval"], data["a"], data["b"]
         a_gave, b_gave = data["a_gave"], data["b_gave"]
         a_recorded, b_recorded = data["a_recorded"], data["b_recorded"]
     except KeyError as exc:
-        raise TraceError(where, f"bad exchange record: missing {exc}") from None
+        raise TraceError(f"exchanges[{i}]", f"bad exchange record: missing {exc}") from None
     fabricated = data.get("fabricated", False)
     notes = data.get("notes", [])
     if not _is_int(interval) or not 1 <= interval <= config.intervals:
         raise TraceError(
-            f"{where}.interval", f"must be an integer in 1..{config.intervals}, got {interval!r}"
+            f"exchanges[{i}].interval", f"must be an integer in 1..{config.intervals}, got {interval!r}"
         )
     if not (_is_int(a) and _is_int(b) and 1 <= a < b <= config.n):
         raise TraceError(
-            where, f"a and b must be integers with 1 <= a < b <= {config.n}, got {a!r} and {b!r}"
+            f"exchanges[{i}]", f"a and b must be integers with 1 <= a < b <= {config.n}, got {a!r} and {b!r}"
         )
     for key, value in zip(_EXCHANGE_FLAGS, (a_gave, b_gave, a_recorded, b_recorded, fabricated)):
         if not isinstance(value, bool):
-            raise TraceError(f"{where}.{key}", f"must be a boolean, got {value!r}")
+            raise TraceError(f"exchanges[{i}].{key}", f"must be a boolean, got {value!r}")
     if not isinstance(notes, list) or not all(isinstance(note, str) for note in notes):
-        raise TraceError(f"{where}.notes", f"must be a list of strings, got {notes!r}")
+        raise TraceError(f"exchanges[{i}].notes", f"must be a list of strings, got {notes!r}")
     return ExchangeRecord(interval, a, b, a_gave, b_gave, a_recorded, b_recorded, fabricated, tuple(notes))
 
 

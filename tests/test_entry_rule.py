@@ -323,6 +323,40 @@ def test_verify_chain_and_the_audit_read_the_same_walk(case):
     assert (audit.verification_failures, audit.gaps) == (failures, gaps)
 
 
+# -- the audit reads the claim index -------------------------------------------------
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_the_audit_matches_the_per_entry_audit_on_every_entry_row(case, reference_audit):
+    """The audit takes each counted link's entry verdicts from the claim
+    index; an audit that checks every entry itself agrees, on the owner's
+    chain and on its peers' heads."""
+    _, identities, store, links = _world()
+    entry = _entry_case(case, identities, store, links)
+    head = extend_history(identities[0], links["o2"], EventList(interval=T, entries=(entry,)), store)
+    issued = {i.robot_id: i.credential for i in identities}
+    # the digest-mismatch row rebinds the peer's head digest to another link
+    peer_head = None if case == "entry-digest-mismatch" else links["p2"]
+    heads = {OWNER: head, PEER: peer_head, OTHER: links["q1"]}
+    assert central_audit(heads, store, issued, T) == reference_audit(heads, store, issued, T)
+
+
+@pytest.mark.parametrize("case", WALK_CASES)
+def test_the_audit_matches_the_per_entry_audit_on_every_walk_row(case, reference_audit):
+    _, identities, store, links = _world()
+    head = _walk_case(case, identities, store, links)
+    issued = {i.robot_id: i.credential for i in identities}
+    audit = central_audit({OWNER: head}, store, issued, head.interval)
+    assert audit == reference_audit({OWNER: head}, store, issued, head.interval)
+
+
+def test_the_audit_refuses_a_head_the_store_does_not_hold():
+    _, identities, store, links = _world()
+    issued = {i.robot_id: i.credential for i in identities}
+    with pytest.raises(ValueError, match="not a counted link"):
+        central_audit({PEER: links["unstored"]}, store, issued, 2)
+
+
 def test_each_offer_is_checked_once_per_interval(monkeypatch):
     """On forge_n10 every giver's offer and every forger's forged offer is
     checked exactly once in each interval."""
@@ -380,3 +414,15 @@ def test_entries_under_uncertified_credentials_do_not_count():
     head = trace.head_link(PLANTER)
     verdict = verify_chain(head, trace.credentials[PLANTER], trace.store, cfg.delta, trace.credentials)
     assert (verdict.ok, verdict.reason) == (False, "uncertified-credential")
+
+
+def test_the_audit_matches_the_per_entry_audit_on_planted_entries(reference_audit):
+    cfg = SimConfig(
+        n=12, p=0.3, intervals=6, delta=3, alpha=0.1, seed=3,
+        adversaries=(AdversaryProfile("disappear", frozenset({DISAPPEARED}), from_t=3, to_t=6),),
+    )
+    trace = _PlantingSimulation(cfg).run()
+    for audited in (trace, SimTrace.from_json(trace.to_json())):
+        audit = audit_trace(audited)
+        assert any(reason == "uncertified-credential" for _, _, reason in audit.verification_failures)
+        assert audit == reference_audit(audited.head_links(), audited.store, audited.credentials, cfg.intervals)

@@ -79,14 +79,21 @@ def _reference_intervals(claims):
     return out
 
 
+def _tallied(view, subject):
+    """The pass's paired and unpaired counts for ``subject``: its slot in
+    the tally arrays over the index's dense robot numbers, or the last
+    slot, always 0, for a robot the index does not hold."""
+    robots = view.index.robot_ids
+    slot = robots.index(subject) if subject in robots else -1
+    tally = view._pairing
+    return int(tally.paired[slot]), int(tally.unpaired[slot])
+
+
 def _assert_pass_matches_reference(view, alpha):
     claims, owners_at = view.claims, _owners_at(view)
     n, p = view.params.n, view.params.p
-    tally = view._pairing
     for subject in range(1, n + 1):
-        assert (tally.paired.get(subject, 0), tally.unpaired.get(subject, 0)) == _reference_counts(
-            claims, owners_at, subject
-        ), subject
+        assert _tallied(view, subject) == _reference_counts(claims, owners_at, subject), subject
         assert check_pairing(view, subject, alpha, n, p) == _reference_verdict(
             claims, owners_at, subject, alpha, n, p
         ), subject
@@ -140,8 +147,8 @@ def test_self_claim_counts_once_toward_its_owner():
     view = LocalView.central(_trace(central, identities, store, {1: a2, 2: b2}, 2))
 
     assert view.claims == {(1, 1, 2), (1, 2, 2), (2, 1, 2)}
-    assert view._pairing.paired[1] == 3  # (1,1,2) once, (1,2,2) and (2,1,2) once each
-    assert view._pairing.paired[2] == 2
+    assert _tallied(view, 1) == (3, 0)  # (1,1,2) once, (1,2,2) and (2,1,2) once each
+    assert _tallied(view, 2) == (2, 0)
     assert check_pairing(view, 1, 0.0, 2, 0.5).paired == 1
     assert check_pairing(view, 2, 0.0, 2, 0.5).paired == 1
     assert view.unpaired_claims() == ()

@@ -1,10 +1,24 @@
 import json
 import struct
+from dataclasses import replace
 
 import pytest
 
-from swarmchain.chain import GENESIS, decode_link, encode_link, signed_digest, verify_chain
-from swarmchain.crypto import digest, verify
+from swarmchain.chain import (
+    GENESIS,
+    EventList,
+    HistoryOffer,
+    LinkStore,
+    build_event_list,
+    decode_link,
+    encode_link,
+    extend_history,
+    link_digest,
+    signed_digest,
+    verify_chain,
+)
+from swarmchain.crypto import digest, provision_swarm, sign, verify
+from swarmchain.detect import LocalView, audit_trace
 from swarmchain.sim import (
     AdversaryProfile,
     ConfigError,
@@ -493,6 +507,10 @@ def _set_head(doc, key, value):
     doc["heads"][key] = value
 
 
+def _rename_head(doc, key, renamed):
+    doc["heads"][renamed] = doc["heads"].pop(key)
+
+
 def _set_exchange(doc, key, value):
     doc["exchanges"][0][key] = value
 
@@ -517,6 +535,12 @@ _BAD_HEADS_AND_EXCHANGES = [
     ("head-robot-repeated", _set_head, ("01", None), "heads.01"),
     ("head-31-bytes", _set_head, ("1", "00" * 31), "heads.1"),
     ("head-33-bytes", _set_head, ("1", "00" * 33), "heads.1"),
+    # int() reads each of these keys as a robot id, but the simulator writes only str(robot)
+    ("head-key-underscore", _rename_head, ("10", "1_0"), "heads.1_0"),
+    ("head-key-space", _rename_head, ("7", " 7"), "heads. 7"),
+    ("head-key-zero-padded", _rename_head, ("10", "0010"), "heads.0010"),
+    ("head-key-plus", _rename_head, ("3", "+3"), "heads.+3"),
+    ("head-key-arabic-indic-digit", _rename_head, ("3", "\u0663"), "heads.\u0663"),
     ("exchange-interval-string", _set_exchange, ("interval", "1"), "exchanges[0].interval"),
     ("exchange-interval-bool", _set_exchange, ("interval", True), "exchanges[0].interval"),
     ("exchange-interval-negative", _set_exchange, ("interval", -5), "exchanges[0].interval"),
@@ -564,6 +588,44 @@ def test_trace_refuses_bad_heads_and_exchange_records(mutate, args, location, ho
     trace.write_text(json.dumps(doc))
     assert main(["analyze", "--trace", str(trace)]) == 2
     assert location in capsys.readouterr().err
+
+
+def test_loaded_entries_share_the_issued_credentials(honest_trace_25):
+    loaded = SimTrace.from_json(honest_trace_25.to_json())
+    entries = [entry for link in loaded.store.links() for entry in link.events.entries]
+    assert entries
+    for entry in entries:
+        assert entry.peer_credential is loaded.credentials[entry.peer_id]
+
+
+def test_a_credential_one_byte_off_loads_as_its_own_and_is_refused():
+    """Robot 1 records robot 2's genesis offer carrying robot 2's credential
+    with the certificate's last byte flipped."""
+    central, (one, two) = provision_swarm(2, seed=41)
+    issued = two.credential
+    off = replace(issued, cert=issued.cert[:-1] + bytes([issued.cert[-1] ^ 1]))
+    store = LinkStore()
+    o1 = extend_history(one, None, EventList.empty(1), store)
+    w1 = extend_history(two, None, EventList.empty(1), store)
+    forged_offer = HistoryOffer(credential=off, link=None, genesis_signature=sign(two, GENESIS))
+    o2 = extend_history(one, o1, build_event_list(2, [forged_offer]), store)
+    w2 = extend_history(two, w1, EventList.empty(2), store)
+    trace = SimTrace(
+        config=SimConfig(n=2, p=0.5, intervals=2, delta=2, seed=0),
+        central_verify_key=central,
+        credentials={1: one.credential, 2: issued},
+        graphs=(),
+        heads={1: link_digest(o2), 2: link_digest(w2)},
+        store=store,
+        exchanges=(),
+    )
+    loaded = SimTrace.from_json(trace.to_json())
+    (entry,) = loaded.head_link(1).events.entries
+    assert entry.peer_credential == off and entry.peer_credential is not loaded.credentials[2]
+    assert loaded.to_json() == trace.to_json()
+    assert LocalView.central(loaded).claims == frozenset()
+    assert LocalView.from_trace(loaded, 1).evidence == {1: 2}  # the entry does not vouch for robot 2
+    assert audit_trace(loaded).verification_failures == ((1, 2, "uncertified-credential"),)
 
 
 def test_loaded_exchange_records_round_trip(honest_trace_25):

@@ -9,16 +9,20 @@ Python sets.  Every observer's and the central report must agree with
 it, as dicts, on every shipped config and on hand-built traces that
 exercise duplicate claims, refused links inside a closure and dangling
 references.  The hostile-trace tests pin what the set code got wrong:
-an interval used as a bit position, and recursion once per link.
+an interval used as a bit position, and recursion once per link.  The
+audit, which reads the same index, must equal the audit that checks
+every entry itself (the ``reference_audit`` fixture), and over every
+report and the audit each entry is checked once.
 """
 import json
 import tracemalloc
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
 
 import pytest
 
+from swarmchain import chain, detect
 from swarmchain.chain import (
     GENESIS,
     EventList,
@@ -37,6 +41,7 @@ from swarmchain.detect import (
     LocalView,
     PairingVerdict,
     SuspicionReport,
+    audit_trace,
     compile_report,
     update_revocation,
 )
@@ -203,6 +208,64 @@ def test_reports_match_the_set_views_on_every_config(name):
     _assert_views_match(SimTrace.from_json(trace.to_json()), config.delta, config.alpha)
 
 
+@pytest.mark.parametrize("name", sorted(path.stem for path in CONFIGS.glob("*.json")))
+def test_the_audit_matches_the_per_entry_audit_on_every_config(name, reference_audit):
+    """Audited after every view (as ``analyze`` does) and on a fresh load,
+    before any view; the per-entry audit agrees with both."""
+    config = SimConfig.from_dict(json.loads((CONFIGS / f"{name}.json").read_text()))
+    trace = run_simulation(config)
+    text = trace.to_json()
+    _assert_views_match(trace, config.delta, config.alpha)
+    for audited in (trace, SimTrace.from_json(text)):
+        expected = reference_audit(audited.head_links(), audited.store, audited.credentials, config.intervals)
+        assert audit_trace(audited) == expected
+
+
+ENTRY_REASONS = {
+    "entry-credential-mismatch",
+    "uncertified-credential",
+    "bad-entry-signature",
+    "missing-entry-link",
+    "entry-digest-mismatch",
+    "entry-owner-mismatch",
+    "entry-interval-mismatch",
+}
+
+
+def _counted_entries(index):
+    return sum(len(link.events.entries) for link, bit in zip(index.links, index.bits(-1).tolist()) if bit)
+
+
+@pytest.mark.parametrize("name", ["collusion_n25", "forge_n10"])
+def test_each_entry_is_checked_once_across_every_report_and_the_audit(name, monkeypatch):
+    """Over every observer report, the central report and the audit of a
+    loaded trace, ``check_entry`` runs once per entry of a counted link and
+    once more per entry the audit refuses, for its reason."""
+    config = SimConfig.from_dict(json.loads((CONFIGS / f"{name}.json").read_text()))
+    trace = SimTrace.from_json(run_simulation(config).to_json())
+    calls = []
+
+    def counting_check_entry(entry, t, resolve, credentials):
+        calls.append(entry)
+        return check_entry(entry, t, resolve, credentials)
+
+    monkeypatch.setattr(detect, "check_entry", counting_check_entry)
+    monkeypatch.setattr(chain, "check_entry", counting_check_entry)
+    for robot in sorted(trace.heads):
+        if trace.heads[robot] is not None:
+            compile_report(LocalView.from_trace(trace, robot), *DELTA_ALPHA_EPSILON)
+    central = LocalView.central(trace)
+    compile_report(central, *DELTA_ALPHA_EPSILON)
+    audit = audit_trace(trace)
+
+    index = central.index
+    assert index.bits(central.mask).tolist() == index.bits(-1).tolist()  # every counted link is in view
+    refused = [reason for _, _, reason in audit.verification_failures if reason in ENTRY_REASONS]
+    assert len(calls) == _counted_entries(index) + len(refused)
+    assert len(calls) - len(set(map(id, calls))) == len(refused)
+    assert (len(refused) > 0) == (name == "forge_n10")
+
+
 # -- hand-built traces -----------------------------------------------------------------
 
 
@@ -218,7 +281,9 @@ def _trace(central, identities, store, heads, intervals):
     )
 
 
-def test_two_links_by_one_owner_for_one_interval_collapse_their_claims():
+def _fork():
+    """Robot 1 signs two links for interval 1 and shows one to robot 2 and
+    the other to robot 3; returns the trace and the two links."""
     central, identities = provision_swarm(3, seed=5)
     one, two, three = identities
     store = LinkStore()
@@ -230,8 +295,11 @@ def test_two_links_by_one_owner_for_one_interval_collapse_their_claims():
     t2 = extend_history(two, t1, build_event_list(2, [offer_history(one, first)]), store)
     h2 = extend_history(three, None, EventList.empty(1), store)
     h3 = extend_history(three, h2, build_event_list(2, [offer_history(one, second)]), store)
-    trace = _trace(central, identities, store, {1: first, 2: t2, 3: h3}, 2)
+    return _trace(central, identities, store, {1: first, 2: t2, 3: h3}, 2), first, second
 
+
+def test_two_links_by_one_owner_for_one_interval_collapse_their_claims():
+    trace, first, second = _fork()
     central_view = LocalView.central(trace)
     assert first in central_view.links.values() and second in central_view.links.values()
     assert len(central_view.index.entry_claim) > len(central_view.claims)  # (1, 2, 1) twice, one claim
@@ -240,8 +308,20 @@ def test_two_links_by_one_owner_for_one_interval_collapse_their_claims():
     alone = LinkStore()
     for link in central_view.links.values():
         alone.insert(link)
-    alone_view = LocalView.central(_trace(central, identities, alone, {1: first, 2: t2, 3: h3}, 2))
+    alone_view = LocalView.central(replace(trace, store=alone))
     assert alone_view.claims == central_view.claims
+
+
+def test_the_audit_matches_the_per_entry_audit_on_a_fork(reference_audit):
+    trace, _, _ = _fork()
+    for audit_first in (True, False):
+        loaded = SimTrace.from_json(trace.to_json())
+        if not audit_first:
+            compile_report(LocalView.central(loaded), 2, 0.2, 0.05)
+        audit = audit_trace(loaded)
+        assert audit == reference_audit(loaded.head_links(), loaded.store, loaded.credentials, 2)
+        # the audit walks only the branch robot 1 handed in; (1, 3, 1) is on the other one
+        assert audit.encounters == {(1, 2, 1)} and audit.unpaired_claims == ((2, 1, 2), (3, 1, 2))
 
 
 def test_a_refused_link_keeps_its_references_in_the_closure():
