@@ -71,11 +71,12 @@ the first failure names the reason:
 8. ``bad-entry-signature`` -- the entry's signature is not the referenced
    link's owner signature, verified under the embedded credential.
 
-A chain is walked by :func:`walk_chain`, from its head toward genesis:
-each link goes through :func:`check_link` (``wrong-owner`` ends the walk;
-a ``bad-signature`` link's entries are skipped), then each of its entries
-through :func:`check_entry`.  Between a link at t and its previous link
-the walk finds, in this order:
+A chain is walked by :func:`walk_chain`, from its head toward genesis,
+and the walk reports only what it refuses: each link goes through
+:func:`check_link` (``wrong-owner`` ends the walk; a ``bad-signature``
+link's entries are skipped), then each of its entries through
+:func:`check_entry`.  Between a link at t and its previous link the walk
+finds, in this order:
 
 1. ``missing-link`` -- the previous link does not resolve (at t - 1).
 2. ``digest-mismatch`` -- it resolves to a link of another digest (at t - 1).
@@ -99,10 +100,10 @@ audit (``detect``) decide what counts by these rules alone.
 
 Walk record rule: :func:`verify_chain` keeps, per store, a record of
 accepted walks, ``(link digest, owner credential) -> deepest accepted
-depth``.  A walk that ends with every finding an accepted entry or a
-``late-start`` records each link it walked at the depth it had left
-there; a refusal is never recorded, nor is a depth-1 accept that forgave
-a ``missing-entry-link`` (the link may be stored later).  A walk stops,
+depth``.  A walk that ends having found nothing but a ``late-start``
+records each link it walked at the depth it had left there; a refusal
+is never recorded, nor is a depth-1 accept that forgave a
+``missing-entry-link`` (the link may be stored later).  A walk stops,
 accepting the rest, at the first link (the head included) whose recorded
 depth covers the rest of its window.  Sound because a store only grows
 and is content-addressed: a stored link never changes, so the findings
@@ -111,15 +112,14 @@ store's link table and the credential table are never altered in place
 (only :meth:`LinkStore.insert` adds to the link table); it is tagged with
 both table objects, so a copy of the store given a new table, or another
 credential table, starts an empty record.  The audit passes no record and
-walks every chain in full; it passes the entry verdicts its claim index
-(``detect.ClaimIndex``) has settled, so the walk runs :func:`check_entry`
-only on refused entries, for their reason.
+walks every chain in full; it passes the entries its claim index
+(``detect.ClaimIndex``) has refused, so the walk runs :func:`check_entry`
+only on those, for their reason.
 """
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .crypto import (
@@ -531,18 +531,6 @@ def check_entry(
     return None
 
 
-@dataclass(frozen=True)
-class ChainVerdict:
-    """Outcome of :func:`verify_chain`: accept, or the first failure found."""
-
-    ok: bool
-    reason: str | None = None
-    interval: int | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
 WalkRecord = dict[tuple[Digest, Credential], int]
 
 
@@ -553,25 +541,23 @@ def walk_chain(
     credentials: Mapping[int, Credential],
     depth: int | None,
     record: WalkRecord | None = None,
-    settled: Callable[[HistoryLink], Iterable[bool]] | None = None,
-) -> Iterator[tuple[int, int, str | None, int | None]]:
-    """Every finding of the walk rule (see the module docstring) from
-    ``head`` toward genesis, in walk order, over at most ``depth`` links
-    (None: the whole chain).  A finding is ``(first, last, reason, peer)``:
-    the intervals it covers, its reason and an entry's peer; each entry of
-    a checked link yields one (reason None if accepted), a link one only
-    if refused.
+    refused: Callable[[HistoryLink], Iterable[EventEntry]] | None = None,
+) -> Iterator[tuple[int, int, str]]:
+    """Every refusal and linkage finding of the walk rule (see the module
+    docstring) from ``head`` toward genesis, in walk order, over at most
+    ``depth`` links (None: the whole chain).  A finding is ``(first, last,
+    reason)``, the intervals it covers and its reason; accepted entries
+    yield nothing.
 
-    ``settled`` gives, for a link that passes ``check_link``, whether
-    ``check_entry`` (through ``store`` under ``credentials``) accepts each
-    of its entries, as already decided elsewhere; the walk then runs
-    ``check_entry`` only on the entries it refuses, for their reason.
+    ``refused`` gives, for a link that passes ``check_link``, the entries
+    ``check_entry`` (through ``store`` under ``credentials``) refuses, as
+    already decided elsewhere; the walk then runs ``check_entry`` only on
+    them, for their reason.
 
     With a walk ``record`` (and a ``depth``), the walk follows the walk
     record rule of the module docstring: it stops at the first link whose
-    recorded depth covers the rest of the window, and a walk that ends
-    with every finding an accepted entry or a late start records each
-    link it walked.
+    recorded depth covers the rest of the window, and a walk that finds
+    nothing but a late start records each link it walked.
     """
     link, walked = head, 1
     strict, walked_digests = True, []
@@ -585,33 +571,32 @@ def walk_chain(
         reason = check_link(link, owner_credential)
         if reason is not None:
             strict = False
-            yield t, t, reason, None
+            yield t, t, reason
             if reason == "wrong-owner":
                 return
         else:
-            known = repeat(False) if settled is None else settled(link)
-            for entry, accepted in zip(link.events.entries, known):
-                reason = None if accepted else check_entry(entry, t, store.get, credentials)
+            for entry in link.events.entries if refused is None else refused(link):
+                reason = check_entry(entry, t, store.get, credentials)
                 if reason is not None:
                     strict = False
-                yield t, t, reason, entry.peer_id
+                    yield t, t, reason
         if link.prev_digest == GENESIS and t > 1:
-            yield 1, t - 1, "late-start", None
+            yield 1, t - 1, "late-start"
         if link.prev_digest == GENESIS or walked == depth:
             break
         prev = store.get(link.prev_digest)
         if prev is None:
-            yield t - 1, t - 1, "missing-link", None
+            yield t - 1, t - 1, "missing-link"
             return
         if link_digest(prev) != link.prev_digest:
-            yield t - 1, t - 1, "digest-mismatch", None
+            yield t - 1, t - 1, "digest-mismatch"
             return
         if prev.interval >= t:
-            yield prev.interval, prev.interval, "interval-order", None
+            yield prev.interval, prev.interval, "interval-order"
             return
         if prev.interval < t - 1:
             strict = False
-            yield prev.interval + 1, t - 1, "interval-gap", None
+            yield prev.interval + 1, t - 1, "interval-gap"
         link, walked = prev, walked + 1
     if strict and record is not None:
         for covered, d in enumerate(walked_digests):
@@ -621,10 +606,7 @@ def walk_chain(
 
 def _walk_record(store: LinkStore, credentials: Mapping[int, Credential]) -> WalkRecord:
     """The walk record of ``store`` under ``credentials``, started on first
-    use.  It is kept on the store with the link table and the credential
-    table it was filled under, so a copy of the store given another table,
-    or a walk under another credential table, starts an empty one.
-    """
+    use and kept on the store (see the walk record rule above)."""
     kept = store.__dict__.get("_walks")
     if kept is None or kept[0] is not store._links or kept[1] is not credentials:
         kept = store.__dict__["_walks"] = (store._links, credentials, {})
@@ -637,21 +619,22 @@ def verify_chain(
     store: LinkStore,
     depth: int,
     credentials: Mapping[int, Credential],
-) -> ChainVerdict:
-    """The first :func:`walk_chain` finding over the ``depth`` most recent
-    links, at its last interval, but a late start and, at ``depth`` 1, a
-    missing entry link (the head's signature covers entry digests as bytes).
-    The walk reads and fills the store's walk record (see the module
-    docstring), so each accepted link is walked once.
+) -> str | None:
+    """None if the ``depth`` most recent links of ``head``'s chain pass the
+    walk rule, else the reason of the first :func:`walk_chain` finding but
+    a late start and, at ``depth`` 1, a missing entry link (the head's
+    signature covers entry digests as bytes).  The walk reads and fills
+    the store's walk record (see the module docstring), so each accepted
+    link is walked once.
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    forgiven = (None, "late-start") if depth > 1 else (None, "late-start", "missing-entry-link")
+    forgiven = ("late-start",) if depth > 1 else ("late-start", "missing-entry-link")
     record = _walk_record(store, credentials)
-    for _, last, reason, _ in walk_chain(head, owner_credential, store, credentials, depth, record):
+    for _, _, reason in walk_chain(head, owner_credential, store, credentials, depth, record):
         if reason not in forgiven:
-            return ChainVerdict(ok=False, reason=reason, interval=last)
-    return ChainVerdict(ok=True)
+            return reason
+    return None
 
 
 def check_offer(
@@ -671,4 +654,4 @@ def check_offer(
     reason = check_entry(offer_entry(offer), t, lambda _: link, credentials)
     if reason is not None or link is None:
         return reason
-    return verify_chain(link, offer.credential, store, min(window, link.interval), credentials).reason
+    return verify_chain(link, offer.credential, store, min(window, link.interval), credentials)

@@ -51,12 +51,15 @@ def _load_config(path: str) -> SimConfig:
     return SimConfig.from_dict(data)
 
 
-def _resolve_seed(config: SimConfig, override: int | None, out) -> SimConfig:
-    if override is not None:
-        return replace(config, seed=override)
+def _resolve_seed(config: SimConfig, args, out) -> SimConfig:
+    """The config under ``--seed``, else a seedless config given an
+    entropy-derived seed.  The notice goes to ``out`` in human output and
+    to stderr in machine output, whose record carries the seed."""
+    if args.seed is not None:
+        return replace(config, seed=args.seed)
     if config.seed is None:
         seed = secrets.randbits(48)
-        print(f"no seed given; using entropy-derived seed {seed}", file=out)
+        print(f"no seed given; using entropy-derived seed {seed}", file=out if args.format == "human" else sys.stderr)
         return replace(config, seed=seed)
     return config
 
@@ -68,7 +71,7 @@ def _emit(doc: dict[str, Any], path: str | None) -> None:
 
 def cmd_simulate(args, out=None) -> int:
     out = out if out is not None else sys.stdout
-    config = _resolve_seed(_load_config(args.config), args.seed, out)
+    config = _resolve_seed(_load_config(args.config), args, out)
     manifest = run_manifest(config, config_path=args.config, output_path=args.output)
     trace = run_simulation(config)
     Path(args.output).write_text(trace.to_json(manifest=manifest))
@@ -243,7 +246,7 @@ def _mc_rows(config: SimConfig, trials: int, tolerance: float) -> tuple[dict[str
 
 def cmd_montecarlo(args, out=None) -> int:
     out = out if out is not None else sys.stdout
-    config = _resolve_seed(_load_config(args.config), args.seed, out)
+    config = _resolve_seed(_load_config(args.config), args, out)
     row, ok = _mc_rows(config, args.trials, args.tolerance)
 
     scenario_rows: list[dict[str, Any]] = []

@@ -11,8 +11,8 @@ top of that view sit four detectors:
 
 * ``detect_disappeared`` -- nobody has vouched for the robot within the
   last delta intervals.
-* ``check_pairing``      -- too few of the robot's encounters are recorded
-  by both sides.
+* ``compile_report``'s pairing verdicts -- too few of the robot's
+  encounters are recorded by both sides (``ClaimIndex.verdicts``).
 * ``detect_collusion``   -- a pair co-meets in k consecutive intervals
   although p**k is below the plausibility threshold.
 * ``update_revocation``  -- applies a pluggable policy to the evidence;
@@ -38,9 +38,9 @@ central view ORs every head's), and a report is a handful of numpy passes
 over the claims (gathers, segment sums with ``np.add.reduceat``, a run
 filter) plus Python work only for the n robots' rows and what the report
 lists; no interval is ever a bit position or an array size.  The audit
-walks each chain with ``walk_chain`` but takes the entry verdicts of
+walks each chain with ``walk_chain`` but takes the refused entries of
 every counted link from the index, so ``check_entry`` runs again only on
-refused entries, for their reason.  The index assumes that the store's
+those, for their reason.  The index assumes that the store's
 link table and the credential table are not altered in place; it is
 tagged with both table objects and the table's size, so a store given
 another table, grown by :meth:`LinkStore.insert`, or read under another
@@ -55,7 +55,7 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
-from .chain import HistoryLink, LinkStore, check_entry, check_link, link_digest, walk_chain
+from .chain import EventEntry, HistoryLink, LinkStore, check_entry, check_link, link_digest, walk_chain
 from .crypto import Credential, Digest
 from .prob import pairing_threshold
 from .sim import SimConfig, SimTrace
@@ -259,7 +259,15 @@ class ClaimIndex:
     def verdicts(self, paired: np.ndarray, unpaired: np.ndarray, threshold: int) -> list[PairingVerdict]:
         """The pairing verdict for each robot's paired and unpaired counts,
         one shared object per distinct counts and threshold (verdicts are
-        frozen)."""
+        frozen).
+
+        Only decidable evidence counts (see ``LocalView._pairing``).  A
+        robot with a decisive omission against it and fewer paired
+        encounters than ``threshold``, the single-interval expectation
+        ceil((1-alpha)*n*p), is suspicious.  No decidable encounters at all
+        is indeterminate, not suspicious: isolation may just be graph
+        sparsity.
+        """
         stride = len(self.claim_t) + 1  # above any count of claims naming one robot
         keys = (paired * stride + unpaired).tolist()
         shared = self._verdicts.setdefault(threshold, {})
@@ -332,13 +340,8 @@ def _closure_masks(refs: list[list[int]]) -> list[int]:
 
 
 def _claim_index(store: LinkStore, credentials: Mapping[int, Credential]) -> ClaimIndex:
-    """The claim index of ``store`` under ``credentials``, built on first use.
-
-    It is kept on the store with the link table, its size and the
-    credential table it was built from, so a copy of the store given
-    another table, a store grown since, or another credential table gets
-    its own.
-    """
+    """The claim index of ``store`` under ``credentials``, built on first
+    use and kept on the store (see "Cost." in the module docstring)."""
     kept = store.__dict__.get("_claim_index")
     table = store._links
     if kept is None or kept[0] is not table or kept[1] != len(table) or kept[2] is not credentials:
@@ -471,14 +474,6 @@ class LocalView:
         omitted = self._pairing.omitted
         return tuple(self.index.claims_at(omitted)) if len(omitted) else ()
 
-    def paired_intervals(self) -> dict[tuple[int, int], set[int]]:
-        """(a, b) with a < b -> intervals in which both sides recorded the meeting."""
-        out: dict[tuple[int, int], set[int]] = {}
-        index = self.index
-        for a, b, t in index.claims_at(np.flatnonzero(self._pairing.mutual & index.claim_forward)):
-            out.setdefault((a, b), set()).add(t)
-        return out
-
 
 def _last_seen(view: LocalView, delta: int) -> tuple[list[int], list[int]]:
     """The robots of 1..n but the observer without verified evidence in the
@@ -498,27 +493,6 @@ def _last_seen(view: LocalView, delta: int) -> tuple[list[int], list[int]]:
 def detect_disappeared(view: LocalView, delta: int) -> frozenset[int]:
     """Robots with no verified evidence in the last ``delta`` intervals."""
     return frozenset(_last_seen(view, delta)[0])
-
-
-def check_pairing(view: LocalView, subject: int, alpha: float, n: int, p: float) -> PairingVerdict:
-    """Trust verdict for ``subject`` from the paired share of its encounters.
-
-    Counts only decidable evidence: an encounter is paired when both
-    sides' records are visible, and decisively unpaired when the
-    counterpart's link for that interval is visible but omits the
-    meeting.  Records whose counterpart is simply not visible yet prove
-    nothing either way.  Paired records aggregated across the window are
-    compared against the single-interval expectation ceil((1-alpha)*n*p);
-    a subject with any decisive omission against it and too few paired
-    records to clear that bar is suspicious.  No decidable encounters at
-    all is indeterminate, not suspicious: isolation may just be graph
-    sparsity.
-    """
-    index, tally = view.index, view._pairing
-    robot = _position(index.robots, np.array([subject], np.int64))
-    # each paired encounter contributes both directions
-    (verdict,) = index.verdicts(tally.paired[robot] // 2, tally.unpaired[robot], pairing_threshold(n, p, alpha))
-    return verdict
 
 
 def detect_collusion(view: LocalView, delta: int, epsilon: float) -> frozenset[tuple[tuple[int, int], int]]:
@@ -707,18 +681,17 @@ def central_audit(
     """Verify every collected chain in full and cross-check pairing.
 
     Sorts each chain's ``walk_chain`` findings (the walk rule of
-    :mod:`swarmchain.chain`): accepted entries are claims for the pairing
-    cross-check, interval gaps and late starts are coverage gaps, every
-    other finding is a verification failure.  A chain that stops short of
-    the final interval is a coverage gap too, and missing heads are listed.
+    :mod:`swarmchain.chain`): interval gaps and late starts are coverage
+    gaps, every other finding is a verification failure.  A chain that
+    stops short of the final interval is a coverage gap too, and missing
+    heads are listed.
 
     The audit is the second reader of the store's :class:`ClaimIndex`
     (the one the trace's views read): the walk takes each checked link's
-    entry verdicts from it, so ``check_entry`` runs only on the entries
-    the index refused, for their reason.  Its claims are the index claims
-    of the accepted entries of the links the walks checked; a claim
-    without its mirror is unpaired, and a forward claim with it is an
-    encounter.  Every head is a link the store holds, and ``credentials``
+    refused entries from it, so ``check_entry`` runs only on those, for
+    their reason.  Its claims are the index claims of the accepted
+    entries of the links the walks checked; a claim without its mirror is
+    unpaired, and a forward claim with it is an encounter.  Every head is a link the store holds, and ``credentials``
     maps each robot id to that robot's credential, as in every loaded
     trace; otherwise the walk meets a link the index does not count and
     the audit raises ``ValueError``.
@@ -731,14 +704,14 @@ def central_audit(
     entry_ok = index.accepted(mask)
     walked = np.zeros(len(index.links), bool)
 
-    def settled(link: HistoryLink) -> list[bool]:
+    def refused(link: HistoryLink) -> Iterable[EventEntry]:
         d = link_digest(link)
         i = index.position.get(d)
         if i is None or not index.counted >> i & 1 or link_digest(index.links[i]) != d:
             raise ValueError(f"link {d.hex()} is not a counted link of the store's claim index")
         walked[i] = True
-        first = index.first_entry[i]
-        return entry_ok[first : first + len(link.events.entries)].tolist()
+        entries, first = link.events.entries, index.first_entry[i]
+        return index.select(entries, ~entry_ok[first : first + len(entries)])
 
     failures: list[tuple[int, int, str]] = []
     gaps: list[tuple[int, int, int]] = []
@@ -748,9 +721,7 @@ def central_audit(
         if head is None:
             missing.append(robot)
             continue
-        for first, last, reason, _ in walk_chain(head, credentials.get(robot), store, credentials, None, settled=settled):
-            if reason is None:
-                continue
+        for first, last, reason in walk_chain(head, credentials.get(robot), store, credentials, None, refused=refused):
             if reason in ("interval-gap", "late-start"):
                 gaps.append((robot, first, last))
             else:

@@ -43,6 +43,15 @@ def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _check_p_delta(p: object, delta: object) -> None:
+    """Refuse an edge probability ``p`` or a window ``delta`` that a
+    :class:`ProbQuery` would refuse, naming the field."""
+    if isinstance(p, bool) or not isinstance(p, Real) or not 0.0 <= p <= 1.0:
+        raise ValueError(f"p: edge probability must be a real in [0, 1], got {p!r}")
+    if not _is_int(delta) or delta < 1:
+        raise ValueError(f"delta: window must be an integer >= 1 intervals, got {delta!r}")
+
+
 class InfeasibleError(ValueError):
     """Raised when an instance is too large to enumerate exhaustively."""
 
@@ -58,10 +67,7 @@ class ProbQuery:
     def __post_init__(self) -> None:
         if not _is_int(self.n) or self.n < 2:
             raise ValueError(f"n: need an integer of at least 2 robots, got {self.n!r}")
-        if isinstance(self.p, bool) or not isinstance(self.p, Real) or not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"p: edge probability must be a real in [0, 1], got {self.p!r}")
-        if not _is_int(self.delta) or self.delta < 1:
-            raise ValueError(f"delta: window must be an integer >= 1 intervals, got {self.delta!r}")
+        _check_p_delta(self.p, self.delta)
 
 
 @dataclass(frozen=True)
@@ -115,10 +121,7 @@ def prob_report_within_exact(q: ProbQuery) -> float:
 
 def prob_pair_meets_all(p: float, delta: int) -> float:
     """Probability that a fixed pair meets in every one of delta intervals: p**delta."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"edge probability must be in [0, 1], got {p}")
-    if delta < 1:
-        raise ValueError(f"window must be >= 1 intervals, got {delta}")
+    _check_p_delta(p, delta)
     return p**delta
 
 

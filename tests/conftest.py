@@ -37,9 +37,12 @@ def colluder_trace_25():
 
 def _audit_checking_every_entry(heads, store, credentials, total_intervals):
     """``central_audit`` as it was before it read the claim index: every
-    entry of every chain goes through ``walk_chain`` and ``check_entry``,
-    and the pairing cross-check runs over Python sets of claims."""
-    from swarmchain.chain import walk_chain
+    entry of every chain goes through ``check_entry``, and the pairing
+    cross-check runs over Python sets of claims.  The findings are the
+    walk's (``walk_chain`` runs ``check_entry`` on each entry it meets);
+    the claims come from a walk of its own over the same links: each link
+    that passes ``check_link``, back to where ``walk_chain`` stops."""
+    from swarmchain.chain import GENESIS, check_entry, check_link, link_digest, walk_chain
     from swarmchain.detect import AuditReport
 
     failures, gaps, missing, claims = [], [], [], set()
@@ -48,15 +51,26 @@ def _audit_checking_every_entry(heads, store, credentials, total_intervals):
         if head is None:
             missing.append(robot)
             continue
-        for first, last, reason, peer in walk_chain(head, credentials.get(robot), store, credentials, None):
-            if reason is None:
-                claims.add((robot, peer, first))
-            elif reason in ("interval-gap", "late-start"):
+        credential = credentials.get(robot)
+        for first, last, reason in walk_chain(head, credential, store, credentials, None):
+            if reason in ("interval-gap", "late-start"):
                 gaps.append((robot, first, last))
             else:
                 failures.append((robot, last, reason))
         if head.interval < total_intervals:
             gaps.append((robot, head.interval + 1, total_intervals))
+        link = head
+        while link is not None:
+            t, verdict = link.interval, check_link(link, credential)
+            if verdict == "wrong-owner":
+                break
+            if verdict is None:
+                for entry in link.events.entries:
+                    if check_entry(entry, t, store.get, credentials) is None:
+                        claims.add((robot, entry.peer_id, t))
+            prev = None if link.prev_digest == GENESIS else store.get(link.prev_digest)
+            linked = prev is not None and link_digest(prev) == link.prev_digest and prev.interval < t
+            link = prev if linked else None
     return AuditReport(
         total_intervals=total_intervals,
         verification_failures=tuple(failures),
@@ -72,3 +86,44 @@ def reference_audit():
     """The audit that checks every entry again, for differential tests of
     ``central_audit``, which takes the entry verdicts of the claim index."""
     return _audit_checking_every_entry
+
+
+def _refusal(head, credential, store, depth, credentials):
+    """``verify_chain``'s answer with the interval it names: None, or the
+    first ``walk_chain`` finding but the forgiven ones, as (reason, last
+    interval), checked to be the reason ``verify_chain`` gave."""
+    from swarmchain.chain import verify_chain, walk_chain
+
+    reason = verify_chain(head, credential, store, depth, credentials)
+    if reason is None:
+        return None
+    forgiven = ("late-start",) if depth > 1 else ("late-start", "missing-entry-link")
+    walk = walk_chain(head, credential, store, credentials, depth)
+    found = next(((r, last) for _, last, r in walk if r not in forgiven), None)
+    assert found is not None and found[0] == reason, (found, reason)
+    return found
+
+
+@pytest.fixture(scope="session")
+def refusal():
+    """``verify_chain`` with the interval of its refusal, for tests that
+    pin where a chain is refused."""
+    return _refusal
+
+
+def _paired_intervals(view):
+    """(a, b) with a < b -> the intervals in which both sides recorded the
+    meeting, read from the view's pairing tally."""
+    import numpy as np
+
+    out = {}
+    index = view.index
+    for a, b, t in index.claims_at(np.flatnonzero(view._pairing.mutual & index.claim_forward)):
+        out.setdefault((a, b), set()).add(t)
+    return out
+
+
+@pytest.fixture(scope="session")
+def paired_intervals():
+    """The paired encounters of a view, by pair."""
+    return _paired_intervals

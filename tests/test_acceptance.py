@@ -167,7 +167,7 @@ def test_criterion_6_tamper_evidence_fuzz():
         chain, scope = _chain_and_scope(trace, owner)
         depth = len(chain)
         credential = trace.credentials[owner]
-        if verify_chain(trace.head_link(owner), credential, trace.store, depth, trace.credentials):
+        if verify_chain(trace.head_link(owner), credential, trace.store, depth, trace.credentials) is None:
             accepted_clean += 1
         for _ in range(400):
             target = rng.choice(scope)
@@ -183,7 +183,7 @@ def test_criterion_6_tamper_evidence_fuzz():
             store._links = dict(trace.store._links)
             store._links[link_digest(target)] = mutated
             head = mutated if target is chain[0] else trace.head_link(owner)
-            if not verify_chain(head, credential, store, depth, trace.credentials):
+            if verify_chain(head, credential, store, depth, trace.credentials) is not None:
                 rejected += 1
     ok = cases >= 10_000 and rejected == cases and accepted_clean == len(traces)
     _report(

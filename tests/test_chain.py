@@ -284,7 +284,7 @@ def test_genesis_extension_verifies(swarm5):
     store = LinkStore()
     link = extend_history(identities[0], None, EventList.empty(1), store)
     assert link.prev_digest == GENESIS
-    assert verify_chain(link, identities[0].credential, store, depth=1, credentials=_issued(identities))
+    assert verify_chain(link, identities[0].credential, store, depth=1, credentials=_issued(identities)) is None
 
 
 def test_three_link_chain_replays(swarm5):
@@ -292,10 +292,10 @@ def test_three_link_chain_replays(swarm5):
     store = LinkStore()
     heads = _grow_pairwise(identities, store, 3)
     for identity in identities:
-        verdict = verify_chain(
+        reason = verify_chain(
             heads[identity.robot_id], identity.credential, store, depth=3, credentials=_issued(identities)
         )
-        assert verdict, verdict
+        assert reason is None, reason
 
 
 def test_extension_interval_mismatch_raises(swarm5):
@@ -316,7 +316,7 @@ def test_extension_rejects_self_entry(swarm5):
         extend_history(identities[0], None, events, store)
 
 
-def test_tampered_middle_interval_rejected_at_that_interval(swarm5):
+def test_tampered_middle_interval_rejected_at_that_interval(swarm5, refusal):
     _, identities = swarm5
     store = LinkStore()
     heads = _grow_pairwise(identities, store, 5)
@@ -329,11 +329,9 @@ def test_tampered_middle_interval_rejected_at_that_interval(swarm5):
     blob[10] ^= 0x01  # inside the canonical payload
     mutated = decode_link(bytes(blob))
     store._links[link_digest(link)] = mutated
-    verdict = verify_chain(
-        heads[owner.robot_id], owner.credential, store, depth=5, credentials=_issued(identities)
-    )
-    assert not verdict
-    assert verdict.interval == 3
+    found = refusal(heads[owner.robot_id], owner.credential, store, 5, _issued(identities))
+    assert found is not None
+    assert found[1] == 3
 
 
 def test_depth_one_accepts_regardless_of_ancestry(swarm5):
@@ -341,8 +339,8 @@ def test_depth_one_accepts_regardless_of_ancestry(swarm5):
     store = LinkStore()
     heads = _grow_pairwise(identities, store, 3)
     empty = LinkStore()
-    verdict = verify_chain(heads[1], identities[0].credential, empty, depth=1, credentials=_issued(identities))
-    assert verdict, verdict
+    reason = verify_chain(heads[1], identities[0].credential, empty, depth=1, credentials=_issued(identities))
+    assert reason is None, reason
 
 
 def test_missing_predecessor_rejected(swarm5):
@@ -354,18 +352,16 @@ def test_missing_predecessor_rejected(swarm5):
         link = store.get(d)
         if link.owner_id != 1 or link.interval != 2:
             pruned._links[d] = link
-    verdict = verify_chain(heads[1], identities[0].credential, pruned, depth=3, credentials=_issued(identities))
-    assert not verdict
-    assert verdict.reason in ("missing-link", "missing-entry-link")
+    reason = verify_chain(heads[1], identities[0].credential, pruned, depth=3, credentials=_issued(identities))
+    assert reason in ("missing-link", "missing-entry-link")
 
 
 def test_wrong_owner_rejected(swarm5):
     _, identities = swarm5
     store = LinkStore()
     heads = _grow_pairwise(identities, store, 2)
-    verdict = verify_chain(heads[1], identities[1].credential, store, depth=2, credentials=_issued(identities))
-    assert not verdict
-    assert verdict.reason == "wrong-owner"
+    reason = verify_chain(heads[1], identities[1].credential, store, depth=2, credentials=_issued(identities))
+    assert reason == "wrong-owner"
 
 
 def test_depth_must_be_positive(swarm5):
@@ -379,7 +375,7 @@ def test_depth_must_be_positive(swarm5):
 # -- the walk record ------------------------------------------------------------
 
 
-def test_walk_record_keeps_no_refusal(swarm5):
+def test_walk_record_keeps_no_refusal(swarm5, refusal):
     """A refused chain is refused again, and accepted once its missing
     previous link is stored."""
     _, identities = swarm5
@@ -393,13 +389,12 @@ def test_walk_record_keeps_no_refusal(swarm5):
             store.insert(link)
     issued = _issued(identities)
     for _ in range(2):
-        verdict = verify_chain(head, owner.credential, store, 3, issued)
-        assert (verdict.ok, verdict.reason, verdict.interval) == (False, "missing-link", 2)
+        assert refusal(head, owner.credential, store, 3, issued) == ("missing-link", 2)
     store.insert(middle)
-    assert verify_chain(head, owner.credential, store, 3, issued)
+    assert verify_chain(head, owner.credential, store, 3, issued) is None
 
 
-def test_walk_record_keeps_no_forgiven_accept(swarm5):
+def test_walk_record_keeps_no_forgiven_accept(swarm5, refusal):
     """A depth-1 accept that forgave a missing entry link is not kept: once
     that link is stored, at the wrong interval, the chain is refused."""
     _, identities = swarm5
@@ -413,13 +408,12 @@ def test_walk_record_keeps_no_forgiven_accept(swarm5):
     issued = _issued(identities)
     (entry,) = head.events.entries
     assert check_entry(entry, 3, store.get, issued) == "missing-entry-link"
-    assert verify_chain(head, owner.credential, store, 1, issued)
+    assert verify_chain(head, owner.credential, store, 1, issued) is None
     store.insert(p1)
-    verdict = verify_chain(head, owner.credential, store, 1, issued)
-    assert (verdict.ok, verdict.reason, verdict.interval) == (False, "entry-interval-mismatch", 3)
+    assert refusal(head, owner.credential, store, 1, issued) == ("entry-interval-mismatch", 3)
 
 
-def test_walk_record_is_tied_to_its_tables(swarm5):
+def test_walk_record_is_tied_to_its_tables(swarm5, refusal):
     """After a clean walk, a copy of the store with a tampered link table,
     and the same store under another credential table, each refuse."""
     _, identities = swarm5
@@ -427,7 +421,7 @@ def test_walk_record_is_tied_to_its_tables(swarm5):
     heads = _grow_pairwise(identities, store, 3)
     owner, head = identities[0], heads[1]
     issued = _issued(identities)
-    assert verify_chain(head, owner.credential, store, 3, issued)
+    assert verify_chain(head, owner.credential, store, 3, issued) is None
 
     middle = store.get(head.prev_digest)
     blob = bytearray(encode_link(middle))
@@ -435,18 +429,16 @@ def test_walk_record_is_tied_to_its_tables(swarm5):
     tampered = copy.copy(store)
     tampered._links = dict(store._links)
     tampered._links[link_digest(middle)] = decode_link(bytes(blob))
-    verdict = verify_chain(head, owner.credential, tampered, 3, issued)
-    assert (verdict.ok, verdict.reason, verdict.interval) == (False, "digest-mismatch", 2)
+    assert refusal(head, owner.credential, tampered, 3, issued) == ("digest-mismatch", 2)
 
     _, strangers = provision_swarm(5, seed=100)
     reissued = dict(issued)
     reissued[2] = strangers[1].credential
-    verdict = verify_chain(head, owner.credential, store, 3, reissued)
-    assert (verdict.ok, verdict.reason, verdict.interval) == (False, "uncertified-credential", 3)
-    assert verify_chain(head, owner.credential, store, 3, issued)
+    assert refusal(head, owner.credential, store, 3, reissued) == ("uncertified-credential", 3)
+    assert verify_chain(head, owner.credential, store, 3, issued) is None
 
 
-def test_walk_record_covers_only_the_depth_it_walked(swarm5):
+def test_walk_record_covers_only_the_depth_it_walked(swarm5, refusal):
     """An accept at depth 2 does not answer for depth 3: the walk goes on
     to the missing link below."""
     _, identities = swarm5
@@ -458,30 +450,34 @@ def test_walk_record_covers_only_the_depth_it_walked(swarm5):
         if (link.owner_id, link.interval) != (1, 1):
             store.insert(link)
     issued = _issued(identities)
-    assert verify_chain(head, owner.credential, store, 2, issued)
-    verdict = verify_chain(head, owner.credential, store, 3, issued)
-    assert (verdict.ok, verdict.reason, verdict.interval) == (False, "missing-link", 1)
+    assert verify_chain(head, owner.credential, store, 2, issued) is None
+    assert refusal(head, owner.credential, store, 3, issued) == ("missing-link", 1)
 
 
 @pytest.mark.parametrize("name", ["framing_n25", "forge_n10"])
 def test_verify_chain_walks_each_stored_entry_once_per_run(name, monkeypatch):
-    """Every entry finding of every ``verify_chain`` walk in one run, by
-    (owner, interval, peer): each stored link's entries are checked once."""
-    walked = Counter()
+    """Every entry that any ``verify_chain`` walk of one run checks, by
+    (link digest, peer): each stored link's entries are checked once.
+
+    The walk checks the entries its ``refused`` hook hands it; the hook
+    here hands over every entry and counts it."""
+    checked = Counter()
     walk = chain.walk_chain
 
-    def counting_walk(head, *rest):
-        for finding in walk(head, *rest):
-            first, _, _, peer = finding
-            if peer is not None:
-                walked[head.owner_id, first, peer] += 1
-            yield finding
+    def every_entry(link):
+        for entry in link.events.entries:
+            checked[link_digest(link), entry.peer_id] += 1
+        return link.events.entries
+
+    def counting_walk(head, owner_credential, store, credentials, depth, record=None, refused=None):
+        assert refused is None
+        return walk(head, owner_credential, store, credentials, depth, record, every_entry)
 
     monkeypatch.setattr(chain, "walk_chain", counting_walk)
     trace = run_simulation(SimConfig.from_dict(json.loads((CONFIGS / f"{name}.json").read_text())))
     stored = sum(len(link.events.entries) for link in trace.store.links())
-    assert 0 < len(walked) <= stored
-    assert set(walked.values()) == {1}
+    assert 0 < len(checked) <= stored
+    assert set(checked.values()) == {1}
 
 
 # -- encounter pairing ---------------------------------------------------------
@@ -518,41 +514,41 @@ def _two_robot_links(identities, record=(True, True)):
     return links[a.robot_id], links[b.robot_id]
 
 
-def test_mutual_records_accepted(swarm5):
+def test_mutual_records_accepted(swarm5, paired_intervals):
     _, identities = swarm5
     view = _view(identities, _two_robot_links(identities, record=(True, True)))
-    assert view.paired_intervals() == {(1, 2): {1}}
+    assert paired_intervals(view) == {(1, 2): {1}}
     assert view.unpaired_claims() == ()
 
 
-def test_one_sided_record_unpaired(swarm5):
+def test_one_sided_record_unpaired(swarm5, paired_intervals):
     """Omitting a met robot leaves the victim's claim unpaired."""
     _, identities = swarm5
     view = _view(identities, _two_robot_links(identities, record=(True, False)))
-    assert view.paired_intervals() == {}
+    assert paired_intervals(view) == {}
     assert view.unpaired_claims() == ((1, 2, 1),)
 
 
-def test_no_records_unpaired(swarm5):
+def test_no_records_unpaired(swarm5, paired_intervals):
     _, identities = swarm5
     view = _view(identities, _two_robot_links(identities, record=(False, False)))
-    assert view.paired_intervals() == {}
+    assert paired_intervals(view) == {}
     assert view.unpaired_claims() == ()
 
 
 @settings(max_examples=20)
 @given(record=st.tuples(st.booleans(), st.booleans()))
-def test_accept_encounter_is_symmetric(record):
+def test_accept_encounter_is_symmetric(paired_intervals, record):
     """Swapping who records whom keeps the paired encounters and mirrors the
     unpaired claims."""
     _, identities = provision_swarm(2, seed=31)
     view = _view(identities, _two_robot_links(identities, record=record))
     mirror = _view(identities, _two_robot_links(identities, record=record[::-1]))
-    assert view.paired_intervals() == mirror.paired_intervals()
+    assert paired_intervals(view) == paired_intervals(mirror)
     assert sorted((b, a, t) for a, b, t in view.unpaired_claims()) == list(mirror.unpaired_claims())
 
 
-def test_claims_of_different_intervals_do_not_pair(swarm5):
+def test_claims_of_different_intervals_do_not_pair(swarm5, paired_intervals):
     _, identities = swarm5
     a, b = identities[0], identities[1]
     store = LinkStore()
@@ -562,7 +558,7 @@ def test_claims_of_different_intervals_do_not_pair(swarm5):
     b2 = extend_history(b, b1, build_event_list(2, [offer_history(a, a1)]), store)
     view = _view(identities, [a1, b1, a2, b2])
     assert view.claims == {(1, 2, 1), (2, 1, 2)}
-    assert view.paired_intervals() == {}
+    assert paired_intervals(view) == {}
     assert view.unpaired_claims() == ((1, 2, 1), (2, 1, 2))
 
 
@@ -627,10 +623,10 @@ def test_any_honest_construction_round_trips(meetings):
             for r in by_id
         }
     for r, identity in by_id.items():
-        verdict = verify_chain(
+        reason = verify_chain(
             heads[r], identity.credential, store, depth=len(meetings), credentials=_issued(identities)
         )
-        assert verdict, (r, verdict)
+        assert reason is None, (r, reason)
 
 
 def test_small_tamper_corpus(swarm5):
@@ -657,4 +653,4 @@ def test_small_tamper_corpus(swarm5):
         copy._links = dict(store._links)
         copy._links[link_digest(target)] = mutated
         head = mutated if target is chain[0] else heads[owner.robot_id]
-        assert not verify_chain(head, owner.credential, copy, depth=4, credentials=_issued(identities))
+        assert verify_chain(head, owner.credential, copy, depth=4, credentials=_issued(identities)) is not None

@@ -63,6 +63,25 @@ def test_simulate_derives_seed_when_missing(tmp_path, capsys):
     assert "entropy-derived seed" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["simulate", "--output", "trace.json"], ["montecarlo", "--trials", "200", "--tolerance", "1"]],
+    ids=["simulate", "montecarlo"],
+)
+def test_machine_output_of_a_seedless_config_is_json_lines(command, tmp_path, capsys):
+    """The derived-seed notice goes to stderr; the record carries the seed."""
+    config = _write_config(tmp_path, seed=None)
+    argv = [command[0], "--config", str(config), "--format", "machine"] + [
+        str(tmp_path / arg) if arg.endswith(".json") else arg for arg in command[1:]
+    ]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    records = [json.loads(line) for line in captured.out.splitlines()]
+    (notice,) = captured.err.splitlines()
+    assert notice.startswith("no seed given; using entropy-derived seed ")
+    assert records and records[0]["seed"] == int(notice.rsplit(" ", 1)[1])
+
+
 def test_analyze_clean_run_reports_zero_findings(tmp_path, capsys):
     config = _write_config(tmp_path)
     trace = tmp_path / "trace.json"

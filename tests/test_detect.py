@@ -7,7 +7,6 @@ from swarmchain.detect import (
     SuspicionReport,
     audit_trace,
     central_audit,
-    check_pairing,
     collective_disappeared,
     compile_report,
     default_revocation_policy,
@@ -117,24 +116,29 @@ def test_honest_single_observer_miss_rate_is_tiny():
 # -- pairing ------------------------------------------------------------------------
 
 
+def _pairing(view, alpha):
+    """robot -> the pairing verdict of ``compile_report`` over ``view``."""
+    return dict(compile_report(view, view.params.delta, alpha, 0.05).pairing)
+
+
 def test_all_honest_central_view_trusts_everyone(honest_trace_25):
     view = LocalView.central(honest_trace_25)
     cfg = honest_trace_25.config
+    pairing = _pairing(view, 0.0)
     for subject in range(1, cfg.n + 1):
-        verdict = check_pairing(view, subject, 0.0, cfg.n, cfg.p)
+        verdict = pairing[subject]
         assert verdict.status == "trusted", (subject, verdict)
         assert verdict.unpaired == 0
 
 
 def test_refuse_record_adversaries_fail_pairing(refuse_record_trace_25):
-    view = LocalView.central(refuse_record_trace_25)
-    cfg = refuse_record_trace_25.config
+    pairing = _pairing(LocalView.central(refuse_record_trace_25), 1 / 3)
     for subject in range(1, 9):
-        verdict = check_pairing(view, subject, 1 / 3, cfg.n, cfg.p)
+        verdict = pairing[subject]
         assert verdict.status == "suspicious", (subject, verdict)
         assert verdict.paired == 0
     for subject in range(9, 26):
-        verdict = check_pairing(view, subject, 1 / 3, cfg.n, cfg.p)
+        verdict = pairing[subject]
         assert verdict.status == "trusted", (subject, verdict)
 
 
@@ -143,26 +147,24 @@ def test_large_swarm_framing_scenario_keeps_honest_robots_seen():
     cfg = SimConfig(n=48, p=0.17, intervals=4, delta=4, alpha=1 / 3, seed=11, adversaries=(adv,))
     trace = run_simulation(cfg)
     assert collective_disappeared(trace, 4) & set(range(17, 49)) == frozenset()
-    view = LocalView.central(trace)
+    pairing = _pairing(LocalView.central(trace), 1 / 3)
     for subject in range(17, 49):
-        assert check_pairing(view, subject, 1 / 3, 48, 0.17).status == "trusted"
+        assert pairing[subject].status == "trusted"
 
 
 def test_unseen_subject_is_indeterminate():
     trace = run_simulation(SimConfig(n=3, p=0.0, intervals=2, delta=2, seed=1))
-    view = LocalView.central(trace)
-    verdict = check_pairing(view, 2, 0.0, 3, 0.0)
-    assert verdict.status == "indeterminate"
+    assert _pairing(LocalView.central(trace), 0.0)[2].status == "indeterminate"
 
 
 def test_local_honest_views_never_accuse(honest_trace_25):
     cfg = honest_trace_25.config
     for observer in (2, 13, 24):
-        view = LocalView.from_trace(honest_trace_25, observer)
+        pairing = _pairing(LocalView.from_trace(honest_trace_25, observer), 0.0)
         for subject in range(1, cfg.n + 1):
             if subject == observer:
                 continue
-            verdict = check_pairing(view, subject, 0.0, cfg.n, cfg.p)
+            verdict = pairing[subject]
             assert verdict.status in ("trusted", "indeterminate")
             assert verdict.unpaired == 0
 

@@ -116,7 +116,7 @@ CASES = [
 
 
 @pytest.mark.parametrize("case", CASES)
-def test_every_checker_applies_the_same_entry_rule(case):
+def test_every_checker_applies_the_same_entry_rule(case, refusal):
     central, identities, store, links = _world()
     entry = _entry_case(case, identities, store, links)
     reason = None if case is None else case.split("/")[0]
@@ -126,10 +126,7 @@ def test_every_checker_applies_the_same_entry_rule(case):
 
     assert check_entry(entry, T, store.get, issued) == reason
 
-    verdict = verify_chain(head, owner.credential, store, T, issued)
-    assert (verdict.ok, verdict.reason, verdict.interval) == (
-        (True, None, None) if reason is None else (False, reason, T)
-    )
+    assert refusal(head, owner.credential, store, T, issued) == (None if reason is None else (reason, T))
 
     audit = central_audit({OWNER: head}, store, issued, T)
     assert audit.verification_failures == (() if reason is None else ((OWNER, T, reason),))
@@ -155,8 +152,8 @@ def test_depth_one_forgives_only_a_missing_entry_link():
     for case in ("missing-entry-link", "uncertified-credential", "entry-interval-mismatch"):
         entry = _entry_case(case, identities, store, links)
         head = extend_history(owner, links["o2"], EventList(interval=T, entries=(entry,)), LinkStore())
-        verdict = verify_chain(head, owner.credential, store, 1, issued)
-        assert verdict.ok == (case == "missing-entry-link"), (case, verdict)
+        reason = verify_chain(head, owner.credential, store, 1, issued)
+        assert (reason is None) == (case == "missing-entry-link"), (case, reason)
 
 
 # -- the offer rule ----------------------------------------------------------------
@@ -289,35 +286,34 @@ def _walk_case(case, identities, store, links):
     raise AssertionError(case)
 
 
-# case -> (verify_chain at full depth, audit failures, audit gaps)
+# case -> (verify_chain's refusal at full depth, audit failures, audit gaps)
 WALK_CASES = {
-    "clean": ((True, None, None), (), ()),
+    "clean": (None, (), ()),
     "bad-signature": (
-        (False, "bad-signature", 2),
+        ("bad-signature", 2),
         ((OWNER, 2, "bad-signature"), (OWNER, 1, "uncertified-credential")),
         (),
     ),
-    "wrong-owner": ((False, "wrong-owner", 2), ((OWNER, 2, "wrong-owner"),), ()),
-    "missing-link": ((False, "missing-link", 2), ((OWNER, 2, "missing-link"),), ()),
-    "digest-mismatch": ((False, "digest-mismatch", 2), ((OWNER, 2, "digest-mismatch"),), ()),
-    "interval-gap": ((False, "interval-gap", 3), (), ((OWNER, 2, 3),)),
-    "late-start": ((True, None, None), (), ((OWNER, 1, 2),)),
-    "interval-order": ((False, "interval-order", 3), ((OWNER, 3, "interval-order"),), ()),
+    "wrong-owner": (("wrong-owner", 2), ((OWNER, 2, "wrong-owner"),), ()),
+    "missing-link": (("missing-link", 2), ((OWNER, 2, "missing-link"),), ()),
+    "digest-mismatch": (("digest-mismatch", 2), ((OWNER, 2, "digest-mismatch"),), ()),
+    "interval-gap": (("interval-gap", 3), (), ((OWNER, 2, 3),)),
+    "late-start": (None, (), ((OWNER, 1, 2),)),
+    "interval-order": (("interval-order", 3), ((OWNER, 3, "interval-order"),), ()),
 }
 
 
 @pytest.mark.parametrize("case", WALK_CASES)
-def test_verify_chain_and_the_audit_read_the_same_walk(case):
+def test_verify_chain_and_the_audit_read_the_same_walk(case, refusal):
     """``verify_chain`` stops at the first finding but a late start; the
     audit reads on past a bad signature, stops where the walk stops, and
     files gaps and late starts as coverage gaps."""
     _, identities, store, links = _world()
     head = _walk_case(case, identities, store, links)
     issued = {i.robot_id: i.credential for i in identities}
-    verdict_row, failures, gaps = WALK_CASES[case]
+    refused, failures, gaps = WALK_CASES[case]
 
-    verdict = verify_chain(head, issued[OWNER], store, head.interval, issued)
-    assert (verdict.ok, verdict.reason, verdict.interval) == verdict_row
+    assert refusal(head, issued[OWNER], store, head.interval, issued) == refused
 
     audit = central_audit({OWNER: head}, store, issued, head.interval)
     assert (audit.verification_failures, audit.gaps) == (failures, gaps)
@@ -412,8 +408,8 @@ def test_entries_under_uncertified_credentials_do_not_count():
         assert (PLANTER, t, "uncertified-credential") in failures
 
     head = trace.head_link(PLANTER)
-    verdict = verify_chain(head, trace.credentials[PLANTER], trace.store, cfg.delta, trace.credentials)
-    assert (verdict.ok, verdict.reason) == (False, "uncertified-credential")
+    reason = verify_chain(head, trace.credentials[PLANTER], trace.store, cfg.delta, trace.credentials)
+    assert reason == "uncertified-credential"
 
 
 def test_the_audit_matches_the_per_entry_audit_on_planted_entries(reference_audit):

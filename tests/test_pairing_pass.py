@@ -1,10 +1,11 @@
 """The one pass per view behind the pairing detectors, and the per-trace
 claim index behind ``LocalView.claims``.
 
-The pairing tallies, ``unpaired_claims()``, ``paired_intervals()`` and
-``check_pairing`` are compared with a per-subject reference that rescans
-every claim for each subject.  The index is compared with a fresh
-``check_entry`` pass over each view's own links.
+The pairing tallies, ``unpaired_claims()``, the paired intervals of the
+tally and the pairing verdicts of ``compile_report`` are compared with a
+per-subject reference that rescans every claim for each subject.  The
+index is compared with a fresh ``check_entry`` pass over each view's own
+links.
 """
 import copy
 import json
@@ -29,7 +30,7 @@ from swarmchain.chain import (
     sign_link,
 )
 from swarmchain.crypto import provision_swarm
-from swarmchain.detect import LocalView, PairingVerdict, check_pairing
+from swarmchain.detect import LocalView, PairingVerdict, compile_report
 from swarmchain.prob import pairing_threshold
 from swarmchain.sim import SimConfig, SimTrace, run_simulation
 
@@ -89,30 +90,37 @@ def _tallied(view, subject):
     return int(tally.paired[slot]), int(tally.unpaired[slot])
 
 
-def _assert_pass_matches_reference(view, alpha):
+def _verdicts(view, alpha):
+    """robot -> the pairing verdict of ``compile_report`` over ``view``;
+    a report gives none for its own observer."""
+    return dict(compile_report(view, view.params.delta, alpha, 0.05).pairing)
+
+
+def _assert_pass_matches_reference(view, alpha, paired_intervals):
     claims, owners_at = view.claims, _owners_at(view)
     n, p = view.params.n, view.params.p
+    verdicts = _verdicts(view, alpha)
+    assert set(verdicts) == set(range(1, n + 1)) - {view.observer}
     for subject in range(1, n + 1):
         assert _tallied(view, subject) == _reference_counts(claims, owners_at, subject), subject
-        assert check_pairing(view, subject, alpha, n, p) == _reference_verdict(
-            claims, owners_at, subject, alpha, n, p
-        ), subject
+        if subject != view.observer:
+            assert verdicts[subject] == _reference_verdict(claims, owners_at, subject, alpha, n, p), subject
     assert view.unpaired_claims() == _reference_unpaired(claims, owners_at)
-    assert view.paired_intervals() == _reference_intervals(claims)
+    assert paired_intervals(view) == _reference_intervals(claims)
 
 
 @pytest.mark.parametrize("name", ADVERSARIAL)
-def test_one_pass_matches_per_subject_reference(name):
+def test_one_pass_matches_per_subject_reference(name, paired_intervals):
     config = SimConfig.from_dict(json.loads((CONFIGS / f"{name}.json").read_text()))
     trace = run_simulation(config)
     views = [LocalView.central(trace)] + [
         LocalView.from_trace(trace, r) for r in range(1, config.n + 1) if trace.heads.get(r) is not None
     ]
     for view in views:
-        _assert_pass_matches_reference(view, config.alpha)
+        _assert_pass_matches_reference(view, config.alpha, paired_intervals)
     # the adversaries leave something for the pass to find
     central = views[0]
-    assert central.unpaired_claims() or central.paired_intervals()
+    assert central.unpaired_claims() or paired_intervals(central)
 
 
 def _signed_link(identity, t, prev, entries):
@@ -134,7 +142,7 @@ def _trace(central, identities, store, heads, intervals):
     )
 
 
-def test_self_claim_counts_once_toward_its_owner():
+def test_self_claim_counts_once_toward_its_owner(paired_intervals):
     central, identities = provision_swarm(2, seed=31)
     a, b = identities
     store = LinkStore()
@@ -149,11 +157,12 @@ def test_self_claim_counts_once_toward_its_owner():
     assert view.claims == {(1, 1, 2), (1, 2, 2), (2, 1, 2)}
     assert _tallied(view, 1) == (3, 0)  # (1,1,2) once, (1,2,2) and (2,1,2) once each
     assert _tallied(view, 2) == (2, 0)
-    assert check_pairing(view, 1, 0.0, 2, 0.5).paired == 1
-    assert check_pairing(view, 2, 0.0, 2, 0.5).paired == 1
+    verdicts = _verdicts(view, 0.0)
+    assert verdicts[1].paired == 1
+    assert verdicts[2].paired == 1
     assert view.unpaired_claims() == ()
-    assert view.paired_intervals() == {(1, 2): {2}}
-    _assert_pass_matches_reference(view, 0.0)
+    assert paired_intervals(view) == {(1, 2): {2}}
+    _assert_pass_matches_reference(view, 0.0, paired_intervals)
 
 
 # -- the claim index ------------------------------------------------------------------

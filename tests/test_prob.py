@@ -63,10 +63,18 @@ def test_pair_meets_all_matches_reference_values():
 
 
 def test_pair_meets_all_validation():
-    with pytest.raises(ValueError):
-        prob_pair_meets_all(1.2, 3)
-    with pytest.raises(ValueError):
-        prob_pair_meets_all(0.5, 0)
+    rows = [
+        ("p", 1.2, 3),
+        ("p", True, 2),
+        ("p", "0.5", 2),
+        ("delta", 0.5, 0),
+        ("delta", 0.5, True),
+        ("delta", 0.5, 2.5),
+        ("delta", 0.5, 3.0),
+    ]
+    for field, p, delta in rows:
+        with pytest.raises(ValueError, match=f"^{field}:"):
+            prob_pair_meets_all(p, delta)
 
 
 def test_query_validation():

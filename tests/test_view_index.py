@@ -181,7 +181,7 @@ def _set_report(view, delta, alpha, epsilon):
     return report
 
 
-def _assert_views_match(trace, delta=3, alpha=0.2, epsilon=0.05):
+def _assert_views_match(paired_intervals, trace, delta=3, alpha=0.2, epsilon=0.05):
     """Every observer's and the central view and report equal the reference."""
     pairs = [(LocalView.central(trace), _SetView.central(trace))] + [
         (LocalView.from_trace(trace, r), _SetView.from_trace(trace, r)) for r in sorted(trace.heads)
@@ -190,7 +190,7 @@ def _assert_views_match(trace, delta=3, alpha=0.2, epsilon=0.05):
         assert view.links == reference.links, view.observer
         assert view.claims == reference.claims, view.observer
         assert view.evidence == reference.evidence, view.observer
-        assert view.paired_intervals() == reference.pairing[3], view.observer
+        assert paired_intervals(view) == reference.pairing[3], view.observer
         assert (
             compile_report(view, delta, alpha, epsilon).to_dict()
             == _set_report(reference, delta, alpha, epsilon).to_dict()
@@ -201,21 +201,21 @@ def _assert_views_match(trace, delta=3, alpha=0.2, epsilon=0.05):
 
 
 @pytest.mark.parametrize("name", sorted(path.stem for path in CONFIGS.glob("*.json")))
-def test_reports_match_the_set_views_on_every_config(name):
+def test_reports_match_the_set_views_on_every_config(name, paired_intervals):
     config = SimConfig.from_dict(json.loads((CONFIGS / f"{name}.json").read_text()))
     trace = run_simulation(config)
-    _assert_views_match(trace, config.delta, config.alpha)
-    _assert_views_match(SimTrace.from_json(trace.to_json()), config.delta, config.alpha)
+    _assert_views_match(paired_intervals, trace, config.delta, config.alpha)
+    _assert_views_match(paired_intervals, SimTrace.from_json(trace.to_json()), config.delta, config.alpha)
 
 
 @pytest.mark.parametrize("name", sorted(path.stem for path in CONFIGS.glob("*.json")))
-def test_the_audit_matches_the_per_entry_audit_on_every_config(name, reference_audit):
+def test_the_audit_matches_the_per_entry_audit_on_every_config(name, reference_audit, paired_intervals):
     """Audited after every view (as ``analyze`` does) and on a fresh load,
     before any view; the per-entry audit agrees with both."""
     config = SimConfig.from_dict(json.loads((CONFIGS / f"{name}.json").read_text()))
     trace = run_simulation(config)
     text = trace.to_json()
-    _assert_views_match(trace, config.delta, config.alpha)
+    _assert_views_match(paired_intervals, trace, config.delta, config.alpha)
     for audited in (trace, SimTrace.from_json(text)):
         expected = reference_audit(audited.head_links(), audited.store, audited.credentials, config.intervals)
         assert audit_trace(audited) == expected
@@ -298,13 +298,13 @@ def _fork():
     return _trace(central, identities, store, {1: first, 2: t2, 3: h3}, 2), first, second
 
 
-def test_two_links_by_one_owner_for_one_interval_collapse_their_claims():
+def test_two_links_by_one_owner_for_one_interval_collapse_their_claims(paired_intervals):
     trace, first, second = _fork()
     central_view = LocalView.central(trace)
     assert first in central_view.links.values() and second in central_view.links.values()
     assert len(central_view.index.entry_claim) > len(central_view.claims)  # (1, 2, 1) twice, one claim
     assert (1, 2, 1) in central_view.claims and (1, 3, 1) in central_view.claims
-    _assert_views_match(trace, 2)
+    _assert_views_match(paired_intervals, trace, 2)
     alone = LinkStore()
     for link in central_view.links.values():
         alone.insert(link)
@@ -324,7 +324,7 @@ def test_the_audit_matches_the_per_entry_audit_on_a_fork(reference_audit):
         assert audit.encounters == {(1, 2, 1)} and audit.unpaired_claims == ((2, 1, 2), (3, 1, 2))
 
 
-def test_a_refused_link_keeps_its_references_in_the_closure():
+def test_a_refused_link_keeps_its_references_in_the_closure(paired_intervals):
     central, identities = provision_swarm(3, seed=6)
     one, two, three = identities
     store = LinkStore()
@@ -343,10 +343,10 @@ def test_a_refused_link_keeps_its_references_in_the_closure():
     assert bad not in view.links.values()
     assert w1 in view.links.values()  # reachable only through the refused link
     assert view.evidence[2] == 1 and (3, 1, 3) not in view.claims
-    _assert_views_match(trace)
+    _assert_views_match(paired_intervals, trace)
 
 
-def test_a_dangling_reference_adds_nothing():
+def test_a_dangling_reference_adds_nothing(paired_intervals):
     central, identities = provision_swarm(2, seed=7)
     one, two = identities
     store = LinkStore()
@@ -359,21 +359,21 @@ def test_a_dangling_reference_adds_nothing():
     view = LocalView.from_trace(trace, 1)
     assert set(view.links.values()) == {o1, o2}
     assert view.claims == frozenset()
-    _assert_views_match(trace, 2)
+    _assert_views_match(paired_intervals, trace, 2)
 
 
-def test_an_empty_view_reports_everyone_disappeared():
+def test_an_empty_view_reports_everyone_disappeared(paired_intervals):
     central, identities = provision_swarm(3, seed=9)
     view = LocalView.central(_trace(central, identities, LinkStore(), {1: None, 2: None, 3: None}, 3))
     report = compile_report(view, *DELTA_ALPHA_EPSILON)
-    assert view.claims == frozenset() and view.evidence == {} and view.paired_intervals() == {}
+    assert view.claims == frozenset() and view.evidence == {} and paired_intervals(view) == {}
     assert report.disappeared == {(1, 0), (2, 0), (3, 0)} and report.revoked == {1, 2, 3}
 
 
 # -- hostile traces ----------------------------------------------------------------
 
 
-def test_a_hostile_interval_costs_no_memory():
+def test_a_hostile_interval_costs_no_memory(paired_intervals):
     """Two validly signed links at interval 2**32 - 1 record each other's
     genesis signatures.  The set views kept the pair's paired intervals
     as the bitmask 1 << t, half a gigabyte here."""
@@ -393,7 +393,7 @@ def test_a_hostile_interval_costs_no_memory():
     try:
         view = LocalView.central(trace)
         report = compile_report(view, *DELTA_ALPHA_EPSILON)
-        intervals = view.paired_intervals()
+        intervals = paired_intervals(view)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
