@@ -115,6 +115,20 @@ credential table, starts an empty record.  The audit passes no record and
 walks every chain in full; it passes the entries its claim index
 (``detect.ClaimIndex``) has refused, so the walk runs :func:`check_entry`
 only on those, for their reason.
+
+Offered-entry rule: when :func:`check_offer` accepts an offer at t, it
+keeps on the offer's entry (:func:`offer_entry`, the one object every
+receiver's event list holds) the key of that verdict: t, the issued
+credential object and the offered link object (None for a genesis
+offer).  :func:`check_entry` accepts such an entry at once when it is
+asked at the same t and ``credentials.get(peer)`` and ``resolve(digest)``
+return those same objects.  Sound for the walk record rule's reason: the
+verdict of :func:`check_entry` is a function of the entry, t, the issued
+credential and the resolved link alone (and of :func:`crypto.verify`,
+itself a pure function), and all four are immutable.  So each offered
+entry is checked once per run, whether the next check comes from a walk
+over the receiver's chain or from a claim index over the store.  Only
+:func:`check_offer` keeps a verdict; a decoded entry never carries one.
 """
 from __future__ import annotations
 
@@ -297,6 +311,28 @@ def link_digest(link: HistoryLink) -> Digest:
     return cached
 
 
+_new_object = object.__new__
+_set_attribute = object.__setattr__
+
+
+def _new_entry(
+    peer_id: int, peer_link_digest: Digest, peer_signature: bytes, peer_credential: Credential
+) -> EventEntry:
+    """``EventEntry(peer_id, peer_link_digest, peer_signature,
+    peer_credential)`` in one step: the same instance, its fields set in
+    the same order without the dataclass ``__init__`` frame (the class has
+    no ``__post_init__`` to run).  Each field is set as an attribute, not
+    as one assigned ``__dict__``, so the instance keeps CPython's inline
+    attribute values: a separate dict would add about 136 bytes and one
+    more object for the cyclic GC to visit per entry."""
+    entry = _new_object(EventEntry)
+    _set_attribute(entry, "peer_id", peer_id)
+    _set_attribute(entry, "peer_link_digest", peer_link_digest)
+    _set_attribute(entry, "peer_signature", peer_signature)
+    _set_attribute(entry, "peer_credential", peer_credential)
+    return entry
+
+
 def decode_link(data: bytes, issued: Mapping[int, Credential] | None = None) -> HistoryLink:
     """The canonical inverse of :func:`encode_link`.
 
@@ -343,7 +379,8 @@ def decode_link(data: bytes, issued: Mapping[int, Credential] | None = None) -> 
                 cert = data[pos : pos + size]
                 pos += size
                 credential = Credential(cred_id, verify_key, cert)
-            entries.append(EventEntry(peer, Digest(peer_digest), signature, credential))
+            # The ``32s`` field is exactly DIGEST_SIZE bytes, so the digest skips its length check.
+            entries.append(_new_entry(peer, bytes.__new__(Digest, peer_digest), signature, credential))
         payload_end = pos
         (size,) = _LENGTH.unpack_from(data, pos)
         pos += _LENGTH.size + size
@@ -506,8 +543,19 @@ def check_entry(
 
     ``resolve`` maps a digest to the link it may reference (``store.get``
     or a view's ``links.get``); ``credentials`` is the credential table
-    central control issued.
+    central control issued.  An entry that :func:`check_offer` accepted
+    at ``t`` is accepted at once under the same issued credential and
+    resolved link (the offered-entry rule of the module docstring).
     """
+    kept = getattr(entry, "_accepted", None)  # not entry.__dict__, which would build one per entry
+    if kept is not None:
+        kept_t, kept_issued, kept_link = kept
+        if (
+            kept_t == t
+            and kept_issued is credentials.get(entry.peer_id)
+            and (kept_link is None or kept_link is resolve(entry.peer_link_digest))
+        ):
+            return None
     if entry.peer_id != entry.peer_credential.robot_id:
         return "entry-credential-mismatch"
     issued = credentials.get(entry.peer_id)
@@ -648,10 +696,14 @@ def check_offer(
     first failing reason of the offer rule (see the module docstring).
 
     ``store`` holds the offered link's ancestry, ``window`` is how many
-    links of it to verify and ``credentials`` is the issued table.
+    links of it to verify and ``credentials`` is the issued table.  An
+    accepted offer's entry keeps its verdict (the offered-entry rule).
     """
     link = offer.link
-    reason = check_entry(offer_entry(offer), t, lambda _: link, credentials)
-    if reason is not None or link is None:
-        return reason
-    return verify_chain(link, offer.credential, store, min(window, link.interval), credentials)
+    entry = offer_entry(offer)
+    reason = check_entry(entry, t, lambda _: link, credentials)
+    if reason is None and link is not None:
+        reason = verify_chain(link, offer.credential, store, min(window, link.interval), credentials)
+    if reason is None:
+        object.__setattr__(entry, "_accepted", (t, credentials.get(entry.peer_id), link))
+    return reason

@@ -197,9 +197,13 @@ def verify(credential: Credential, message: bytes, signature: bytes) -> bool:
     Malformed signatures or keys are rejected, not raised.  Verdicts are
     memoized process-wide; a signature this process made with
     :func:`sign` is found in the memo, and any other one is checked with
-    real crypto on first sight.
+    real crypto on first sight.  A ``bytes`` or :class:`Digest` message is
+    a memo key as it is (a digest hashes and compares as its bytes); any
+    other buffer is copied to ``bytes`` first.
     """
-    return _verify_cached(credential.verify_key, bytes(message), bytes(signature))
+    if type(message) is not bytes and type(message) is not Digest:
+        message = bytes(message)
+    return _verify_cached(credential.verify_key, message, bytes(signature))
 
 
 def verify_credential(credential: Credential, central_verify_key: bytes) -> bool:

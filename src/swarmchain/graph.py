@@ -35,5 +35,5 @@ def gen_interval_graph(n: int, p: float, rng: np.random.Generator, interval: int
         raise ValueError(f"edge probability must be in [0, 1], got {p}")
     iu, ju = np.triu_indices(n, k=1)
     mask = rng.random(iu.size) < p
-    edges = frozenset((int(u) + 1, int(v) + 1) for u, v in zip(iu[mask], ju[mask]))
+    edges = frozenset(zip((iu[mask] + 1).tolist(), (ju[mask] + 1).tolist()))
     return EncounterGraph(n=n, interval=interval, edges=edges)

@@ -19,13 +19,37 @@ A run is a pure function of its :class:`SimConfig`: identities derive
 from the seed, interval graphs come from per-interval child streams of
 the root seed, and exchanges execute in sorted order.  Traces therefore
 serialize to byte-identical JSON for identical configs.
+
+Trace format, version 3 (:meth:`SimTrace.to_dict`)::
+
+    format, version        "swarmchain-trace", 3
+    manifest, config       the run manifest (or null) and the SimConfig
+    central_verify_key     hex
+    credentials            [{robot_id, verify_key, cert}], by robot id
+    graphs                 [{interval, n, u: [...], v: [...]}], one per
+                           interval in order; edge k is (u[k], v[k]), the
+                           edges strictly ascending with 1 <= u < v <= n
+    links                  [hex of encode_link(link)], by (owner, interval, digest)
+    heads                  {"robot id": hex digest or null}
+    exchanges              {interval: [...], a: [...], b: [...], flags: [...],
+                            notes: [[record, "note"], ...]}
+
+The exchange log is stored as columns: record k is (interval[k], a[k],
+b[k], flags[k]) with 1 <= a < b <= n, and the bits 0-4 of its flags are
+``a_gave``, ``b_gave``, ``a_recorded``, ``b_recorded`` and ``fabricated``.
+``notes`` holds each note of each record that has one, in record order,
+as ``[record index, note]``.  Loading checks every column item and
+names the first bad one (``exchanges.flags[7]``, ``graphs[2].u[0]``), then
+rebuilds the same :class:`ExchangeRecord` and ``EncounterGraph`` values.
+Any other version is refused.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Any, Iterable, Mapping
+from operator import lt
+from typing import Any, Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -57,7 +81,11 @@ from .crypto import (
 from .graph import EncounterGraph, gen_interval_graph
 
 TRACE_FORMAT = "swarmchain-trace"
-TRACE_VERSION = 2
+TRACE_VERSION = 3
+
+# Provisioning makes n keys before interval 1 and sampling one interval
+# allocates about 16 n**2 bytes (64 MiB at the bound).
+MAX_ROBOTS = 2048
 
 BEHAVIOR_HONEST = "honest"
 BEHAVIORS = ("refuse_record", "refuse_give", "disappear", "collude", "forge_claim")
@@ -150,8 +178,8 @@ class SimConfig:
         return self.delta if self.window is None else self.window
 
     def validate(self) -> None:
-        if not _is_int(self.n) or self.n < 1:
-            raise ConfigError("n", f"robot count must be an integer >= 1, got {self.n!r}")
+        if not _is_int(self.n) or not 1 <= self.n <= MAX_ROBOTS:
+            raise ConfigError("n", f"robot count must be an integer in 1..{MAX_ROBOTS}, got {self.n!r}")
         if not (_is_int(self.p) or isinstance(self.p, float)) or not 0.0 <= self.p <= 1.0:
             raise ConfigError("p", f"edge probability must be in [0, 1], got {self.p!r}")
         if not _is_int(self.intervals) or self.intervals < 1:
@@ -266,8 +294,7 @@ class SimConfig:
         )
 
 
-@dataclass(frozen=True)
-class ExchangeRecord:
+class ExchangeRecord(NamedTuple):
     """Outcome of one meeting, from both sides; a < b."""
 
     interval: int
@@ -338,15 +365,12 @@ class SimTrace:
                 }
                 for _, c in sorted(self.credentials.items())
             ],
-            "graphs": [
-                {"interval": g.interval, "n": g.n, "edges": [list(e) for e in sorted(g.edges)]}
-                for g in self.graphs
-            ],
+            "graphs": [_graph_columns(g) for g in self.graphs],
             "links": [encode_link(link).hex() for link in links],
             "heads": {
                 str(r): (d.hex() if d is not None else None) for r, d in sorted(self.heads.items())
             },
-            "exchanges": [x.to_dict() for x in self.exchanges],
+            "exchanges": _exchange_columns(self.exchanges),
         }
 
     def to_json(self, manifest: Mapping[str, Any] | None = None) -> str:
@@ -437,8 +461,6 @@ class SimTrace:
                 raise TraceError(where, "head digest does not resolve to a stored link")
             heads[robot] = d
 
-        exchanges = [_exchange_from_dict(entry, config, i) for i, entry in enumerate(_list_field(data, "exchanges"))]
-
         return cls(
             config=config,
             central_verify_key=central,
@@ -446,71 +468,117 @@ class SimTrace:
             graphs=tuple(graphs),
             heads=heads,
             store=store,
-            exchanges=tuple(exchanges),
+            exchanges=_exchanges_from_columns(data.get("exchanges"), config),
         )
+
+
+# _FLAG_BITS[flags] is (a_gave, b_gave, a_recorded, b_recorded, fabricated).
+_FLAG_BITS = tuple(tuple(bool(flags >> bit & 1) for bit in range(5)) for flags in range(32))
+_FLAGS = {bits: flags for flags, bits in enumerate(_FLAG_BITS)}
+_RECORD_TAILS = tuple((*bits, ()) for bits in _FLAG_BITS)  # the flag fields and no notes
+
+
+def _graph_columns(graph: EncounterGraph) -> dict[str, Any]:
+    edges = sorted(graph.edges)
+    return {"interval": graph.interval, "n": graph.n, "u": [u for u, _ in edges], "v": [v for _, v in edges]}
+
+
+def _exchange_columns(records: tuple[ExchangeRecord, ...]) -> dict[str, list]:
+    columns = list(zip(*records)) or [()] * len(ExchangeRecord._fields)
+    interval, a, b, *bits, notes = columns
+    return {
+        "interval": list(interval),
+        "a": list(a),
+        "b": list(b),
+        "flags": list(map(_FLAGS.__getitem__, zip(*bits))),
+        "notes": [[k, note] for k, texts in enumerate(notes) if texts for note in texts],
+    }
+
+
+def _int_column(data: Mapping[str, Any], key: str, where: str, low: int, high: int) -> list[int]:
+    """``data[key]``, a list of integers (not bools) in low..high; a
+    refusal names the column, or its first bad item as ``where.key[k]``."""
+    values = data.get(key)
+    if not isinstance(values, list):
+        raise TraceError(f"{where}.{key}", f"must be a list of integers, got {type(values).__name__}")
+    if not set(map(type, values)) <= {int} or values and (min(values) < low or max(values) > high):
+        k = next(k for k, value in enumerate(values) if not (_is_int(value) and low <= value <= high))
+        raise TraceError(f"{where}.{key}[{k}]", f"must be an integer in {low}..{high}, got {values[k]!r}")
+    return values
+
+
+def _first_not_below(where: str, low: list[int], high: list[int], what: str) -> None:
+    """Refuse, at ``where[k]``, the first k with ``low[k] >= high[k]``."""
+    if not all(map(lt, low, high)):
+        k = next(k for k, pair in enumerate(zip(low, high)) if not lt(*pair))
+        raise TraceError(f"{where}[{k}]", f"{what}, got {low[k]!r} and {high[k]!r}")
 
 
 def _graph_from_dict(data: Any, config: SimConfig, i: int) -> EncounterGraph:
     """The graph record at ``graphs[i]`` as the simulator writes it: the
     graph of interval i + 1 (so at most one per interval, in order; a
-    trace built by hand may hold fewer), over the run's ``n``, with
-    distinct edges that are pairs of robot ids 1 <= u < v <= n."""
+    trace built by hand may hold fewer), over the run's ``n``, with edge
+    columns ``u`` and ``v`` of equal length whose pairs are strictly
+    ascending (hence distinct) with 1 <= u < v <= n."""
     where = f"graphs[{i}]"
     if not isinstance(data, dict):
         raise TraceError(where, "bad graph: must be an object")
     try:
-        n, interval, edges = data["n"], data["interval"], data["edges"]
+        n, interval = data["n"], data["interval"]
     except KeyError as exc:
         raise TraceError(where, f"bad graph: missing {exc}") from None
     if not _is_int(interval) or interval != i + 1 or interval > config.intervals:
         raise TraceError(where, f"bad graph: expected interval {i + 1} of 1..{config.intervals}, got {interval!r}")
     if not _is_int(n) or n != config.n:
         raise TraceError(where, f"bad graph: n must be {config.n}, got {n!r}")
-    if not isinstance(edges, list):
-        raise TraceError(where, f"bad graph: edges must be a list, got {edges!r}")
-    pairs = set()
-    for edge in edges:
-        if not (isinstance(edge, list) and len(edge) == 2 and _is_int(edge[0]) and _is_int(edge[1])):
-            raise TraceError(where, f"bad graph: edge {edge!r} is not a pair of integers")
-        u, v = edge
-        if not 1 <= u < v <= n or (u, v) in pairs:
-            raise TraceError(where, f"bad graph: edge {edge!r} is not a distinct pair 1 <= u < v <= {n}")
-        pairs.add((u, v))
-    return EncounterGraph(n=n, interval=interval, edges=frozenset(pairs))
+    u = _int_column(data, "u", where, 1, n)
+    v = _int_column(data, "v", where, 1, n)
+    if len(u) != len(v):
+        raise TraceError(f"{where}.v", f"has {len(v)} items, {where}.u has {len(u)}")
+    _first_not_below(f"{where}.v", u, v, "an edge (u, v) needs u < v")
+    edges = list(zip(u, v))
+    # Edge k against edge k - 1; edge 0 against (0, 0), below every edge.
+    _first_not_below(f"{where}.u", [(0, 0), *edges[:-1]], edges, "edges must be strictly ascending")
+    return EncounterGraph(n=n, interval=interval, edges=frozenset(edges))
 
 
-_EXCHANGE_FLAGS = ("a_gave", "b_gave", "a_recorded", "b_recorded", "fabricated")
-
-
-def _exchange_from_dict(data: Any, config: SimConfig, i: int) -> ExchangeRecord:
-    """The exchange record at ``exchanges[i]``, holding only what the
-    simulator writes: an interval of the run, robots 1 <= a < b <= n,
-    boolean flags and a list of note strings.  The location is formatted
-    only for a refused record."""
+def _exchanges_from_columns(data: Any, config: SimConfig) -> tuple[ExchangeRecord, ...]:
+    """The exchange log from its columns, holding only what the simulator
+    writes: intervals of the run, robots 1 <= a < b <= n, flags 0..31 and
+    ``[record, note]`` pairs with record indices in range and
+    non-decreasing.  A refusal names the column item (``exchanges.a[3]``)."""
     if not isinstance(data, dict):  # JSON objects load as dicts
-        raise TraceError(f"exchanges[{i}]", "bad exchange record: must be an object")
-    try:
-        interval, a, b = data["interval"], data["a"], data["b"]
-        a_gave, b_gave = data["a_gave"], data["b_gave"]
-        a_recorded, b_recorded = data["a_recorded"], data["b_recorded"]
-    except KeyError as exc:
-        raise TraceError(f"exchanges[{i}]", f"bad exchange record: missing {exc}") from None
-    fabricated = data.get("fabricated", False)
-    notes = data.get("notes", [])
-    if not _is_int(interval) or not 1 <= interval <= config.intervals:
-        raise TraceError(
-            f"exchanges[{i}].interval", f"must be an integer in 1..{config.intervals}, got {interval!r}"
-        )
-    if not (_is_int(a) and _is_int(b) and 1 <= a < b <= config.n):
-        raise TraceError(
-            f"exchanges[{i}]", f"a and b must be integers with 1 <= a < b <= {config.n}, got {a!r} and {b!r}"
-        )
-    for key, value in zip(_EXCHANGE_FLAGS, (a_gave, b_gave, a_recorded, b_recorded, fabricated)):
-        if not isinstance(value, bool):
-            raise TraceError(f"exchanges[{i}].{key}", f"must be a boolean, got {value!r}")
-    if not isinstance(notes, list) or not all(isinstance(note, str) for note in notes):
-        raise TraceError(f"exchanges[{i}].notes", f"must be a list of strings, got {notes!r}")
-    return ExchangeRecord(interval, a, b, a_gave, b_gave, a_recorded, b_recorded, fabricated, tuple(notes))
+        raise TraceError("exchanges", "must be an object of columns")
+    interval = _int_column(data, "interval", "exchanges", 1, config.intervals)
+    a = _int_column(data, "a", "exchanges", 1, config.n)
+    b = _int_column(data, "b", "exchanges", 1, config.n)
+    flags = _int_column(data, "flags", "exchanges", 0, len(_FLAG_BITS) - 1)
+    for key, column in (("a", a), ("b", b), ("flags", flags)):
+        if len(column) != len(interval):
+            raise TraceError(f"exchanges.{key}", f"has {len(column)} items, exchanges.interval has {len(interval)}")
+    _first_not_below("exchanges.a", a, b, "a must be below b")
+    # ExchangeRecord._make without its length check: each tail holds the other six fields.
+    new, tails = tuple.__new__, _RECORD_TAILS
+    records = [new(ExchangeRecord, (t, x, y) + tails[f]) for t, x, y, f in zip(interval, a, b, flags)]
+
+    notes = data.get("notes")
+    if not isinstance(notes, list):
+        raise TraceError("exchanges.notes", f"must be a list of [record, note] pairs, got {type(notes).__name__}")
+    texts: dict[int, list[str]] = {}
+    last = 0
+    for k, item in enumerate(notes):
+        if not (isinstance(item, list) and len(item) == 2 and _is_int(item[0]) and isinstance(item[1], str)):
+            raise TraceError(f"exchanges.notes[{k}]", f"must be a [record, note] pair, got {item!r}")
+        if not last <= item[0] < len(records):
+            raise TraceError(
+                f"exchanges.notes[{k}]",
+                f"record index must be in {last}..{len(records) - 1} (non-decreasing), got {item[0]}",
+            )
+        last = item[0]
+        texts.setdefault(last, []).append(item[1])
+    for k, record_notes in texts.items():
+        records[k] = records[k]._replace(notes=tuple(record_notes))
+    return tuple(records)
 
 
 def dump_json(doc: Mapping[str, Any]) -> str:
@@ -605,54 +673,51 @@ class Simulation:
     # -- protocol steps ---------------------------------------------------
 
     def exchange(self, i: int, j: int, t: int, fabricated: bool = False) -> ExchangeRecord:
-        """Run the one allowed exchange between ``i`` and ``j`` for interval ``t``."""
+        """Run the one allowed exchange between ``i`` and ``j`` for interval ``t``.
+
+        In each direction, a < b first, the giver hands over its offer
+        unless it withholds its history, and the receiver records an offer
+        that :func:`check_offer` accepted unless it refuses to record; then
+        each forger presents its forged offer.  Every anomaly becomes a
+        note ``reason:giver->receiver``, in that order.
+        """
         if i == j:
             raise ValueError("a robot cannot exchange history with itself")
-        a, b = min(i, j), max(i, j)
+        a, b = (i, j) if i < j else (j, i)
         if (a, b) in self._pairs_this_interval:
             raise DuplicateExchangeError(f"pair ({a}, {b}) already exchanged in interval {t}")
         self._pairs_this_interval.add((a, b))
 
-        notes: list[str] = []
-        a_gave, b_recorded = self._hand_over(a, b, t, notes)
-        b_gave, a_recorded = self._hand_over(b, a, t, notes)
+        behavior, queues = self.behavior, self._queues
+        notes: tuple[str, ...] = ()
+        outcome: tuple[bool, ...] = ()  # (gave, recorded) for a -> b, then for b -> a
+        for giver, receiver in ((a, b), (b, a)):
+            if behavior[giver] == "refuse_give":
+                notes += (f"withheld:{giver}->{receiver}",)
+                outcome += (False, False)
+                continue
+            offer, reason = self._checked_offer(giver, t)
+            if behavior[receiver] == "refuse_record":
+                notes += (f"unrecorded:{giver}->{receiver}",)
+            elif reason is not None:
+                notes += (f"invalid-offer:{giver}->{receiver}",)
+            else:
+                queues[receiver].append(offer)
+                outcome += (True, True)
+                continue
+            outcome += (True, False)
         for forger, victim in ((a, b), (b, a)):
-            if self.behavior[forger] == "forge_claim":
+            if behavior[forger] == "forge_claim":
                 forged, reason = self._checked_offer(forger, t, forged=True)
                 if reason is None:
-                    self._queues[victim].append(forged)
+                    queues[victim].append(forged)
                 else:
-                    notes.append(f"forged-offer-rejected:{forger}->{victim}")
+                    notes += (f"forged-offer-rejected:{forger}->{victim}",)
 
-        record = ExchangeRecord(
-            interval=t,
-            a=a,
-            b=b,
-            a_gave=a_gave,
-            b_gave=b_gave,
-            a_recorded=a_recorded,
-            b_recorded=b_recorded,
-            fabricated=fabricated,
-            notes=tuple(notes),
-        )
+        a_gave, b_recorded, b_gave, a_recorded = outcome
+        record = ExchangeRecord(t, a, b, a_gave, b_gave, a_recorded, b_recorded, fabricated, notes)
         self.exchanges.append(record)
         return record
-
-    def _hand_over(self, giver: int, receiver: int, t: int, notes: list[str]) -> tuple[bool, bool]:
-        """One direction of an exchange: whether ``giver`` gave its history
-        and whether ``receiver`` recorded it; anomalies go to ``notes``."""
-        if self.behavior[giver] == "refuse_give":
-            notes.append(f"withheld:{giver}->{receiver}")
-            return False, False
-        offer, reason = self._checked_offer(giver, t)
-        if self.behavior[receiver] == "refuse_record":
-            notes.append(f"unrecorded:{giver}->{receiver}")
-            return True, False
-        if reason is not None:
-            notes.append(f"invalid-offer:{giver}->{receiver}")
-            return True, False
-        self._queues[receiver].append(offer)
-        return True, True
 
     def _close_interval(self, r: int, t: int) -> None:
         events = build_event_list(t, self._queues[r])

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from swarmchain import sim
+from swarmchain import chain, crypto, sim
 from swarmchain.chain import (
     GENESIS,
     EventEntry,
@@ -27,6 +27,8 @@ from swarmchain.chain import (
     build_event_list,
     check_entry,
     check_offer,
+    decode_link,
+    encode_link,
     extend_history,
     link_digest,
     offer_entry,
@@ -34,9 +36,11 @@ from swarmchain.chain import (
     sign_link,
     signed_digest,
     verify_chain,
+    walk_chain,
 )
 from swarmchain.crypto import Credential, SigningIdentity, provision_swarm, sign
 from swarmchain.detect import (
+    ClaimIndex,
     LocalView,
     audit_trace,
     central_audit,
@@ -422,3 +426,92 @@ def test_the_audit_matches_the_per_entry_audit_on_planted_entries(reference_audi
         audit = audit_trace(audited)
         assert any(reason == "uncertified-credential" for _, _, reason in audit.verification_failures)
         assert audit == reference_audit(audited.head_links(), audited.store, audited.credentials, cfg.intervals)
+
+
+# -- the offered-entry rule: an accepted offer's entry is checked once ------------------
+
+
+def _accepted_offer():
+    """Robot 2's interval-1 link, offered at interval 2 and accepted, with
+    its identity, its store and the issued credential table."""
+    _, identities = provision_swarm(3, seed=77)
+    issued = {i.robot_id: i.credential for i in identities}
+    store = LinkStore()
+    head = extend_history(identities[PEER - 1], None, EventList.empty(1), store)
+    offer = offer_history(identities[PEER - 1], head)
+    assert check_offer(offer, 2, store, 3, issued) is None
+    return identities[PEER - 1], issued, store, offer
+
+
+def test_an_accepted_offer_keeps_its_verdict_only_for_the_same_objects(monkeypatch):
+    _, issued, store, offer = _accepted_offer()
+    entry = offer_entry(offer)
+    verifies = []
+
+    def counting_verify(*args):
+        verifies.append(args)
+        return crypto.verify(*args)
+
+    monkeypatch.setattr(chain, "verify", counting_verify)
+    assert check_entry(entry, 2, store.get, dict(issued)) is None  # another table, the same objects
+    assert verifies == []
+
+    # Each object that differs sends the entry through the whole rule.
+    copy = decode_link(encode_link(offer.link))
+    assert check_entry(entry, 2, {link_digest(copy): copy}.get, issued) is None
+    assert len(verifies) == 1
+    assert check_entry(entry, 2, store.get, {**issued, PEER: replace(issued[PEER])}) is None
+    assert len(verifies) == 2
+    assert check_entry(entry, 3, store.get, issued) == "entry-interval-mismatch"
+    assert check_entry(entry, 2, {}.get, issued) == "missing-entry-link"
+    _, (stranger,) = provision_swarm(1, seed=78)
+    assert check_entry(entry, 2, store.get, {**issued, PEER: stranger.credential}) == "uncertified-credential"
+
+
+def test_a_refused_offer_and_a_decoded_entry_keep_no_verdict():
+    identity, issued, store, offer = _accepted_offer()
+    late = offer_history(identity, offer.link)
+    assert check_offer(late, 4, store, 3, issued) == "entry-interval-mismatch"
+    assert not hasattr(offer_entry(late), "_accepted")
+    trace = sim.run_simulation(SimConfig(n=6, p=0.6, intervals=3, delta=3, seed=5))
+    assert any(hasattr(e, "_accepted") for link in trace.store.links() for e in link.events.entries)
+    loaded = SimTrace.from_json(trace.to_json())
+    assert not any(hasattr(e, "_accepted") for link in loaded.store.links() for e in link.events.entries)
+
+
+def _kept_verdict_traces():
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    for path in sorted(configs.glob("*.json")):
+        yield path.stem, lambda path=path: sim.run_simulation(SimConfig.from_dict(json.loads(path.read_text())))
+    planting = SimConfig(
+        n=12, p=0.3, intervals=6, delta=3, alpha=0.1, seed=3,
+        adversaries=(AdversaryProfile("disappear", frozenset({DISAPPEARED}), from_t=3, to_t=6),),
+    )
+    yield "planting", lambda: _PlantingSimulation(planting).run()
+
+
+_KEPT_VERDICT_TRACES = list(_kept_verdict_traces())
+
+
+@pytest.mark.parametrize("make", [make for _, make in _KEPT_VERDICT_TRACES], ids=[n for n, _ in _KEPT_VERDICT_TRACES])
+def test_kept_verdicts_agree_with_the_whole_rule(make):
+    """On a simulated store, the claim index and every full walk read the
+    same verdicts with the kept ones as with every entry checked again."""
+    trace = make()
+    entries = [e for link in trace.store.links() for e in link.events.entries]
+    assert any(hasattr(e, "_accepted") for e in entries)
+
+    def verdicts():
+        index = ClaimIndex(trace.store, trace.credentials)
+        accepted = index.accepted((1 << len(index.links)) - 1).tolist()
+        walks = [
+            list(walk_chain(trace.head_link(r), trace.credentials[r], trace.store, trace.credentials, None))
+            for r in sorted(trace.heads)
+            if trace.heads[r] is not None
+        ]
+        return accepted, walks
+
+    with_kept = verdicts()
+    for entry in entries:
+        entry.__dict__.pop("_accepted", None)
+    assert verdicts() == with_kept

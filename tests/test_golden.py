@@ -20,31 +20,31 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 # name: (sha256 of the trace JSON, sha256 of the report JSON without manifest)
 PINS = {
     "collusion_n25": (
-        "0afb27a3df8fd0825637859059c82b02d496024cfbc9d45d1e2b48ebfe8189c9",
+        "4424d0d71fa0d225fd05a727c4aee2218b5b668e39bab717b2cb12d0fac4be29",
         "ee5384a97cb54d498fbd034b65cb1f31c06d1346ebccda85b40eb72e558d77b6",
     ),
     "disappearance_n25": (
-        "c7cfebb1ceda1d0b7f3411e883845bb0cf1062cad45e498943fe97999af7ff46",
+        "a560d5419522e3f0c72cee60680649909d4b9c1777965b4c6bc6836dda274dc5",
         "4aa68ef0b7d1ab90ccaed0e049dcf1268c103524262a03db073ac021f7de7775",
     ),
     "forge_n10": (
-        "e631c5d0e4f364e95996767466c3f041b13280722bd466ebdc2ccff411572348",
+        "0a83966caa2efa6196d0924659ab15391293053f70017f009848403991c27d4e",
         "18e88c4346c1dd544272b1301b0325f46c1a3bb24428645f8b11d994b4d60189",
     ),
     "framing_n25": (
-        "150e9e4fab8842d5072c233834fdeb587a85ed64e3fa438beebba208cd8fef0d",
+        "d9ed03ed141f73b6f8c1d359cfe96c9050a28d113b5223379f9f9a34e08193aa",
         "f4442d53a4f5297b8ce10547c178d637e9e9415c1d3ce367009295817509ad61",
     ),
     "framing_n48": (
-        "6a0feee03c2e2ef2020e214005e400f1055ea5941e8f4ee52fa08b2b527c2c30",
+        "340d1c789e755e8877bbd24b11f54cb5861ca4893c40cb59a08b06ea22ed917b",
         "16df718ab180648129d9f7905e55305ad75dc640013a9fbdeb76edc7ffe855cd",
     ),
     "honest_n25": (
-        "5a6a84d993aa37e2e0441ec84a34e5522c5bdee892622ec56824a849264607b7",
+        "4604e93dedf083b646af51c6f827414122bb16c19461c4709a315067b714668e",
         "a5e35ae8b7b96e5b2a274a649b1b83aff33edbfa97402b12c47336e7cada0572",
     ),
     "honest_n48": (
-        "39dde15dd6db223e8e8a37faf21cc1698e53f9b216d23ae7b9d07e5d54d7f0dd",
+        "3f82b7f6a358b7985fda5a469e45ba4803b29cdbbd44456edf0fc31f98a3f8bc",
         "01a78cfda9e810121845f7d467598ef9c4407798b17e6c1b2468e8c9009df15d",
     ),
 }

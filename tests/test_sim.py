@@ -1,6 +1,7 @@
 import json
 import struct
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -20,9 +21,11 @@ from swarmchain.chain import (
 from swarmchain.crypto import digest, provision_swarm, sign, verify
 from swarmchain.detect import LocalView, audit_trace
 from swarmchain.sim import (
+    MAX_ROBOTS,
     AdversaryProfile,
     ConfigError,
     DuplicateExchangeError,
+    ExchangeRecord,
     SimConfig,
     SimTrace,
     Simulation,
@@ -55,6 +58,7 @@ def _profile(behavior, robots, **kwargs):
         (dict(n=5, p=0.5, intervals=3, delta=0), "delta"),
         (dict(n=5, p=0.5, intervals=3, alpha=1.0), "alpha"),
         (dict(n=5, p=0.5, intervals=3, window=0), "window"),
+        (dict(n=MAX_ROBOTS + 1, p=0.5, intervals=3), "n"),
     ],
 )
 def test_invalid_config_names_field(kwargs, field):
@@ -112,6 +116,48 @@ def test_json_booleans_are_not_numbers(changes, field, honest_trace_25):
     with pytest.raises(TraceError) as err:
         SimTrace.from_dict(doc)
     assert err.value.location == f"config.{field}"
+
+
+@pytest.mark.parametrize("n", [MAX_ROBOTS + 1, 10**12])
+def test_an_oversized_swarm_is_refused_before_anything_is_provisioned(n, monkeypatch, tmp_path, capsys):
+    """The bound is checked by validation alone: no swarm of that size is
+    provisioned or sampled, here or in the CLI."""
+    from swarmchain import sim
+    from swarmchain.cli import main
+
+    def never(*args, **kwargs):
+        raise AssertionError("provisioned an oversized swarm")
+
+    monkeypatch.setattr(sim, "provision_swarm", never)
+    monkeypatch.setattr(sim, "gen_interval_graph", never)
+    assert SimConfig(n=MAX_ROBOTS, p=0.5, intervals=1, delta=1).n == MAX_ROBOTS
+    with pytest.raises(ConfigError) as err:
+        SimConfig(n=n, p=0.5, intervals=1, delta=1)
+    assert err.value.field == "n"
+    config = SimConfig(n=2, p=0.5, intervals=1, delta=1)
+    object.__setattr__(config, "n", n)  # past the dataclass's own validation
+    with pytest.raises(ConfigError) as err:
+        Simulation(config)
+    assert err.value.field == "n"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"n": n, "p": 0.5, "intervals": 1, "delta": 1, "seed": 1}))
+    assert main(["simulate", "--config", str(path), "--output", str(tmp_path / "trace.json")]) == 2
+    assert "field 'n'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", [MAX_ROBOTS + 1, 10**12])
+def test_a_trace_of_an_oversized_swarm_is_refused_at_config_n(n, honest_trace_25, tmp_path, capsys):
+    from swarmchain.cli import main
+
+    doc = json.loads(honest_trace_25.to_json())
+    doc["config"]["n"] = n
+    with pytest.raises(TraceError) as err:
+        SimTrace.from_dict(doc)
+    assert err.value.location == "config.n"
+    path = tmp_path / "trace.json"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", "--trace", str(path)]) == 2
+    assert "config.n" in capsys.readouterr().err
 
 
 def test_adversary_fraction_must_fit_alpha():
@@ -444,7 +490,7 @@ def test_trace_rejects_wrong_format():
     assert err.value.location == "format"
 
 
-@pytest.mark.parametrize("version", [1, 3, "2", None])
+@pytest.mark.parametrize("version", [1, 2, "3", None])
 def test_trace_refuses_a_version_it_cannot_read(version, honest_trace_25, tmp_path, capsys):
     from swarmchain.cli import main
 
@@ -512,7 +558,11 @@ def _rename_head(doc, key, renamed):
 
 
 def _set_exchange(doc, key, value):
-    doc["exchanges"][0][key] = value
+    doc["exchanges"][key][0] = value
+
+
+def _set_exchanges(doc, key, value):
+    doc["exchanges"][key] = value
 
 
 def _set_graph(doc, index, value):
@@ -524,7 +574,29 @@ def _swap_graphs(doc, *_):
 
 
 def _add_graph(doc, *_):
-    doc["graphs"].append({"interval": 4, "n": 25, "edges": []})
+    doc["graphs"].append({"interval": 4, "n": 25, "u": [], "v": []})
+
+
+def _swap_first_edges(doc, *_):
+    graph = doc["graphs"][0]
+    for column in ("u", "v"):
+        graph[column][0], graph[column][1] = graph[column][1], graph[column][0]
+
+
+def _as_version_2(doc, *_):
+    """The document in the version-2 layout: graphs as edge lists and
+    exchanges as one object per record."""
+    for graph in doc["graphs"]:
+        graph["edges"] = [list(edge) for edge in zip(graph.pop("u"), graph.pop("v"))]
+    log = doc["exchanges"]
+    doc["exchanges"] = [
+        {
+            "interval": t, "a": a, "b": b, "a_gave": True, "b_gave": True,
+            "a_recorded": True, "b_recorded": True, "fabricated": False, "notes": [],
+        }
+        for t, a, b in zip(log["interval"], log["a"], log["b"])
+    ]
+    doc["version"] = 2
 
 
 _BAD_HEADS_AND_EXCHANGES = [
@@ -541,32 +613,47 @@ _BAD_HEADS_AND_EXCHANGES = [
     ("head-key-zero-padded", _rename_head, ("10", "0010"), "heads.0010"),
     ("head-key-plus", _rename_head, ("3", "+3"), "heads.+3"),
     ("head-key-arabic-indic-digit", _rename_head, ("3", "\u0663"), "heads.\u0663"),
-    ("exchange-interval-string", _set_exchange, ("interval", "1"), "exchanges[0].interval"),
-    ("exchange-interval-bool", _set_exchange, ("interval", True), "exchanges[0].interval"),
-    ("exchange-interval-negative", _set_exchange, ("interval", -5), "exchanges[0].interval"),
-    ("exchange-interval-past-run", _set_exchange, ("interval", 4), "exchanges[0].interval"),
-    ("exchange-a-string", _set_exchange, ("a", "x"), "exchanges[0]"),
-    ("exchange-b-bool", _set_exchange, ("b", True), "exchanges[0]"),
-    ("exchange-b-outside-swarm", _set_exchange, ("b", 26), "exchanges[0]"),
-    ("exchange-a-not-below-b", _set_exchange, ("a", 25), "exchanges[0]"),
-    ("exchange-flag-int", _set_exchange, ("a_gave", 1), "exchanges[0].a_gave"),
-    ("exchange-flag-string", _set_exchange, ("b_recorded", "yes"), "exchanges[0].b_recorded"),
-    ("exchange-fabricated-null", _set_exchange, ("fabricated", None), "exchanges[0].fabricated"),
-    ("exchange-notes-string", _set_exchange, ("notes", "abc"), "exchanges[0].notes"),
-    ("exchange-notes-int", _set_exchange, ("notes", [1]), "exchanges[0].notes"),
-    ("exchange-missing-flag", lambda doc, *_: doc["exchanges"][0].pop("b_gave"), (None, None), "exchanges[0]"),
-    ("exchange-not-an-object", lambda doc, *_: doc["exchanges"].__setitem__(0, [1, 2]), (None, None), "exchanges[0]"),
-    ("graph-interval-99-n-4", _set_graph, (0, {"interval": 99, "n": 4, "edges": []}), "graphs[0]"),
-    ("graph-n-1000", _set_graph, (0, {"interval": 1, "n": 1000, "edges": [[1, 999]]}), "graphs[0]"),
-    ("graph-n-bool", _set_graph, (0, {"interval": 1, "n": True, "edges": []}), "graphs[0]"),
-    ("graph-interval-bool", _set_graph, (0, {"interval": True, "n": 25, "edges": []}), "graphs[0]"),
-    ("graph-edge-floats", _set_graph, (1, {"interval": 2, "n": 25, "edges": [[1.0, 2.5]]}), "graphs[1]"),
-    ("graph-edge-bool", _set_graph, (1, {"interval": 2, "n": 25, "edges": [[True, 2]]}), "graphs[1]"),
-    ("graph-edge-repeated", _set_graph, (2, {"interval": 3, "n": 25, "edges": [[1, 2], [1, 2]]}), "graphs[2]"),
-    ("graph-edge-triple", _set_graph, (2, {"interval": 3, "n": 25, "edges": [[1, 2, 3]]}), "graphs[2]"),
+    # the exchange log, one column per field
+    ("exchange-interval-string", _set_exchange, ("interval", "1"), "exchanges.interval[0]"),
+    ("exchange-interval-bool", _set_exchange, ("interval", True), "exchanges.interval[0]"),
+    ("exchange-interval-negative", _set_exchange, ("interval", -5), "exchanges.interval[0]"),
+    ("exchange-interval-past-run", _set_exchange, ("interval", 4), "exchanges.interval[0]"),
+    ("exchange-a-string", _set_exchange, ("a", "x"), "exchanges.a[0]"),
+    ("exchange-b-bool", _set_exchange, ("b", True), "exchanges.b[0]"),
+    ("exchange-b-outside-swarm", _set_exchange, ("b", 26), "exchanges.b[0]"),
+    ("exchange-a-not-below-b", _set_exchange, ("a", 25), "exchanges.a[0]"),
+    ("exchange-flag-int", _set_exchange, ("flags", 1.0), "exchanges.flags[0]"),
+    ("exchange-flag-string", _set_exchange, ("flags", "yes"), "exchanges.flags[0]"),
+    ("exchange-fabricated-null", _set_exchange, ("flags", None), "exchanges.flags[0]"),
+    ("exchange-notes-string", _set_exchanges, ("notes", "abc"), "exchanges.notes"),
+    ("exchange-notes-int", _set_exchanges, ("notes", [1]), "exchanges.notes[0]"),
+    ("exchange-missing-flag", lambda doc, *_: doc["exchanges"].pop("flags"), (None, None), "exchanges.flags"),
+    ("exchange-not-an-object", lambda doc, *_: doc.__setitem__("exchanges", [1, 2]), (None, None), "exchanges"),
+    ("exchange-columns-unequal", lambda doc, *_: doc["exchanges"]["b"].pop(), (None, None), "exchanges.b"),
+    ("exchange-flags-32", _set_exchange, ("flags", 32), "exchanges.flags[0]"),
+    ("exchange-flags-negative", _set_exchange, ("flags", -1), "exchanges.flags[0]"),
+    ("exchange-flags-bool", _set_exchange, ("flags", True), "exchanges.flags[0]"),
+    ("exchange-note-index-past-log", _set_exchanges, ("notes", [[0, "a"], [10**6, "b"]]), "exchanges.notes[1]"),
+    ("exchange-note-index-negative", _set_exchanges, ("notes", [[-1, "withheld:1->2"]]), "exchanges.notes[0]"),
+    ("exchange-note-index-decreasing", _set_exchanges, ("notes", [[5, "a"], [3, "b"]]), "exchanges.notes[1]"),
+    ("exchange-note-not-a-string", _set_exchanges, ("notes", [[0, 7]]), "exchanges.notes[0]"),
+    # the graphs, one edge column per endpoint
+    ("graph-interval-99-n-4", _set_graph, (0, {"interval": 99, "n": 4, "u": [], "v": []}), "graphs[0]"),
+    ("graph-n-1000", _set_graph, (0, {"interval": 1, "n": 1000, "u": [1], "v": [999]}), "graphs[0]"),
+    ("graph-n-bool", _set_graph, (0, {"interval": 1, "n": True, "u": [], "v": []}), "graphs[0]"),
+    ("graph-interval-bool", _set_graph, (0, {"interval": True, "n": 25, "u": [], "v": []}), "graphs[0]"),
+    ("graph-edge-floats", _set_graph, (1, {"interval": 2, "n": 25, "u": [1.0], "v": [2.5]}), "graphs[1].u[0]"),
+    ("graph-edge-bool", _set_graph, (1, {"interval": 2, "n": 25, "u": [True], "v": [2]}), "graphs[1].u[0]"),
+    ("graph-edge-repeated", _set_graph, (2, {"interval": 3, "n": 25, "u": [1, 1], "v": [2, 2]}), "graphs[2].u[1]"),
+    ("graph-edge-triple", _set_graph, (2, {"interval": 3, "n": 25, "u": [1], "v": [[2, 3]]}), "graphs[2].v[0]"),
     ("graph-not-an-object", _set_graph, (2, [1, 2]), "graphs[2]"),
     ("graph-out-of-order", _swap_graphs, (None, None), "graphs[0]"),
     ("graph-past-run", _add_graph, (None, None), "graphs[3]"),
+    ("graph-columns-unequal", lambda doc, *_: doc["graphs"][0]["v"].pop(), (None, None), "graphs[0].v"),
+    ("graph-edges-descending", _swap_first_edges, (None, None), "graphs[0].u[1]"),
+    ("graph-edge-reversed", _set_graph, (0, {"interval": 1, "n": 25, "u": [2], "v": [1]}), "graphs[0].v[0]"),
+    ("graph-edge-columns-missing", _set_graph, (0, {"interval": 1, "n": 25, "edges": [[1, 2]]}), "graphs[0].u"),
+    ("trace-version-2", _as_version_2, (None, None), "version"),
 ]
 
 
@@ -579,7 +666,8 @@ def test_trace_refuses_bad_heads_and_exchange_records(mutate, args, location, ho
     from swarmchain.cli import main
 
     doc = json.loads(honest_trace_25.to_json())
-    assert doc["exchanges"][0]["a"] == 1 and doc["config"]["intervals"] == 3
+    assert doc["exchanges"]["a"][0] == 1 and doc["exchanges"]["b"][0] < 25 and doc["config"]["intervals"] == 3
+    assert len(doc["graphs"][0]["u"]) >= 2
     mutate(doc, *args)
     with pytest.raises(TraceError) as err:
         SimTrace.from_dict(doc)
@@ -628,9 +716,25 @@ def test_a_credential_one_byte_off_loads_as_its_own_and_is_refused():
     assert audit_trace(loaded).verification_failures == ((1, 2, "uncertified-credential"),)
 
 
-def test_loaded_exchange_records_round_trip(honest_trace_25):
-    text = honest_trace_25.to_json()
-    assert SimTrace.from_json(text).to_json() == text
+def test_loaded_exchange_records_round_trip():
+    """Every shipped config, the adversarial ones with notes and fabricated
+    records included, loads to the simulated exchange log and graphs and
+    writes back the bytes it was read from."""
+    configs = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
+    assert len(configs) == 7
+    flags_seen, notes_seen = set(), set()
+    for path in configs:
+        trace = run_simulation(SimConfig.from_dict(json.loads(path.read_text())))
+        text = trace.to_json()
+        loaded = SimTrace.from_json(text)
+        assert loaded.to_json() == text, path.stem
+        assert loaded.exchanges == trace.exchanges, path.stem
+        assert loaded.graphs == trace.graphs, path.stem
+        assert all(isinstance(x, ExchangeRecord) for x in loaded.exchanges)
+        flags_seen |= {x[3:8] for x in loaded.exchanges}
+        notes_seen |= {note.split(":")[0] for x in loaded.exchanges for note in x.notes}
+    assert (True, True, True, True, True) in flags_seen  # a fabricated, fully recorded meeting
+    assert {"unrecorded", "forged-offer-rejected"} <= notes_seen
 
 
 def _segments(link):

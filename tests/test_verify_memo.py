@@ -123,3 +123,16 @@ def test_memo_never_exceeds_its_bound(monkeypatch, fresh_memo):
         assert not verify(identity.credential, message, tampered)
         assert not verify(identity.credential, message + b"!", signature)
         assert len(fresh_memo) <= 4
+
+
+def test_a_digest_message_and_its_bytes_share_one_memo_entry(real_verifies, fresh_memo):
+    _, (robot,) = provision_swarm(1, seed=8)
+    message = crypto.digest(b"a payload")
+    signature = sign(robot, message)
+    fresh_memo.clear()  # the signature now reaches real crypto once
+    assert verify(robot.credential, message, signature)
+    assert verify(robot.credential, bytes(message), signature)
+    assert verify(robot.credential, bytearray(message), signature)
+    assert not verify(robot.credential, bytearray(b"another payload"), signature)
+    assert len(fresh_memo) == 2 and real_verifies == [robot.credential.verify_key] * 2
+    assert fresh_memo[robot.credential.verify_key, bytes(message), signature] is True
