@@ -96,25 +96,10 @@ offers reach :func:`build_event_list`.
 The exchange (:func:`check_offer`), the local views and the central
 audit (``detect``) decide what counts by these rules alone.
 :func:`verify_chain` rejects at the first walk finding but a late start
-(at depth 1 also forgiving ``missing-entry-link``); the audit reads them all.
-
-Walk record rule: :func:`verify_chain` keeps, per store, a record of
-accepted walks, ``(link digest, owner credential) -> deepest accepted
-depth``.  A walk that ends having found nothing but a ``late-start``
-records each link it walked at the depth it had left there; a refusal
-is never recorded, nor is a depth-1 accept that forgave a
-``missing-entry-link`` (the link may be stored later).  A walk stops,
-accepting the rest, at the first link (the head included) whose recorded
-depth covers the rest of its window.  Sound because a store only grows
-and is content-addressed: a stored link never changes, so the findings
-of a strictly accepted walk stay the same.  The record assumes that the
-store's link table and the credential table are never altered in place
-(only :meth:`LinkStore.insert` adds to the link table); it is tagged with
-both table objects, so a copy of the store given a new table, or another
-credential table, starts an empty record.  The audit passes no record and
-walks every chain in full; it passes the entries its claim index
-(``detect.ClaimIndex``) has refused, so the walk runs :func:`check_entry`
-only on those, for their reason.
+(at depth 1 also forgiving ``missing-entry-link``).  The audit reads
+every finding of every chain, walked in full; it passes the entries its
+claim index (``detect.ClaimIndex``) has refused, so the walk runs
+:func:`check_entry` only on those, for their reason.
 
 Offered-entry rule: when :func:`check_offer` accepts an offer at t, it
 keeps on the offer's entry (:func:`offer_entry`, the one object every
@@ -122,12 +107,12 @@ receiver's event list holds) the key of that verdict: t, the issued
 credential object and the offered link object (None for a genesis
 offer).  :func:`check_entry` accepts such an entry at once when it is
 asked at the same t and ``credentials.get(peer)`` and ``resolve(digest)``
-return those same objects.  Sound for the walk record rule's reason: the
-verdict of :func:`check_entry` is a function of the entry, t, the issued
-credential and the resolved link alone (and of :func:`crypto.verify`,
-itself a pure function), and all four are immutable.  So each offered
-entry is checked once per run, whether the next check comes from a walk
-over the receiver's chain or from a claim index over the store.  Only
+return those same objects.  Sound because the verdict of
+:func:`check_entry` is a function of the entry, t, the issued credential
+and the resolved link alone (and of :func:`crypto.verify`, itself a pure
+function), and all four are immutable.  So each offered entry is checked
+once per run, whether the next check comes from a walk over the
+receiver's chain or from a claim index over the store.  Only
 :func:`check_offer` keeps a verdict; a decoded entry never carries one.
 """
 from __future__ import annotations
@@ -579,16 +564,12 @@ def check_entry(
     return None
 
 
-WalkRecord = dict[tuple[Digest, Credential], int]
-
-
 def walk_chain(
     head: HistoryLink,
     owner_credential: Credential | None,
     store: LinkStore,
     credentials: Mapping[int, Credential],
     depth: int | None,
-    record: WalkRecord | None = None,
     refused: Callable[[HistoryLink], Iterable[EventEntry]] | None = None,
 ) -> Iterator[tuple[int, int, str]]:
     """Every refusal and linkage finding of the walk rule (see the module
@@ -601,24 +582,12 @@ def walk_chain(
     ``check_entry`` (through ``store`` under ``credentials``) refuses, as
     already decided elsewhere; the walk then runs ``check_entry`` only on
     them, for their reason.
-
-    With a walk ``record`` (and a ``depth``), the walk follows the walk
-    record rule of the module docstring: it stops at the first link whose
-    recorded depth covers the rest of the window, and a walk that finds
-    nothing but a late start records each link it walked.
     """
     link, walked = head, 1
-    strict, walked_digests = True, []
     while True:
-        if record is not None:
-            d = link_digest(link)
-            if record.get((d, owner_credential), 0) > depth - walked:
-                break
-            walked_digests.append(d)
         t = link.interval
         reason = check_link(link, owner_credential)
         if reason is not None:
-            strict = False
             yield t, t, reason
             if reason == "wrong-owner":
                 return
@@ -626,12 +595,11 @@ def walk_chain(
             for entry in link.events.entries if refused is None else refused(link):
                 reason = check_entry(entry, t, store.get, credentials)
                 if reason is not None:
-                    strict = False
                     yield t, t, reason
         if link.prev_digest == GENESIS and t > 1:
             yield 1, t - 1, "late-start"
         if link.prev_digest == GENESIS or walked == depth:
-            break
+            return
         prev = store.get(link.prev_digest)
         if prev is None:
             yield t - 1, t - 1, "missing-link"
@@ -643,22 +611,8 @@ def walk_chain(
             yield prev.interval, prev.interval, "interval-order"
             return
         if prev.interval < t - 1:
-            strict = False
             yield prev.interval + 1, t - 1, "interval-gap"
         link, walked = prev, walked + 1
-    if strict and record is not None:
-        for covered, d in enumerate(walked_digests):
-            key = (d, owner_credential)
-            record[key] = max(record.get(key, 0), depth - covered)
-
-
-def _walk_record(store: LinkStore, credentials: Mapping[int, Credential]) -> WalkRecord:
-    """The walk record of ``store`` under ``credentials``, started on first
-    use and kept on the store (see the walk record rule above)."""
-    kept = store.__dict__.get("_walks")
-    if kept is None or kept[0] is not store._links or kept[1] is not credentials:
-        kept = store.__dict__["_walks"] = (store._links, credentials, {})
-    return kept[2]
 
 
 def verify_chain(
@@ -671,15 +625,14 @@ def verify_chain(
     """None if the ``depth`` most recent links of ``head``'s chain pass the
     walk rule, else the reason of the first :func:`walk_chain` finding but
     a late start and, at ``depth`` 1, a missing entry link (the head's
-    signature covers entry digests as bytes).  The walk reads and fills
-    the store's walk record (see the module docstring), so each accepted
-    link is walked once.
+    signature covers entry digests as bytes).  A pure function of its
+    arguments: a re-walked entry is answered by its kept verdict (the
+    offered-entry rule) and a re-walked link by the verify memo.
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     forgiven = ("late-start",) if depth > 1 else ("late-start", "missing-entry-link")
-    record = _walk_record(store, credentials)
-    for _, _, reason in walk_chain(head, owner_credential, store, credentials, depth, record):
+    for _, _, reason in walk_chain(head, owner_credential, store, credentials, depth):
         if reason not in forgiven:
             return reason
     return None

@@ -246,6 +246,10 @@ def _mc_rows(config: SimConfig, trials: int, tolerance: float) -> tuple[dict[str
 
 def cmd_montecarlo(args, out=None) -> int:
     out = out if out is not None else sys.stdout
+    if args.runs < 0:
+        raise ValueError(f"--runs must be >= 0, got {args.runs}")
+    if not args.tolerance >= 0.0:  # refuses nan too
+        raise ValueError(f"--tolerance must be >= 0, got {args.tolerance}")
     config = _resolve_seed(_load_config(args.config), args, out)
     row, ok = _mc_rows(config, args.trials, args.tolerance)
 

@@ -28,22 +28,24 @@ Cost.  A store's :class:`ClaimIndex` is built once, by the first view or
 audit that reads the store under a credential table, and kept on the
 store.  Every stored link goes through ``check_link`` once, one
 iterative pass gives each link its closure mask, and each entry of a
-link that passes goes through ``check_entry`` once, when a view or the
-audit first holds the link.  The index also keeps the per-trace
-constants every reader shares: each claim's entry, the claims grouped by
-claimer and by target, the links grouped by owner, the window claims of each
-``(as_of, delta)`` and one :class:`PairingVerdict` per distinct
-``(paired, unpaired, threshold)``.  A view is then its head's mask (the
-central view ORs every head's), and a report is a handful of numpy passes
-over the claims (gathers, segment sums with ``np.add.reduceat``, a run
-filter) plus Python work only for the n robots' rows and what the report
-lists; no interval is ever a bit position or an array size.  The audit
-walks each chain with ``walk_chain`` but takes the refused entries of
-every counted link from the index, so ``check_entry`` runs again only on
-those, for their reason.  The index assumes that the store's
-link table and the credential table are not altered in place; it is
-tagged with both table objects and the table's size, so a store given
-another table, grown by :meth:`LinkStore.insert`, or read under another
+link that passes goes through ``check_entry`` once, as the index is
+built (an entry ``check_offer`` accepted answers from its kept verdict,
+the offered-entry rule of :mod:`swarmchain.chain`).  The index also
+keeps the per-trace constants every reader shares: each claim's entry,
+the claims grouped by claimer and by target, the links grouped by owner,
+the window claims of each ``(as_of, delta)`` and one
+:class:`PairingVerdict` per distinct ``(paired, unpaired, threshold)``.
+A view is then its head's mask (the central view ORs every head's), and
+a report is a handful of numpy passes over the claims (gathers, segment
+sums with ``np.add.reduceat``, a run filter) plus Python work only for
+the n robots' rows and what the report lists; no report checks an
+entry, and no interval is ever a bit position or an array size.  The
+audit walks each chain with ``walk_chain`` but takes the refused entries
+of every counted link from the index, so ``check_entry`` runs again only
+on those, for their reason.  The index assumes that the store's link
+table and the credential table are not altered in place; it is tagged
+with both table objects and the table's size, so a store given another
+table, grown by :meth:`LinkStore.insert`, or read under another
 credential table gets a fresh index.
 """
 from __future__ import annotations
@@ -97,14 +99,14 @@ class ClaimIndex:
     nothing.  ``counted`` is the mask of the links that pass
     ``check_link``.  Each entry of a counted link names a claim
     ``(claimer, target, interval)``; distinct claims are numbered in
-    sorted order, so duplicate entries collapse.  An entry counts once
-    ``check_entry`` accepts it, resolving through the store;
-    :meth:`accepted` checks each link's entries once, when a view first
-    holds the link, so links no view holds cost no entry check.  The
-    per-claim and per-link columns are numpy arrays; robots are numbered
-    densely, and no robot id or interval is ever an array position.  A
-    per-robot array has one more slot, always 0, that the -1 of an absent
-    robot indexes.
+    sorted order, so duplicate entries collapse.  An entry counts when
+    ``check_entry`` accepts it, resolving through the store; the
+    constructor checks every entry of every counted link once, into
+    ``entry_ok`` and ``claim_ok``.  Once built, the index changes only
+    its memo dicts.  The per-claim and per-link columns are numpy arrays;
+    robots are numbered densely, and no robot id or interval is ever an
+    array position.  A per-robot array has one more slot, always 0, that
+    the -1 of an absent robot indexes.
 
     A view's masks and tallies are sized by the trace (its links, claims
     or robots), never by what the view holds: numpy keeps freed buffers
@@ -116,18 +118,17 @@ class ClaimIndex:
     """
 
     def __init__(self, store: LinkStore, credentials: Mapping[int, Credential]) -> None:
-        self.credentials = credentials
         self.digests = list(store.digests())
         self.links = list(store.links())
         self.position = dict(zip(self.digests, range(len(self.links))))
-        self.resolve = dict(zip(self.digests, self.links)).get  # the store's get, as indexed
+        resolve = dict(zip(self.digests, self.links)).get  # the store's get
         counted = [check_link(link, credentials.get(link.owner_id)) is None for link in self.links]
         self.counted = int.from_bytes(np.packbits(np.array(counted, bool), bitorder="little").tobytes(), "little")
-        self.unchecked = self.counted  # links whose entries await check_entry
         find = self.position.get
         refs: list[list[int]] = []
         peers: list[int] = []
         entry_link: list[int] = []
+        entry_ok: list[bool] = []
         self.first_entry: list[int] = []
         for i, link in enumerate(self.links):
             entries = link.events.entries
@@ -135,9 +136,11 @@ class ClaimIndex:
             refs.append([j for j in found if j is not None])
             self.first_entry.append(len(peers))
             if counted[i]:
+                t = link.interval
                 peers += [e.peer_id for e in entries]
                 entry_link += [i] * len(entries)
-        self.entry_ok = np.zeros(len(peers), bool)
+                entry_ok += [check_entry(e, t, resolve, credentials) is None for e in entries]
+        self.entry_ok = np.array(entry_ok, bool)
         self.masks = _closure_masks(refs)
         owner_ids = np.array([link.owner_id for link in self.links], np.int64)
         peer_ids = np.array(peers, np.int64)
@@ -178,7 +181,7 @@ class ClaimIndex:
         first[1:] = self.entry_claim[by_claim[1:]] != self.entry_claim[by_claim[:-1]]
         self.claim_entry, self.repeat_entry = by_claim[first], by_claim[~first]
         self.claim_link = self.entry_link[self.claim_entry]
-        self.claim_ok = self.entry_ok[self.claim_entry]  # refreshed by accepted()
+        self.claim_ok = self.entry_ok[self.claim_entry]
         # Claims are in claimer order already; targets and link owners get an order.
         self.claimer_start, self.claimers = _segments(claimer)
         self.by_target = np.argsort(target, kind="stable")
@@ -192,24 +195,10 @@ class ClaimIndex:
         self._swarms: dict[int, np.ndarray] = {}
         self._verdicts: dict[int, dict[int, PairingVerdict]] = {}  # threshold -> counts key -> verdict
 
-    def accepted(self, mask: int) -> np.ndarray:
-        """Which entries ``check_entry`` accepts, as a bool array over the
-        entries; settled for every entry of a counted link in ``mask``."""
-        todo, resolve = mask & self.unchecked, self.resolve
-        if not todo:
-            return self.entry_ok
-        for i in self.select(range(len(self.links)), self.bits(todo)):
-            link = self.links[i]
-            for row, entry in enumerate(link.events.entries, self.first_entry[i]):
-                self.entry_ok[row] = check_entry(entry, link.interval, resolve, self.credentials) is None
-        self.unchecked &= ~todo
-        self.claim_ok = self.entry_ok[self.claim_entry]
-        return self.entry_ok
-
     def held(self, links: np.ndarray) -> np.ndarray:
         """The claims of the accepted entries of ``links`` (a bool array
-        over the links, every one settled by :meth:`accepted`), as a bool
-        array over the claims with one more, always False, slot for -1."""
+        over the links), as a bool array over the claims with one more,
+        always False, slot for -1."""
         claims = np.zeros(len(self.claim_t) + 1, bool)
         np.logical_and(self.claim_ok, links[self.claim_link], out=claims[:-1])
         repeats = self.repeat_entry
@@ -398,10 +387,8 @@ class LocalView:
     def _selected(self) -> tuple[np.ndarray, np.ndarray]:
         """Bool arrays of the index's links and claims in view.  The claims
         array carries one more, always False, slot for the index's -1."""
-        index = self.index
-        index.accepted(self.mask)
-        links = index.bits(self.mask)
-        return links, index.held(links)
+        links = self.index.bits(self.mask)
+        return links, self.index.held(links)
 
     @cached_property
     def _latest(self) -> np.ndarray:
@@ -425,11 +412,10 @@ class LocalView:
         """(claimer, target, interval) for every entry in view that passes
         ``check_entry``.
 
-        Each entry is checked once, when a view first holds its link,
-        resolving through the trace's store.  For a view of a trace that
-        accepts exactly what resolving through the view's own links would:
-        every view holds the ``check_link``-verified part of a closure of
-        the trace's store, so whatever an entry of a link in view
+        The index checked each entry once, resolving through the trace's
+        store.  That accepts exactly what resolving through the view's own
+        links would: every view holds the ``check_link``-verified part of a
+        closure of the store, so whatever an entry of a link in view
         references and the store holds is in the closure too.
         """
         return frozenset(self.index.claims_at(np.flatnonzero(self._selected[1][:-1])))
@@ -686,22 +672,20 @@ def central_audit(
     stops short of the final interval is a coverage gap too, and missing
     heads are listed.
 
-    The audit is the second reader of the store's :class:`ClaimIndex`
-    (the one the trace's views read): the walk takes each checked link's
-    refused entries from it, so ``check_entry`` runs only on those, for
-    their reason.  Its claims are the index claims of the accepted
-    entries of the links the walks checked; a claim without its mirror is
-    unpaired, and a forward claim with it is an encounter.  Every head is a link the store holds, and ``credentials``
-    maps each robot id to that robot's credential, as in every loaded
-    trace; otherwise the walk meets a link the index does not count and
-    the audit raises ``ValueError``.
+    The audit reads the store's :class:`ClaimIndex`, the one the trace's
+    views read: the walk takes each checked link's refused entries from
+    ``index.entry_ok``, so ``check_entry`` runs only on those, for their
+    reason.  Its claims are the index claims of the accepted entries of
+    the links the walks checked; a claim without its mirror is unpaired,
+    and a forward claim with it is an encounter.
+
+    Every head is a link the store holds, and ``credentials`` maps each
+    robot id to that robot's credential, as in every loaded trace;
+    otherwise the walk meets a link the index does not count and the
+    audit raises ``ValueError``.
     """
     index = _claim_index(store, credentials)
-    mask = 0
-    for head in heads.values():
-        if head is not None:
-            mask |= index.mask_of(link_digest(head))
-    entry_ok = index.accepted(mask)
+    entry_ok = index.entry_ok
     walked = np.zeros(len(index.links), bool)
 
     def refused(link: HistoryLink) -> Iterable[EventEntry]:

@@ -156,27 +156,25 @@ def mc_report_within(q: ProbQuery, trials: int, seed: int) -> Estimate:
     O(block) memory.  The target is :func:`prob_report_within_exact`, not
     the paper's approximation :func:`prob_report_within`, which lies about
     +0.0085 above it at (48, 0.17, 3).  Trials run in seed-derived chunks
-    (one child stream per chunk), so the estimate is reproducible and
-    the chunks could run in parallel.  Each chunk is drawn in blocks of
-    whole trials that fit ``_BLOCK_CELLS`` uniforms (at least one trial);
-    ``Generator.random`` fills in C order, so consecutive blocks consume
-    the chunk's stream exactly as one whole draw would, and the block
-    size never changes the estimate.
+    (one child stream per chunk, derived as the chunk starts), so the
+    estimate is reproducible and the chunks could run in parallel.  Each
+    chunk is drawn in blocks of whole trials that fit ``_BLOCK_CELLS``
+    uniforms (at least one trial); ``Generator.random`` fills in C order,
+    so consecutive blocks consume the chunk's stream exactly as one whole
+    draw would, and the block size never changes the estimate.
     """
     if not _is_int(trials) or trials < 1:
         raise ValueError(f"trials: must be an integer >= 1, got {trials!r}")
-    chunks = (trials + _MC_CHUNK - 1) // _MC_CHUNK
-    streams = np.random.SeedSequence(seed).spawn(chunks)
+    root = np.random.SeedSequence(seed)
     width = 2 * (q.n - 2) + 1
     block = min(trials, _MC_CHUNK, max(1, _BLOCK_CELLS // (q.delta * width)))
     uniforms = np.empty((block, q.delta, width))
     edges = np.empty(uniforms.shape, dtype=bool)
     hits = 0
-    remaining = trials
-    for stream in streams:
-        m = min(_MC_CHUNK, remaining)
-        remaining -= m
-        rng = np.random.default_rng(stream)
+    for chunk, done in enumerate(range(0, trials, _MC_CHUNK)):
+        m = min(_MC_CHUNK, trials - done)
+        # child ``chunk`` of the root, as ``root.spawn`` gives it, made when used
+        rng = np.random.default_rng(np.random.SeedSequence(root.entropy, spawn_key=(chunk,)))
         for start in range(0, m, block):
             b = min(block, m - start)
             rng.random(out=uniforms[:b])

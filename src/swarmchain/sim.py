@@ -307,19 +307,6 @@ class ExchangeRecord(NamedTuple):
     fabricated: bool = False
     notes: tuple[str, ...] = ()
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "interval": self.interval,
-            "a": self.a,
-            "b": self.b,
-            "a_gave": self.a_gave,
-            "b_gave": self.b_gave,
-            "a_recorded": self.a_recorded,
-            "b_recorded": self.b_recorded,
-            "fabricated": self.fabricated,
-            "notes": list(self.notes),
-        }
-
 
 def apply_disappearance(profiles: Iterable[AdversaryProfile], t: int, n: int) -> frozenset[int]:
     """Robot ids active during interval ``t``: everyone outside a disappearance window."""
@@ -632,7 +619,6 @@ class Simulation:
                     self.forge_target[r] = profile.target
         self.graphs: list[EncounterGraph] = []
         self.exchanges: list[ExchangeRecord] = []
-        self._graph_streams = np.random.SeedSequence(config.seed).spawn(config.intervals)
         self._queues: dict[int, list[HistoryOffer]] = {}
         self._pairs_this_interval: set[tuple[int, int]] = set()
         self._offers: dict[tuple[int, bool], tuple[HistoryOffer, str | None]] = {}
@@ -739,7 +725,8 @@ class Simulation:
         cfg = self.config
         for t in range(1, cfg.intervals + 1):
             active = apply_disappearance(cfg.adversaries, t, cfg.n)
-            rng = np.random.default_rng(self._graph_streams[t - 1])
+            # child t - 1 of the root seed, as SeedSequence(seed).spawn gives it, made when used
+            rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(t - 1,)))
             g = gen_interval_graph(cfg.n, cfg.p, rng, interval=t)
             self.graphs.append(g)
             self._queues = {r: [] for r in range(1, cfg.n + 1)}

@@ -3,7 +3,6 @@ import dataclasses
 import json
 import random
 import struct
-from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -372,12 +371,12 @@ def test_depth_must_be_positive(swarm5):
         verify_chain(link, identities[0].credential, store, depth=0, credentials=_issued(identities))
 
 
-# -- the walk record ------------------------------------------------------------
+# -- verify_chain keeps no state ---------------------------------------------------
 
 
 def test_walk_record_keeps_no_refusal(swarm5, refusal):
     """A refused chain is refused again, and accepted once its missing
-    previous link is stored."""
+    previous link is stored: a refusal leaves nothing behind."""
     _, identities = swarm5
     full = LinkStore()
     heads = _grow_pairwise(identities, full, 3)
@@ -395,8 +394,9 @@ def test_walk_record_keeps_no_refusal(swarm5, refusal):
 
 
 def test_walk_record_keeps_no_forgiven_accept(swarm5, refusal):
-    """A depth-1 accept that forgave a missing entry link is not kept: once
-    that link is stored, at the wrong interval, the chain is refused."""
+    """A depth-1 accept that forgave a missing entry link answers for
+    nothing later: once that link is stored, at the wrong interval, the
+    chain is refused."""
     _, identities = swarm5
     owner, peer = identities[0], identities[1]
     elsewhere = LinkStore()
@@ -415,7 +415,8 @@ def test_walk_record_keeps_no_forgiven_accept(swarm5, refusal):
 
 def test_walk_record_is_tied_to_its_tables(swarm5, refusal):
     """After a clean walk, a copy of the store with a tampered link table,
-    and the same store under another credential table, each refuse."""
+    and the same store under another credential table, each refuse: the
+    verdict is a function of the tables passed."""
     _, identities = swarm5
     store = LinkStore()
     heads = _grow_pairwise(identities, store, 3)
@@ -455,29 +456,36 @@ def test_walk_record_covers_only_the_depth_it_walked(swarm5, refusal):
 
 
 @pytest.mark.parametrize("name", ["framing_n25", "forge_n10"])
-def test_verify_chain_walks_each_stored_entry_once_per_run(name, monkeypatch):
-    """Every entry that any ``verify_chain`` walk of one run checks, by
-    (link digest, peer): each stored link's entries are checked once.
+def test_verify_chain_accepts_only_entries_with_kept_verdicts(name, monkeypatch):
+    """Every entry that a ``verify_chain`` walk of one run accepts carries
+    the verdict :func:`check_offer` kept for it at that link's interval,
+    under the issued credential and the link the store resolves: no walk
+    runs the whole entry rule on an entry it accepts.
 
     The walk checks the entries its ``refused`` hook hands it; the hook
-    here hands over every entry and counts it."""
-    checked = Counter()
+    here hands over every entry and judges a copy without a kept verdict."""
+    accepted = []
     walk = chain.walk_chain
 
-    def every_entry(link):
-        for entry in link.events.entries:
-            checked[link_digest(link), entry.peer_id] += 1
-        return link.events.entries
-
-    def counting_walk(head, owner_credential, store, credentials, depth, record=None, refused=None):
+    def recording_walk(head, owner_credential, store, credentials, depth, refused=None):
         assert refused is None
-        return walk(head, owner_credential, store, credentials, depth, record, every_entry)
 
-    monkeypatch.setattr(chain, "walk_chain", counting_walk)
-    trace = run_simulation(SimConfig.from_dict(json.loads((CONFIGS / f"{name}.json").read_text())))
-    stored = sum(len(link.events.entries) for link in trace.store.links())
-    assert 0 < len(checked) <= stored
-    assert set(checked.values()) == {1}
+        def every_entry(link):
+            for entry in link.events.entries:
+                fresh = EventEntry(entry.peer_id, entry.peer_link_digest, entry.peer_signature, entry.peer_credential)
+                if check_entry(fresh, link.interval, store.get, credentials) is None:
+                    resolved = None if entry.peer_link_digest == GENESIS else store.get(entry.peer_link_digest)
+                    accepted.append((entry, (link.interval, credentials.get(entry.peer_id), resolved)))
+            return link.events.entries
+
+        return walk(head, owner_credential, store, credentials, depth, every_entry)
+
+    monkeypatch.setattr(chain, "walk_chain", recording_walk)
+    run_simulation(SimConfig.from_dict(json.loads((CONFIGS / f"{name}.json").read_text())))
+    assert accepted
+    for entry, (t, issued, resolved) in accepted:
+        kept_t, kept_issued, kept_link = entry._accepted
+        assert kept_t == t and kept_issued is issued and kept_link is resolved
 
 
 # -- encounter pairing ---------------------------------------------------------

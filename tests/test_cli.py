@@ -283,6 +283,28 @@ def test_montecarlo_impossible_tolerance_fails(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "option,value,code",
+    [
+        ("--runs", "-3", 2),
+        ("--runs", "-1", 2),
+        ("--runs", "0", 0),
+        ("--tolerance", "nan", 2),
+        ("--tolerance", "-0.01", 2),
+        ("--tolerance", "0.5", 0),
+        ("--tolerance", "inf", 0),
+    ],
+)
+def test_montecarlo_refuses_bad_flags(option, value, code, tmp_path, capsys):
+    config = _write_config(tmp_path, n=6, p=0.5, delta=2, intervals=2)
+    # the last --tolerance wins, so the rows of --runs pass the estimate check
+    args = ["montecarlo", "--config", str(config), "--trials", "50", "--tolerance", "1", option, value]
+    assert main(args) == code
+    captured = capsys.readouterr()
+    assert (option in captured.err) == (code == 2), captured.err
+    assert ("PASS" in captured.out) == (code == 0), captured.out
+
+
 def test_montecarlo_framing_suite_reports_zero_framed(tmp_path, capsys):
     config = _write_config(
         tmp_path,

@@ -168,12 +168,12 @@ def test_self_claim_counts_once_toward_its_owner(paired_intervals):
 # -- the claim index ------------------------------------------------------------------
 
 
-def _fresh_claims(view):
+def _fresh_claims(view, credentials):
     return frozenset(
         (link.owner_id, entry.peer_id, link.interval)
         for link in view.links.values()
         for entry in link.events.entries
-        if check_entry(entry, link.interval, view.links.get, view.index.credentials) is None
+        if check_entry(entry, link.interval, view.links.get, credentials) is None
     )
 
 
@@ -214,12 +214,12 @@ def test_shared_memo_matches_a_fresh_pass_per_view(central_first):
     (forged_entry,) = [e for e in links["o2"].events.entries if e.peer_id == 2]
     # the two ways to resolve disagree on the reason, and both refuse
     assert check_entry(forged_entry, 2, trace.store.get, trace.credentials) == "bad-entry-signature"
-    central = LocalView.central(trace)  # building a view reads no entry
+    central = LocalView.central(trace)
     assert check_entry(forged_entry, 2, central.links.get, trace.credentials) == "missing-entry-link"
 
     views = _all_views(trace, central_first)
     for view in views:
-        assert view.claims == _fresh_claims(view)
+        assert view.claims == _fresh_claims(view, trace.credentials)
         assert view.index is central.index
         assert (1, 2, 2) not in view.claims
     assert (1, 3, 2) in central.claims
@@ -248,7 +248,7 @@ def test_traces_never_share_memo_entries():
     for other in (replaced, copied):
         for view in _all_views(other, central_first=True):
             assert view.index is not before.index
-            assert view.claims == _fresh_claims(view)
+            assert view.claims == _fresh_claims(view, other.credentials)
             assert (1, 3, 2) not in view.claims
     assert LocalView.central(trace).claims == before.claims
 

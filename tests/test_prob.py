@@ -293,6 +293,15 @@ def test_blocked_draw_matches_one_shot_stream(shape, trials):
     assert est.point == _mc_hits_one_shot(q, trials, seed=trials) / trials
 
 
+def test_three_chunks_draw_the_spawned_children():
+    """Each chunk's stream is derived as the chunk starts, and is the child
+    ``SeedSequence(seed).spawn`` gives (the reference above spawns them all
+    up front): a 3-chunk estimate is unchanged."""
+    q = ProbQuery(6, 0.3, 2)
+    trials = 2 * _MC_CHUNK + 7
+    assert mc_report_within(q, trials, seed=4242).point == _mc_hits_one_shot(q, trials, seed=4242) / trials
+
+
 @pytest.mark.parametrize(
     "q,seed,hits",
     [(ProbQuery(25, 0.33, 3), 20_240_601, 99_968), (ProbQuery(3, 0.5, 2), 31_337, 81_248)],

@@ -1,8 +1,10 @@
 import json
 import struct
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from swarmchain.chain import (
@@ -20,6 +22,7 @@ from swarmchain.chain import (
 )
 from swarmchain.crypto import digest, provision_swarm, sign, verify
 from swarmchain.detect import LocalView, audit_trace
+from swarmchain.graph import gen_interval_graph
 from swarmchain.sim import (
     MAX_ROBOTS,
     AdversaryProfile,
@@ -309,6 +312,31 @@ def test_one_exchange_per_pair_per_interval(honest_trace_25):
         key = (record.interval, record.a, record.b)
         assert key not in seen
         seen.add(key)
+
+
+def test_construction_takes_no_memory_per_interval():
+    """The per-interval seed streams are derived when each interval runs,
+    not spawned up front (one child cost about 370 B)."""
+    config = SimConfig(n=2, p=0.5, intervals=20_000, delta=1, seed=1)
+    tracemalloc.start()
+    try:
+        Simulation(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_interval_graphs_come_from_the_spawned_children():
+    """Interval t's graph is drawn from child t - 1 of
+    ``SeedSequence(seed).spawn``, the streams the simulator always used."""
+    config = SimConfig(n=9, p=0.4, intervals=4, delta=2, seed=2024)
+    streams = np.random.SeedSequence(config.seed).spawn(config.intervals)
+    expected = [
+        gen_interval_graph(config.n, config.p, np.random.default_rng(stream), interval=t)
+        for t, stream in enumerate(streams, 1)
+    ]
+    assert list(run_simulation(config).graphs) == expected
 
 
 def test_duplicate_exchange_raises():

@@ -12,7 +12,7 @@ references.  The hostile-trace tests pin what the set code got wrong:
 an interval used as a bit position, and recursion once per link.  The
 audit, which reads the same index, must equal the audit that checks
 every entry itself (the ``reference_audit`` fixture), and over every
-report and the audit each entry is checked once.
+report and the audit each entry is checked once, as the index is built.
 """
 import json
 import tracemalloc
@@ -264,6 +264,30 @@ def test_each_entry_is_checked_once_across_every_report_and_the_audit(name, monk
     assert len(calls) == _counted_entries(index) + len(refused)
     assert len(calls) - len(set(map(id, calls))) == len(refused)
     assert (len(refused) > 0) == (name == "forge_n10")
+
+
+@pytest.mark.parametrize("name", ["framing_n25", "forge_n10"])
+def test_the_index_checks_every_entry_as_it_is_built_and_no_report_checks_one(name, monkeypatch):
+    """Building a loaded trace's claim index runs ``check_entry`` once per
+    entry of a counted link; every report after that runs it zero times."""
+    config = SimConfig.from_dict(json.loads((CONFIGS / f"{name}.json").read_text()))
+    trace = SimTrace.from_json(run_simulation(config).to_json())
+    calls = []
+
+    def counting_check_entry(entry, t, resolve, credentials):
+        calls.append(entry)
+        return check_entry(entry, t, resolve, credentials)
+
+    monkeypatch.setattr(detect, "check_entry", counting_check_entry)
+    monkeypatch.setattr(chain, "check_entry", counting_check_entry)
+    index = detect._claim_index(trace.store, trace.credentials)
+    assert len(calls) == len(set(map(id, calls))) == _counted_entries(index) > 0
+    built = len(calls)
+    for robot in sorted(trace.heads):
+        if trace.heads[robot] is not None:
+            compile_report(LocalView.from_trace(trace, robot), *DELTA_ALPHA_EPSILON)
+    compile_report(LocalView.central(trace), *DELTA_ALPHA_EPSILON)
+    assert len(calls) == built
 
 
 # -- hand-built traces -----------------------------------------------------------------
