@@ -1,12 +1,15 @@
 """Signed per-interval event lists linked into a tamper-evident history chain.
 
-Every robot closes each interval t >= 1 with a link holding its event
-list for t, a reference to its previous link, and a signature.  An event
-entry witnesses one exchange: the peer's id, a digest identifying the
-peer's head link from the previous interval, the signature field of that
-link, and the peer's credential.  A robot with no links yet (first
-interval, or first activity after an outage) witnesses meetings with a
-signature over the distinguished genesis digest instead.
+Every robot closes each interval t >= 1 it is active in, by
+:func:`extend_history` alone, with a link holding its event list for t, a
+reference to its previous link, and a signature.  An event entry
+witnesses one exchange: the peer's id, a digest identifying the peer's
+head link from the previous interval, the signature field of that link,
+and the peer's credential.  A robot with no links yet (first interval, or
+first activity after an outage) witnesses meetings with a signature over
+the genesis digest instead.  An event list's peer ids are strictly
+ascending, so it has one entry per peer at most: :func:`build_event_list`
+makes that order and :class:`EventList` refuses any other.
 
 Instead of embedding full histories inside each other, links are stored
 once in a content-addressed :class:`LinkStore` and referenced by digest.
@@ -15,7 +18,7 @@ is unchanged while memory stays linear in the number of links.
 
 Byte layouts (normative)
 ------------------------
-Canonical payload -- the signed content (``canonical_encode``)::
+Canonical payload -- the signed content (``canonical_encode(events, prev)``)::
 
     magic     2   b"E1"
     interval  4   big-endian unsigned
@@ -153,10 +156,9 @@ class EventEntry:
 
 @dataclass(frozen=True)
 class EventList:
-    """The exchanges one robot witnessed during one interval.
-
-    Entries are kept sorted by peer id; at most one entry per peer.
-    """
+    """The exchanges one robot witnessed during one interval, in strictly
+    ascending peer order (so at most one entry per peer).  Any other
+    order is refused, not sorted; :func:`build_event_list` makes it."""
 
     interval: int
     entries: tuple[EventEntry, ...]
@@ -164,17 +166,13 @@ class EventList:
     def __post_init__(self) -> None:
         if self.interval < 1:
             raise ValueError(f"interval must be >= 1, got {self.interval}")
-        object.__setattr__(self, "entries", tuple(sorted(self.entries, key=lambda e: e.peer_id)))
-        peers = [e.peer_id for e in self.entries]
-        if len(set(peers)) != len(peers):
-            raise ValueError("at most one entry per peer in an event list")
+        for before, after in zip(self.entries, self.entries[1:]):
+            if before.peer_id >= after.peer_id:
+                raise ValueError(f"entry for peer {after.peer_id} after peer {before.peer_id}: not strictly ascending")
 
     @classmethod
     def empty(cls, interval: int) -> "EventList":
         return cls(interval=interval, entries=())
-
-    def peer_ids(self) -> frozenset[int]:
-        return frozenset(e.peer_id for e in self.entries)
 
 
 @dataclass(frozen=True)
@@ -241,27 +239,25 @@ def _entry_bytes(entry: EventEntry) -> bytes:
     return cached
 
 
-def canonical_encode(events: EventList, t: int, prev: Digest) -> bytes:
+def canonical_encode(events: EventList, prev: Digest) -> bytes:
     """Deterministic, injective encoding of the signed link payload.
 
     Field order is fixed, variable-length fields are length-prefixed,
-    and entries appear sorted by ascending peer id, so logically equal
-    inputs encode identically regardless of construction order.  The
+    and entries appear in their list's order, ascending by peer id.  The
     header is packed with the layouts :func:`decode_link` reads and joined
     with each entry's cached bytes.
     """
-    if events.interval != t:
-        raise ValueError(f"event list interval {events.interval} != {t}")
     if len(prev) != DIGEST_SIZE:
         raise ValueError(f"previous link digest must be {DIGEST_SIZE} bytes")
     entries = events.entries
-    return b"".join([_PAYLOAD_HEAD.pack(_PAYLOAD_MAGIC, t, prev, len(entries)), *map(_entry_bytes, entries)])
+    head = _PAYLOAD_HEAD.pack(_PAYLOAD_MAGIC, events.interval, prev, len(entries))
+    return b"".join([head, *map(_entry_bytes, entries)])
 
 
 def _payload_bytes(link: HistoryLink) -> bytes:
     cached = link.__dict__.get("_payload")
     if cached is None:
-        cached = canonical_encode(link.events, link.interval, link.prev_digest)
+        cached = canonical_encode(link.events, link.prev_digest)
         object.__setattr__(link, "_payload", cached)
     return cached
 
@@ -340,12 +336,8 @@ def decode_link(data: bytes, issued: Mapping[int, Credential] | None = None) -> 
             raise EncodingError("bad magic")
         pos = _PAYLOAD_START + _PAYLOAD_HEAD.size
         entries = []
-        last_peer = -1
         for _ in range(count):
             peer, peer_digest, size = _ENTRY_HEAD.unpack_from(data, pos)
-            if peer <= last_peer:
-                raise EncodingError(f"entry for peer {peer} after peer {last_peer}: not in ascending order")
-            last_peer = peer
             pos += _ENTRY_HEAD.size
             # A slice cut short leaves pos past the end, where the next read fails.
             signature = data[pos : pos + size]
@@ -460,21 +452,22 @@ def offer_entry(offer: HistoryOffer) -> EventEntry:
 
 def build_event_list(t: int, offers: Iterable[HistoryOffer]) -> EventList:
     """The event list for interval ``t``: one entry per giver, from its
-    first offer.  The offers are not checked again; pass only those
-    :func:`check_offer` accepted.  No offers means an empty list.
+    first offer, in ascending peer order whatever the order of the offers.
+    The offers are not checked again; pass only those :func:`check_offer`
+    accepted.  No offers means an empty list.
     """
     entries: dict[int, EventEntry] = {}
-    for offer in offers:
+    for offer in sorted(offers, key=lambda offer: offer.credential.robot_id):  # stable: each giver's first offer first
         entries.setdefault(offer.credential.robot_id, offer_entry(offer))
     return EventList(interval=t, entries=tuple(entries.values()))
 
 
 def sign_link(signer: SigningIdentity, owner_id: int, events: EventList, prev: Digest) -> HistoryLink:
-    """A link for ``owner_id`` over (events, events.interval, prev), signed
-    with ``signer``'s key.  The payload is encoded once and stays cached
-    on the link with its digest; the link's place in a chain is unchecked.
+    """A link for ``owner_id`` over (events, prev), signed with
+    ``signer``'s key.  The payload is encoded once and stays cached on the
+    link with its digest; the link's place in a chain is unchecked.
     """
-    payload = canonical_encode(events, events.interval, prev)
+    payload = canonical_encode(events, prev)
     signed = digest(payload)
     link = HistoryLink(
         owner_id=owner_id,
@@ -494,12 +487,16 @@ def extend_history(
     events: EventList,
     store: LinkStore,
 ) -> HistoryLink:
-    """Close an interval: sign a new link over (events, t, prev) and store it."""
-    expected = 1 if prev is None else prev.interval + 1
-    if events.interval != expected:
-        raise ValueError(f"expected event list for interval {expected}, got {events.interval}")
+    """Close an interval: sign a new link over (events, prev) and store it.
+
+    The link references ``prev`` (genesis if None) at any later interval:
+    the walk reports the jump after an outage as ``interval-gap`` and a
+    first link above interval 1 as ``late-start``.  Refused: an interval
+    at or before ``prev``'s, and an entry for the owner itself."""
+    if prev is not None and events.interval <= prev.interval:
+        raise ValueError(f"event list for interval {events.interval} must follow the previous link's {prev.interval}")
     owner = identity.credential.robot_id
-    if owner in events.peer_ids():
+    if any(e.peer_id == owner for e in events.entries):
         raise ValueError("an event list cannot record its own owner")
     link = sign_link(identity, owner, events, GENESIS if prev is None else link_digest(prev))
     store.insert(link)

@@ -165,6 +165,8 @@ def mc_report_within(q: ProbQuery, trials: int, seed: int) -> Estimate:
     """
     if not _is_int(trials) or trials < 1:
         raise ValueError(f"trials: must be an integer >= 1, got {trials!r}")
+    if not _is_int(seed) or seed < 0:
+        raise ValueError(f"seed: must be a non-negative integer, got {seed!r}")
     root = np.random.SeedSequence(seed)
     width = 2 * (q.n - 2) + 1
     block = min(trials, _MC_CHUNK, max(1, _BLOCK_CELLS // (q.delta * width)))
@@ -231,8 +233,9 @@ def pairing_threshold(n: int, p: float, alpha: float) -> int:
     """Paired-record count below which a robot looks suspicious: ceil((1-alpha)*n*p).
 
     Rounded up because a fractional record count is unattainable;
-    rounding up is the conservative direction for trusting.
+    rounding up is the conservative direction for trusting.  A product
+    within 1e-9 above an integer is that integer (``100 * 0.07`` is 7.000000000000001).
     """
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"assumed bad fraction must be in [0, 1), got {alpha}")
-    return ceil((1.0 - alpha) * n * p)
+    return ceil((1.0 - alpha) * n * p - 1e-9)

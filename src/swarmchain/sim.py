@@ -66,7 +66,6 @@ from .chain import (
     encode_link,
     extend_history,
     link_digest,
-    offer_entry,
     offer_history,
     sign_link,
 )
@@ -192,8 +191,8 @@ class SimConfig:
             raise ConfigError("alpha", f"assumed bad fraction must be in [0, 1), got {self.alpha!r}")
         if self.window is not None and (not _is_int(self.window) or self.window < 1):
             raise ConfigError("window", f"must be an integer >= 1 or null, got {self.window!r}")
-        if self.seed is not None and not _is_int(self.seed):
-            raise ConfigError("seed", f"must be an integer or null, got {self.seed!r}")
+        if self.seed is not None and (not _is_int(self.seed) or self.seed < 0):
+            raise ConfigError("seed", f"must be a non-negative integer or null, got {self.seed!r}")
         self._validate_adversaries()
 
     def _validate_adversaries(self) -> None:
@@ -706,20 +705,11 @@ class Simulation:
         return record
 
     def _close_interval(self, r: int, t: int) -> None:
-        events = build_event_list(t, self._queues[r])
+        offers = self._queues[r]
         if self.behavior[r] == "forge_claim":
-            # The unwitnessed entry a forger plants in its own event list.
-            entry = offer_entry(self._checked_offer(r, t, forged=True)[0])
-            if entry.peer_id not in events.peer_ids():
-                events = EventList(interval=t, entries=events.entries + (entry,))
-        prev = self.heads[r]
-        if prev is not None and prev.interval != t - 1:
-            # Returning from an outage: link over the gap.  The jump in
-            # interval numbers stays visible to verifiers and the audit.
-            self.heads[r] = sign_link(self.identities[r], r, events, link_digest(prev))
-            self.store.insert(self.heads[r])
-        else:
-            self.heads[r] = extend_history(self.identities[r], prev, events, self.store)
+            # A forger plants an unwitnessed entry for its target, unless it holds a real one.
+            offers.append(self._checked_offer(r, t, forged=True)[0])
+        self.heads[r] = extend_history(self.identities[r], self.heads[r], build_event_list(t, offers), self.store)
 
     def run(self) -> SimTrace:
         cfg = self.config

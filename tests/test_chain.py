@@ -4,6 +4,7 @@ import json
 import random
 import struct
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -30,7 +31,7 @@ from swarmchain.chain import (
 )
 from swarmchain.crypto import Credential, Digest, digest, provision_swarm
 from swarmchain.detect import LocalView
-from swarmchain.sim import SimConfig, SimTrace, run_simulation
+from swarmchain.sim import SimConfig, SimTrace, TraceError, run_simulation
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -63,22 +64,26 @@ def _grow_pairwise(identities, store, intervals):
 
 
 def test_canonical_encode_is_order_independent(swarm5):
+    """The order of the offers never reaches the bytes: build_event_list
+    puts the entries in peer order, and EventList refuses any other."""
     _, identities = swarm5
-    e1 = _entry_for(identities[1], None)
-    e2 = _entry_for(identities[2], None)
-    a = EventList(interval=1, entries=(e1, e2))
-    b = EventList(interval=1, entries=(e2, e1))
-    assert canonical_encode(a, 1, GENESIS) == canonical_encode(b, 1, GENESIS)
+    offers = [offer_history(identity, None) for identity in identities]
+    expected = canonical_encode(build_event_list(1, offers), GENESIS)
+    rng = random.Random(5)
+    for _ in range(20):
+        rng.shuffle(offers)
+        events = build_event_list(1, offers)
+        assert [e.peer_id for e in events.entries] == [1, 2, 3, 4, 5]
+        assert canonical_encode(events, GENESIS) == expected
+    two, three = _entry_for(identities[1], None), _entry_for(identities[2], None)
+    for entries, after in (((three, two), 3), ((two, two), 2), ((two, three, two), 3)):
+        with pytest.raises(ValueError, match=f"entry for peer 2 after peer {after}"):
+            EventList(interval=1, entries=entries)
 
 
 def test_genesis_empty_payload_bytes_are_pinned():
-    payload = canonical_encode(EventList.empty(1), 1, GENESIS)
+    payload = canonical_encode(EventList.empty(1), GENESIS)
     assert payload == b"E1" + struct.pack(">I", 1) + b"\x00" * 32 + struct.pack(">I", 0)
-
-
-def test_encode_interval_mismatch_rejected():
-    with pytest.raises(ValueError):
-        canonical_encode(EventList.empty(2), 3, GENESIS)
 
 
 def test_canonical_encode_injective_over_random_corpus(swarm5):
@@ -89,10 +94,10 @@ def test_canonical_encode_injective_over_random_corpus(swarm5):
     for _ in range(100_000):
         t = rng.randint(1, 500)
         prev = Digest(rng.randbytes(32))
-        chosen = tuple(rng.sample(base_entries, rng.randint(0, len(base_entries))))
-        events = EventList(interval=t, entries=chosen)
+        chosen = sorted(rng.sample(base_entries, rng.randint(0, len(base_entries))), key=lambda e: e.peer_id)
+        events = EventList(interval=t, entries=tuple(chosen))
         key = (t, prev, frozenset(e.peer_id for e in chosen))
-        blob = canonical_encode(events, t, prev)
+        blob = canonical_encode(events, prev)
         if blob in seen:
             assert seen[blob] == key
         else:
@@ -108,8 +113,8 @@ def test_peer_id_difference_changes_bytes(swarm5):
         peer_signature=e1.peer_signature,
         peer_credential=identities[3].credential,
     )
-    a = canonical_encode(EventList(interval=1, entries=(e1,)), 1, GENESIS)
-    b = canonical_encode(EventList(interval=1, entries=(e2,)), 1, GENESIS)
+    a = canonical_encode(EventList(interval=1, entries=(e1,)), GENESIS)
+    b = canonical_encode(EventList(interval=1, entries=(e2,)), GENESIS)
     assert a != b
 
 
@@ -140,7 +145,7 @@ def test_canonical_encode_follows_the_layout_on_every_stored_link(path):
     for store in (trace.store, loaded.store):
         for link in store.links():
             expected = _layout_payload(link.events, link.interval, link.prev_digest)
-            assert canonical_encode(link.events, link.interval, link.prev_digest) == expected
+            assert canonical_encode(link.events, link.prev_digest) == expected
             assert encode_link(link)[6 : 6 + len(expected)] == expected
 
 
@@ -161,10 +166,10 @@ _entries = st.builds(
     entries=st.lists(_entries, max_size=6, unique_by=lambda entry: entry.peer_id),
 )
 def test_canonical_encode_follows_the_layout_on_any_event_list(t, prev, entries):
-    events = EventList(interval=t, entries=tuple(entries))
+    events = EventList(interval=t, entries=tuple(sorted(entries, key=lambda e: e.peer_id)))
     expected = _layout_payload(events, t, prev)
-    assert canonical_encode(events, t, prev) == expected
-    assert canonical_encode(events, t, prev) == expected  # from the cached entry bytes
+    assert canonical_encode(events, prev) == expected
+    assert canonical_encode(events, prev) == expected  # from the cached entry bytes
 
 
 def test_receivers_share_one_entry_per_offer(swarm5):
@@ -178,9 +183,9 @@ def test_canonical_encode_refuses_a_digest_of_another_length(swarm5):
     _, identities = swarm5
     entry = dataclasses.replace(_entry_for(identities[1], None), peer_link_digest=b"\x00" * 31)
     with pytest.raises(ValueError):
-        canonical_encode(EventList(interval=1, entries=(entry,)), 1, GENESIS)
+        canonical_encode(EventList(interval=1, entries=(entry,)), GENESIS)
     with pytest.raises(ValueError):
-        canonical_encode(EventList.empty(1), 1, b"\x00" * 33)
+        canonical_encode(EventList.empty(1), b"\x00" * 33)
 
 
 def test_link_encoding_roundtrip(swarm5):
@@ -220,6 +225,29 @@ def config_traces():
     ]
 
 
+def _encoded_with_entries(link, entries):
+    """``encode_link(link)`` with ``entries`` in place of its entries, in that order."""
+    payload = _layout_payload(SimpleNamespace(entries=entries), link.interval, link.prev_digest)
+    return b"L1" + struct.pack(">I", link.owner_id) + payload + struct.pack(">H", len(link.signature)) + link.signature
+
+
+def test_decode_link_refuses_entries_out_of_peer_order(honest_trace_25):
+    """Two entries swapped, or one peer repeated, is refused as an
+    EncodingError, and a trace holding such a link at ``links[i]``."""
+    doc = honest_trace_25.to_dict()
+    links = [decode_link(bytes.fromhex(text)) for text in doc["links"]]
+    i, link = next((i, link) for i, link in enumerate(links) if len(link.events.entries) >= 2)
+    first, second, *rest = link.events.entries
+    assert decode_link(_encoded_with_entries(link, (first, second, *rest))) == link
+    for entries in ((second, first, *rest), (first, first, *rest)):
+        blob = _encoded_with_entries(link, entries)
+        with pytest.raises(EncodingError, match=f"entry for peer {first.peer_id} after peer"):
+            decode_link(blob)
+        with pytest.raises(TraceError) as err:
+            SimTrace.from_dict({**doc, "links": [*doc["links"][:i], blob.hex(), *doc["links"][i + 1 :]]})
+        assert err.value.location == f"links[{i}]"
+
+
 def test_decode_link_is_the_canonical_inverse(config_traces):
     """Every stored link decodes from its encoding to itself, and the payload
     and address a decoded link caches are those its fields encode to."""
@@ -228,7 +256,7 @@ def test_decode_link_is_the_canonical_inverse(config_traces):
             decoded = decode_link(encode_link(link))
             assert decoded == link
             fresh = dataclasses.replace(decoded)  # the same fields, nothing cached
-            assert decoded.__dict__["_payload"] == canonical_encode(fresh.events, fresh.interval, fresh.prev_digest)
+            assert decoded.__dict__["_payload"] == canonical_encode(fresh.events, fresh.prev_digest)
             assert decoded.__dict__["_link_digest"] == digest(encode_link(fresh)) == link_digest(link)
 
 
@@ -298,13 +326,20 @@ def test_three_link_chain_replays(swarm5):
 
 
 def test_extension_interval_mismatch_raises(swarm5):
+    """An interval at or before the previous link's is refused; a later one
+    links over the gap, which the walk reports as an interval gap."""
     _, identities = swarm5
     store = LinkStore()
     link = extend_history(identities[0], None, EventList.empty(1), store)
-    with pytest.raises(ValueError):
-        extend_history(identities[0], link, EventList.empty(1), store)
-    with pytest.raises(ValueError):
-        extend_history(identities[0], link, EventList.empty(3), store)
+    two = extend_history(identities[0], link, EventList.empty(2), store)
+    for t in (1, 2):
+        with pytest.raises(ValueError):
+            extend_history(identities[0], two, EventList.empty(t), store)
+    four = extend_history(identities[0], two, EventList.empty(4), store)
+    assert four.prev_digest == link_digest(two)
+    walk = chain.walk_chain(four, identities[0].credential, store, _issued(identities), None)
+    assert list(walk) == [(3, 3, "interval-gap")]
+    assert verify_chain(four, identities[0].credential, store, 3, _issued(identities)) == "interval-gap"
 
 
 def test_extension_rejects_self_entry(swarm5):

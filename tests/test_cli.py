@@ -192,6 +192,17 @@ def test_analyze_refuses_out_of_range_overrides(option, value, p, code, tmp_path
     assert (option in err) == (code == 2), err
 
 
+@pytest.mark.parametrize("command", ["simulate", "montecarlo"])
+@pytest.mark.parametrize("where", ["config", "option"])
+def test_a_negative_seed_is_refused_naming_the_field(command, where, tmp_path, capsys):
+    config = _write_config(tmp_path, seed=-1 if where == "config" else 99)
+    out = tmp_path / "out.json"
+    seed = ["--seed", "-1"] if where == "option" else []
+    assert main([command, "--config", str(config), "--output", str(out), *seed]) == 2
+    assert "field 'seed'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_prob_prints_reference_values(capsys):
     assert main(["prob", "--n", "25", "--p", "0.33", "--delta", "3"]) == 0
     text = capsys.readouterr().out

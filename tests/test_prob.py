@@ -90,6 +90,7 @@ def test_query_validation():
         ("delta", lambda: ProbQuery(48, 0.17, 3.0)),
         ("trials", lambda: mc_report_within(ProbQuery(48, 0.17, 3), 2.5, 1)),
         ("trials", lambda: mc_report_within(ProbQuery(48, 0.17, 3), True, 1)),
+        ("seed", lambda: mc_report_within(ProbQuery(48, 0.17, 3), 10, -1)),
     ]
     for field, call in rows:
         with pytest.raises(ValueError, match=f"^{field}:"):
@@ -339,6 +340,10 @@ def test_pairing_threshold_rounds_up():
     assert pairing_threshold(25, 0.33, 1 / 3) == 6  # ceil(5.5)
     assert pairing_threshold(25, 0.33, 0.0) == 9  # ceil(8.25)
     assert pairing_threshold(48, 0.17, 1 / 3) == 6  # ceil(5.44)
+    # n * p is an integer that floating point puts just above it (100 * 0.07 == 7.000000000000001).
+    assert pairing_threshold(100, 0.07, 0.0) == 7
+    assert pairing_threshold(25, 0.28, 0.0) == 7
+    assert pairing_threshold(50, 0.14, 0.0) == 7
     with pytest.raises(ValueError):
         pairing_threshold(25, 0.33, 1.0)
 

@@ -43,6 +43,11 @@ def _entry_naming(link, peer):
     return next((e for e in link.events.entries if e.peer_id == peer), None)
 
 
+def _peers(link):
+    """The peer ids ``link``'s event list holds entries for."""
+    return {e.peer_id for e in link.events.entries}
+
+
 def _profile(behavior, robots, **kwargs):
     return AdversaryProfile(behavior=behavior, robots=frozenset(robots), **kwargs)
 
@@ -62,6 +67,7 @@ def _profile(behavior, robots, **kwargs):
         (dict(n=5, p=0.5, intervals=3, alpha=1.0), "alpha"),
         (dict(n=5, p=0.5, intervals=3, window=0), "window"),
         (dict(n=MAX_ROBOTS + 1, p=0.5, intervals=3), "n"),
+        (dict(n=5, p=0.5, intervals=3, seed=-1), "seed"),
     ],
 )
 def test_invalid_config_names_field(kwargs, field):
@@ -163,6 +169,14 @@ def test_a_trace_of_an_oversized_swarm_is_refused_at_config_n(n, honest_trace_25
     assert "config.n" in capsys.readouterr().err
 
 
+def test_a_trace_with_a_negative_seed_is_refused_at_config_seed(honest_trace_25):
+    doc = honest_trace_25.to_dict()
+    doc["config"] = {**doc["config"], "seed": -1}
+    with pytest.raises(TraceError) as err:
+        SimTrace.from_dict(doc)
+    assert err.value.location == "config.seed"
+
+
 def test_adversary_fraction_must_fit_alpha():
     with pytest.raises(ConfigError) as err:
         SimConfig(
@@ -230,7 +244,7 @@ def test_total_disappearance_never_in_any_event_list():
     trace = run_simulation(cfg)
     assert trace.heads[4] is None
     for link in trace.store.links():
-        assert 4 not in link.events.peer_ids()
+        assert 4 not in _peers(link)
     for record in trace.exchanges:
         assert 4 not in (record.a, record.b)
 
@@ -270,8 +284,8 @@ def test_minimal_honest_run():
     trace = run_simulation(SimConfig(n=2, p=1.0, intervals=1, delta=1, seed=1))
     link_1, link_2 = trace.head_link(1), trace.head_link(2)
     assert link_1.interval == 1 and link_2.interval == 1
-    assert link_1.events.peer_ids() == {2}
-    assert link_2.events.peer_ids() == {1}
+    assert _peers(link_1) == {2}
+    assert _peers(link_2) == {1}
 
 
 def test_honest_runs_are_bitwise_reproducible():
@@ -291,7 +305,7 @@ def test_honest_conservation(honest_trace_25):
     for g in trace.graphs:
         for u in range(1, trace.config.n + 1):
             link = by_owner[(u, g.interval)]
-            recorded = link.events.peer_ids()
+            recorded = _peers(link)
             met = {v for (t, a, v) in edges if t == g.interval and a == u} | {
                 a for (t, a, v) in edges if t == g.interval and v == u
             }
@@ -374,8 +388,8 @@ def test_refuse_record_leaves_victims_claims_unpaired(refuse_record_trace_25):
             continue
         if a in adversaries or b in adversaries:
             bad, good = (a, b) if a in adversaries else (b, a)
-            assert links[(bad, t)].events.peer_ids() == set()
-            assert bad in links[(good, t)].events.peer_ids()
+            assert _peers(links[(bad, t)]) == set()
+            assert bad in _peers(links[(good, t)])
 
 
 def test_refuse_give_robot_is_never_recorded():
@@ -385,7 +399,7 @@ def test_refuse_give_robot_is_never_recorded():
     )
     trace = run_simulation(cfg)
     for link in trace.store.links():
-        assert 5 not in link.events.peer_ids()
+        assert 5 not in _peers(link)
     # the withholder still extends its own chain, recording peers it met
     assert trace.head_link(5) is not None
     withheld = [x for x in trace.exchanges if 5 in (x.a, x.b)]
@@ -398,8 +412,8 @@ def test_colluders_fabricate_every_interval(colluder_trace_25):
     trace = colluder_trace_25
     links = {(l.owner_id, l.interval): l for l in trace.store.links()}
     for t in (1, 2, 3):
-        assert 7 in links[(3, t)].events.peer_ids()
-        assert 3 in links[(7, t)].events.peer_ids()
+        assert 7 in _peers(links[(3, t)])
+        assert 3 in _peers(links[(7, t)])
     fabricated = [x for x in trace.exchanges if x.fabricated]
     graph_edges = {(g.interval, u, v) for g in trace.graphs for u, v in g.edges}
     assert all((x.interval, x.a, x.b) not in graph_edges for x in fabricated)

@@ -26,6 +26,13 @@ RETURNING = SimConfig(
 )
 
 
+# Robot 2 is away for intervals 1..2, so its first link is at interval 3.
+LATE_START = SimConfig(
+    n=6, p=0.5, intervals=4, delta=2, alpha=0.2, seed=3,
+    adversaries=(AdversaryProfile(behavior="disappear", robots=frozenset({2}), from_t=1, to_t=2),),
+)
+
+
 def _config(name):
     return SimConfig.from_dict(json.loads((CONFIGS / f"{name}.json").read_text()))
 
@@ -111,3 +118,19 @@ def test_the_link_over_an_outage_verifies_and_the_gap_is_audited():
     audit = audit_trace(trace)
     assert (3, 2, 3) in audit.gaps
     assert not [f for f in audit.verification_failures if f[0] == 3]
+
+
+def test_a_first_link_after_interval_1_starts_late_and_the_gap_is_audited(tmp_path, capsys):
+    trace = run_simulation(LATE_START)
+    links = sorted((link for link in trace.store.links() if link.owner_id == 2), key=lambda link: link.interval)
+    assert [link.interval for link in links] == [3, 4]
+    assert links[0].prev_digest == chain.GENESIS
+    assert chain.check_link(links[0], trace.credentials[2]) is None
+    audit = audit_trace(trace)
+    assert (2, 1, 2) in audit.gaps
+    assert not audit.verification_failures
+    config, out = tmp_path / "late_start.json", tmp_path / "trace.json"
+    config.write_text(json.dumps(LATE_START.to_dict()))
+    assert main(["simulate", "--config", str(config), "--output", str(out)]) == 0
+    assert main(["analyze", "--trace", str(out)]) == 0
+    assert "coverage gap: robot 2 intervals 1..2" in capsys.readouterr().out
