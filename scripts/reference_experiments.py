@@ -7,7 +7,8 @@ Runs, for n=25/p=0.33 and n=48/p=0.17:
   * the exact sighting probability, a Monte Carlo estimate of the same
     event on sampled graphs, and the paper closed form's bias,
   * framing suites (a third of the swarm refusing to record) counting
-    honest robots the remaining swarm collectively loses track of,
+    honest robots the remaining swarm collectively loses track of, beside
+    the count criterion 4's framing law expects,
   * collusion suites counting how often a fabricating pair is flagged
     and how often an honest pair trips the same detector by chance.
 
@@ -58,13 +59,22 @@ def monte_carlo(trials: int, seed: int) -> None:
         )
 
 
+def expected_framed(runs: int, honest: int, p: float, delta: int) -> float:
+    """Criterion 4's framing law: an honest robot is framed exactly when it
+    meets none of the other h - 1 honest robots (h = ``honest``) in delta
+    intervals, so a suite expects runs * h * (1 - p)**((h - 1) * delta)
+    framed robots."""
+    return runs * honest * (1 - p) ** ((honest - 1) * delta)
+
+
 def framing(runs: int, seed: int) -> None:
     print(f"framing suites ({runs} runs each, a third of robots refuse to record)")
     for n, p, delta, bad in ((25, 0.33, 3, 8), (48, 0.17, 4, 16), (48, 0.17, 3, 16)):
         adv = AdversaryProfile(behavior="refuse_record", robots=frozenset(range(1, bad + 1)))
         cfg = SimConfig(n=n, p=p, intervals=delta, delta=delta, alpha=1 / 3, seed=seed, adversaries=(adv,))
         framed = sum(len(suites.framed(trace)) for trace in suites.runs(cfg, runs))
-        print(f"  n={n:2d} p={p:.2f} delta={delta}: honest robots framed: {framed}")
+        expected = expected_framed(runs, n - bad, p, delta)
+        print(f"  n={n:2d} p={p:.2f} delta={delta}: honest robots framed: {framed} (framing law expects {expected:.2e})")
 
 
 def _chance_flag_rate(p: float, delta: int, epsilon: float) -> float:

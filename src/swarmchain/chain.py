@@ -11,6 +11,16 @@ the genesis digest instead.  An event list's peer ids are strictly
 ascending, so it has one entry per peer at most: :func:`build_event_list`
 makes that order and :class:`EventList` refuses any other.
 
+A receiver's accepted offers usually arrive in that order already.  The
+simulator runs an interval's exchanges in ascending edge order (a, b),
+a < b, and queues each offer for its receiver as the exchange runs.  So
+receiver r first gets the offers of its edges (a, r), a < r, ascending
+in a, and then those of its edges (r, b), b > r, ascending in b: every
+(a, r) sorts before every (r, b) because a < r.  :func:`build_event_list`
+therefore checks the order in one pass and sorts only when the check
+fails, which only a forged or planted offer added out of turn (or a
+caller that queues offers in another order) can make happen.
+
 Instead of embedding full histories inside each other, links are stored
 once in a content-addressed :class:`LinkStore` and referenced by digest.
 The signature covers the same content either way, so verification power
@@ -122,6 +132,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from operator import attrgetter, lt
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .crypto import (
@@ -166,9 +177,10 @@ class EventList:
     def __post_init__(self) -> None:
         if self.interval < 1:
             raise ValueError(f"interval must be >= 1, got {self.interval}")
-        for before, after in zip(self.entries, self.entries[1:]):
-            if before.peer_id >= after.peer_id:
-                raise ValueError(f"entry for peer {after.peer_id} after peer {before.peer_id}: not strictly ascending")
+        entries = self.entries
+        if not all(map(lt, map(_peer_id, entries), map(_peer_id, entries[1:]))):  # one C-level pass
+            before, after = next((x, y) for x, y in zip(entries, entries[1:]) if x.peer_id >= y.peer_id)
+            raise ValueError(f"entry for peer {after.peer_id} after peer {before.peer_id}: not strictly ascending")
 
     @classmethod
     def empty(cls, interval: int) -> "EventList":
@@ -194,6 +206,9 @@ class HistoryLink:
             raise ValueError("a link at interval 1 must reference the genesis digest")
 
 
+_peer_id = attrgetter("peer_id")
+
+
 _LINK_PREFIX = struct.Struct(">2sI")  # link magic, owner
 _PAYLOAD_HEAD = struct.Struct(">2sI32sI")  # payload magic, interval, prev, count
 _ENTRY_HEAD = struct.Struct(">I32sH")  # peer id, link digest, signature length
@@ -202,12 +217,17 @@ _LENGTH = struct.Struct(">H")
 _PAYLOAD_START = _LINK_PREFIX.size
 
 
+# Values cached on credentials, entries and links are read with getattr,
+# never through ``__dict__``: reading ``__dict__`` gives the object a dict
+# of its own, one more object per entry and link for the cyclic GC.
+
+
 def _credential_bytes(credential: Credential) -> bytes:
     """A credential's normative bytes in an entry (cred_id through the
     certificate), encoded once and cached on the credential: every entry
     that embeds an issued credential joins these bytes, and
     :func:`decode_link` matches them to share the issued object."""
-    cached = credential.__dict__.get("_bytes")
+    cached = getattr(credential, "_bytes", None)
     if cached is None:
         cached = b"".join(
             [
@@ -224,7 +244,7 @@ def _credential_bytes(credential: Credential) -> bytes:
 def _entry_bytes(entry: EventEntry) -> bytes:
     """An entry's normative bytes in the payload, encoded once and cached
     on the entry (see :func:`offer_entry`: receivers share one entry)."""
-    cached = entry.__dict__.get("_bytes")
+    cached = getattr(entry, "_bytes", None)
     if cached is None:
         if len(entry.peer_link_digest) != DIGEST_SIZE:
             raise ValueError(f"entry link digest must be {DIGEST_SIZE} bytes")
@@ -255,7 +275,7 @@ def canonical_encode(events: EventList, prev: Digest) -> bytes:
 
 
 def _payload_bytes(link: HistoryLink) -> bytes:
-    cached = link.__dict__.get("_payload")
+    cached = getattr(link, "_payload", None)
     if cached is None:
         cached = canonical_encode(link.events, link.prev_digest)
         object.__setattr__(link, "_payload", cached)
@@ -264,28 +284,25 @@ def _payload_bytes(link: HistoryLink) -> bytes:
 
 def signed_digest(link: HistoryLink) -> Digest:
     """The digest a link's owner signs: hash of the canonical payload."""
-    cached = link.__dict__.get("_signed_digest")
+    cached = getattr(link, "_signed_digest", None)
     if cached is None:
         cached = digest(_payload_bytes(link))
         object.__setattr__(link, "_signed_digest", cached)
     return cached
 
 
+def _link_bytes(owner_id: int, payload: bytes, signature: bytes) -> bytes:
+    return b"".join([_LINK_PREFIX.pack(_LINK_MAGIC, owner_id), payload, _LENGTH.pack(len(signature)), signature])
+
+
 def encode_link(link: HistoryLink) -> bytes:
     """Full serialized form of a link (owner, payload, signature)."""
-    return b"".join(
-        [
-            _LINK_PREFIX.pack(_LINK_MAGIC, link.owner_id),
-            _payload_bytes(link),
-            _LENGTH.pack(len(link.signature)),
-            link.signature,
-        ]
-    )
+    return _link_bytes(link.owner_id, _payload_bytes(link), link.signature)
 
 
 def link_digest(link: HistoryLink) -> Digest:
     """A link's content address: hash of its full serialized form."""
-    cached = link.__dict__.get("_link_digest")
+    cached = getattr(link, "_link_digest", None)
     if cached is None:
         cached = digest(encode_link(link))
         object.__setattr__(link, "_link_digest", cached)
@@ -420,6 +437,12 @@ class HistoryOffer:
     def __post_init__(self) -> None:
         if (self.link is None) == (self.genesis_signature is None):
             raise ValueError("an offer carries exactly one of link or genesis signature")
+        link, credential = self.link, self.credential
+        if link is None:
+            entry = _new_entry(credential.robot_id, GENESIS, self.genesis_signature, credential)
+        else:
+            entry = _new_entry(credential.robot_id, link_digest(link), link.signature, credential)
+        object.__setattr__(self, "_entry", entry)
 
 
 def offer_history(identity: SigningIdentity, head: HistoryLink | None) -> HistoryOffer:
@@ -434,50 +457,54 @@ def offer_history(identity: SigningIdentity, head: HistoryLink | None) -> Histor
 
 
 def offer_entry(offer: HistoryOffer) -> EventEntry:
-    """The event entry that witnesses an offer's giver.  It is built once
-    and cached on the offer, so every receiver's event list holds the
-    same entry object (and its bytes are encoded once)."""
-    entry = offer.__dict__.get("_entry")
-    if entry is None:
-        link = offer.link
-        entry = EventEntry(
-            peer_id=offer.credential.robot_id,
-            peer_link_digest=GENESIS if link is None else link_digest(link),
-            peer_signature=offer.genesis_signature if link is None else link.signature,
-            peer_credential=offer.credential,
-        )
-        object.__setattr__(offer, "_entry", entry)
-    return entry
+    """The event entry that witnesses an offer's giver.  It is built with
+    the offer, so every receiver's event list holds the same entry object
+    (and its bytes are encoded once)."""
+    return offer._entry
 
 
 def build_event_list(t: int, offers: Iterable[HistoryOffer]) -> EventList:
     """The event list for interval ``t``: one entry per giver, from its
     first offer, in ascending peer order whatever the order of the offers.
-    The offers are not checked again; pass only those :func:`check_offer`
-    accepted.  No offers means an empty list.
+    Offers already in strictly ascending giver order (the simulator's, see
+    the module docstring) are taken as they are; any other order is
+    sorted.  The offers are not checked again; pass only those
+    :func:`check_offer` accepted.  No offers means an empty list.
     """
-    entries: dict[int, EventEntry] = {}
-    for offer in sorted(offers, key=lambda offer: offer.credential.robot_id):  # stable: each giver's first offer first
-        entries.setdefault(offer.credential.robot_id, offer_entry(offer))
-    return EventList(interval=t, entries=tuple(entries.values()))
+    entries = tuple([offer_entry(offer) for offer in offers])
+    try:
+        return EventList(interval=t, entries=entries)
+    except ValueError:  # out of giver order (a bad interval is refused again below)
+        pass
+    first: dict[int, EventEntry] = {}
+    for entry in sorted(entries, key=_peer_id):  # stable: each giver's first offer first
+        first.setdefault(entry.peer_id, entry)
+    return EventList(interval=t, entries=tuple(first.values()))
 
 
 def sign_link(signer: SigningIdentity, owner_id: int, events: EventList, prev: Digest) -> HistoryLink:
     """A link for ``owner_id`` over (events, prev), signed with
-    ``signer``'s key.  The payload is encoded once and stays cached on the
-    link with its digest; the link's place in a chain is unchecked.
+    ``signer``'s key; the link's place in a chain is unchecked.
+
+    Built in one pass: the payload, the signed digest, the signature, the
+    full link bytes and the link digest are each computed once, and the
+    payload and both digests stay cached on the link.  The link is made
+    as :func:`_new_entry` makes an entry, and ``HistoryLink``'s checks
+    run on it.
     """
     payload = canonical_encode(events, prev)
     signed = digest(payload)
-    link = HistoryLink(
-        owner_id=owner_id,
-        interval=events.interval,
-        events=events,
-        prev_digest=prev,
-        signature=sign(signer, signed),
-    )
-    object.__setattr__(link, "_payload", payload)
-    object.__setattr__(link, "_signed_digest", signed)
+    signature = sign(signer, signed)
+    link = _new_object(HistoryLink)
+    _set_attribute(link, "owner_id", owner_id)
+    _set_attribute(link, "interval", events.interval)
+    _set_attribute(link, "events", events)
+    _set_attribute(link, "prev_digest", prev)
+    _set_attribute(link, "signature", signature)
+    link.__post_init__()
+    _set_attribute(link, "_payload", payload)
+    _set_attribute(link, "_signed_digest", signed)
+    _set_attribute(link, "_link_digest", digest(_link_bytes(owner_id, payload, signature)))
     return link
 
 
@@ -496,10 +523,10 @@ def extend_history(
     if prev is not None and events.interval <= prev.interval:
         raise ValueError(f"event list for interval {events.interval} must follow the previous link's {prev.interval}")
     owner = identity.credential.robot_id
-    if any(e.peer_id == owner for e in events.entries):
+    if owner in map(_peer_id, events.entries):
         raise ValueError("an event list cannot record its own owner")
     link = sign_link(identity, owner, events, GENESIS if prev is None else link_digest(prev))
-    store.insert(link)
+    store.insert(link)  # finds the link digest sign_link cached
     return link
 
 
@@ -580,6 +607,7 @@ def walk_chain(
     already decided elsewhere; the walk then runs ``check_entry`` only on
     them, for their reason.
     """
+    resolve = store._links.get
     link, walked = head, 1
     while True:
         t = link.interval
@@ -590,14 +618,14 @@ def walk_chain(
                 return
         else:
             for entry in link.events.entries if refused is None else refused(link):
-                reason = check_entry(entry, t, store.get, credentials)
+                reason = check_entry(entry, t, resolve, credentials)
                 if reason is not None:
                     yield t, t, reason
         if link.prev_digest == GENESIS and t > 1:
             yield 1, t - 1, "late-start"
         if link.prev_digest == GENESIS or walked == depth:
             return
-        prev = store.get(link.prev_digest)
+        prev = resolve(link.prev_digest)
         if prev is None:
             yield t - 1, t - 1, "missing-link"
             return

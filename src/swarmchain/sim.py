@@ -20,6 +20,18 @@ from the seed, interval graphs come from per-interval child streams of
 the root seed, and exchanges execute in sorted order.  Traces therefore
 serialize to byte-identical JSON for identical configs.
 
+Each interval is decided as a table with one row per robot: its offer,
+the reason :func:`check_offer` gives for it, and its behaviour flags
+(withholds its history, refuses to record).  A row is made on the
+robot's first exchange of the interval, so a robot that meets nobody
+makes no offer and signs no genesis.  Each direction of an exchange is
+then one lookup in ``_DIRECTIONS`` by (giver withholds, receiver
+refuses, offer refused), and a note is formatted only for an anomaly.
+Every offer a receiver records is queued as its exchange runs; in
+sorted edge order they arrive in ascending giver order (see the
+``chain`` docstring), so closing the interval builds each event list
+without sorting it.
+
 Trace format, version 3 (:meth:`SimTrace.to_dict`)::
 
     format, version        "swarmchain-trace", 3
@@ -108,6 +120,21 @@ class TraceError(ValueError):
 
 class DuplicateExchangeError(RuntimeError):
     """A pair can exchange history at most once per interval."""
+
+
+# One direction of an exchange, giver -> receiver: (gave, recorded, note
+# kind or None), at the giver's code in the interval table plus 1 if the
+# receiver refuses to record.  A receiver that refuses outranks a refused
+# offer: its note is "unrecorded".
+_WITHHOLDS, _REFUSED, _VALID = 0, 2, 4
+_DIRECTIONS = (
+    (False, False, "withheld"),
+    (False, False, "withheld"),
+    (True, False, "invalid-offer"),
+    (True, False, "unrecorded"),
+    (True, True, None),
+    (True, False, "unrecorded"),
+)
 
 
 def _is_int(value: Any) -> bool:
@@ -620,21 +647,32 @@ class Simulation:
         self.exchanges: list[ExchangeRecord] = []
         self._queues: dict[int, list[HistoryOffer]] = {}
         self._pairs_this_interval: set[tuple[int, int]] = set()
-        self._offers: dict[tuple[int, bool], tuple[HistoryOffer, str | None]] = {}
+        # The interval table: robot -> (offer or None, giver code, 1 if it refuses to record).
+        self._rows: dict[int, tuple[HistoryOffer | None, int, int]] = {}
+        self._forgeries: dict[int, tuple[HistoryOffer, str | None]] = {}
 
-    def _checked_offer(self, giver: int, t: int, forged: bool = False) -> tuple[HistoryOffer, str | None]:
-        """The offer ``giver`` makes at ``t`` (its forged one if ``forged``)
-        and the reason :func:`check_offer` refuses it, or None; each is
-        made and checked once per interval."""
-        key = (giver, forged)
-        checked = self._offers.get(key)
-        if checked is None:
-            if forged:
-                offer = self._forged_offer(giver, t)
-            else:
-                offer = offer_history(self.identities[giver], self.heads[giver])
+    def _row(self, r: int, t: int) -> tuple[HistoryOffer | None, int, int]:
+        """Robot ``r``'s row of the interval-``t`` table (see the module
+        docstring), made on its first exchange of the interval."""
+        behavior = self.behavior[r]
+        refuses = int(behavior == "refuse_record")
+        if behavior == "refuse_give":
+            row = (None, _WITHHOLDS, refuses)
+        else:
+            offer = offer_history(self.identities[r], self.heads[r])
             reason = check_offer(offer, t, self.store, self.config.resolved_window, self.credentials)
-            checked = self._offers[key] = (offer, reason)
+            row = (offer, _VALID if reason is None else _REFUSED, refuses)
+        self._rows[r] = row
+        return row
+
+    def _forgery(self, forger: int, t: int) -> tuple[HistoryOffer, str | None]:
+        """The forged offer ``forger`` presents at ``t`` and the reason
+        :func:`check_offer` refuses it, or None; made once per interval."""
+        checked = self._forgeries.get(forger)
+        if checked is None:
+            offer = self._forged_offer(forger, t)
+            reason = check_offer(offer, t, self.store, self.config.resolved_window, self.credentials)
+            checked = self._forgeries[forger] = (offer, reason)
         return checked
 
     def _forged_offer(self, forger: int, t: int) -> HistoryOffer:
@@ -668,47 +706,54 @@ class Simulation:
         """
         if i == j:
             raise ValueError("a robot cannot exchange history with itself")
-        a, b = (i, j) if i < j else (j, i)
-        if (a, b) in self._pairs_this_interval:
-            raise DuplicateExchangeError(f"pair ({a}, {b}) already exchanged in interval {t}")
-        self._pairs_this_interval.add((a, b))
+        pair = (i, j) if i < j else (j, i)
+        pairs = self._pairs_this_interval
+        if pair in pairs:
+            raise DuplicateExchangeError(f"pair {pair} already exchanged in interval {t}")
+        pairs.add(pair)
+        a, b = pair
 
-        behavior, queues = self.behavior, self._queues
+        rows = self._rows
+        offer_a, give_a, refuses_a = rows.get(a) or self._row(a, t)
+        offer_b, give_b, refuses_b = rows.get(b) or self._row(b, t)
+        a_gave, b_recorded, note_ab = _DIRECTIONS[give_a + refuses_b]
+        b_gave, a_recorded, note_ba = _DIRECTIONS[give_b + refuses_a]
+        if b_recorded:
+            self._queues[b].append(offer_a)
+        if a_recorded:
+            self._queues[a].append(offer_b)
         notes: tuple[str, ...] = ()
-        outcome: tuple[bool, ...] = ()  # (gave, recorded) for a -> b, then for b -> a
-        for giver, receiver in ((a, b), (b, a)):
-            if behavior[giver] == "refuse_give":
-                notes += (f"withheld:{giver}->{receiver}",)
-                outcome += (False, False)
-                continue
-            offer, reason = self._checked_offer(giver, t)
-            if behavior[receiver] == "refuse_record":
-                notes += (f"unrecorded:{giver}->{receiver}",)
-            elif reason is not None:
-                notes += (f"invalid-offer:{giver}->{receiver}",)
-            else:
-                queues[receiver].append(offer)
-                outcome += (True, True)
-                continue
-            outcome += (True, False)
-        for forger, victim in ((a, b), (b, a)):
-            if behavior[forger] == "forge_claim":
-                forged, reason = self._checked_offer(forger, t, forged=True)
-                if reason is None:
-                    queues[victim].append(forged)
-                else:
-                    notes += (f"forged-offer-rejected:{forger}->{victim}",)
+        if note_ab:
+            notes = (f"{note_ab}:{a}->{b}", f"{note_ba}:{b}->{a}") if note_ba else (f"{note_ab}:{a}->{b}",)
+        elif note_ba:
+            notes = (f"{note_ba}:{b}->{a}",)
+        if a in self.forge_target or b in self.forge_target:
+            notes += self._present_forgeries(a, b, t)
 
-        a_gave, b_recorded, b_gave, a_recorded = outcome
-        record = ExchangeRecord(t, a, b, a_gave, b_gave, a_recorded, b_recorded, fabricated, notes)
+        # ExchangeRecord(...) without its __new__ frame, as _exchanges_from_columns builds it.
+        record = tuple.__new__(ExchangeRecord, (t, a, b, a_gave, b_gave, a_recorded, b_recorded, fabricated, notes))
         self.exchanges.append(record)
         return record
 
+    def _present_forgeries(self, a: int, b: int, t: int) -> tuple[str, ...]:
+        """Each forger of the pair (a < b), a first, presents its forged
+        offer to the other, which queues it if :func:`check_offer`
+        accepted it; the notes of those it refused."""
+        notes = []
+        for forger, victim in ((a, b), (b, a)):
+            if forger in self.forge_target:
+                forged, reason = self._forgery(forger, t)
+                if reason is None:
+                    self._queues[victim].append(forged)
+                else:
+                    notes.append(f"forged-offer-rejected:{forger}->{victim}")
+        return tuple(notes)
+
     def _close_interval(self, r: int, t: int) -> None:
         offers = self._queues[r]
-        if self.behavior[r] == "forge_claim":
+        if r in self.forge_target:
             # A forger plants an unwitnessed entry for its target, unless it holds a real one.
-            offers.append(self._checked_offer(r, t, forged=True)[0])
+            offers.append(self._forgery(r, t)[0])
         self.heads[r] = extend_history(self.identities[r], self.heads[r], build_event_list(t, offers), self.store)
 
     def run(self) -> SimTrace:
@@ -721,15 +766,20 @@ class Simulation:
             self.graphs.append(g)
             self._queues = {r: [] for r in range(1, cfg.n + 1)}
             self._pairs_this_interval = set()
-            self._offers = {}
-            effective = {e for e in g.edges if e[0] in active and e[1] in active}
-            forced = {
+            self._rows, self._forgeries = {}, {}
+            edges = g.ordered_edges
+            if len(active) < cfg.n:
+                edges = [e for e in edges if e[0] in active and e[1] in active]
+            fabricated = {
                 pair
                 for pair in self.colluder_pairs
-                if pair[0] in active and pair[1] in active
+                if pair[0] in active and pair[1] in active and pair not in g.edges
             }
-            for a, b in sorted(effective | forced):
-                self.exchange(a, b, t, fabricated=(a, b) not in effective)
+            if fabricated:
+                edges = sorted([*edges, *fabricated])
+            for pair in edges:
+                a, b = pair
+                self.exchange(a, b, t, pair in fabricated)
             for r in sorted(active):
                 self._close_interval(r, t)
         return SimTrace(
