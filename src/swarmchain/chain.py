@@ -24,7 +24,10 @@ caller that queues offers in another order) can make happen.
 Instead of embedding full histories inside each other, links are stored
 once in a content-addressed :class:`LinkStore` and referenced by digest.
 The signature covers the same content either way, so verification power
-is unchanged while memory stays linear in the number of links.
+is unchanged while memory stays linear in the number of links.  A digest
+is the plain ``DIGEST_SIZE``-byte ``bytes`` :func:`crypto.digest`
+returns: :func:`canonical_encode` refuses a digest of any other length,
+and :func:`decode_link` reads each one from its fixed 32-byte field.
 
 Byte layouts (normative)
 ------------------------
@@ -138,14 +141,13 @@ from typing import Callable, Iterable, Iterator, Mapping
 from .crypto import (
     DIGEST_SIZE,
     Credential,
-    Digest,
     SigningIdentity,
     digest,
     sign,
     verify,
 )
 
-GENESIS = Digest(b"\x00" * DIGEST_SIZE)
+GENESIS = bytes(DIGEST_SIZE)
 
 _PAYLOAD_MAGIC = b"E1"
 _LINK_MAGIC = b"L1"
@@ -160,7 +162,7 @@ class EventEntry:
     """One witnessed exchange inside an event list."""
 
     peer_id: int
-    peer_link_digest: Digest
+    peer_link_digest: bytes
     peer_signature: bytes
     peer_credential: Credential
 
@@ -194,7 +196,7 @@ class HistoryLink:
     owner_id: int
     interval: int
     events: EventList
-    prev_digest: Digest
+    prev_digest: bytes
     signature: bytes
 
     def __post_init__(self) -> None:
@@ -259,7 +261,7 @@ def _entry_bytes(entry: EventEntry) -> bytes:
     return cached
 
 
-def canonical_encode(events: EventList, prev: Digest) -> bytes:
+def canonical_encode(events: EventList, prev: bytes) -> bytes:
     """Deterministic, injective encoding of the signed link payload.
 
     Field order is fixed, variable-length fields are length-prefixed,
@@ -282,7 +284,7 @@ def _payload_bytes(link: HistoryLink) -> bytes:
     return cached
 
 
-def signed_digest(link: HistoryLink) -> Digest:
+def signed_digest(link: HistoryLink) -> bytes:
     """The digest a link's owner signs: hash of the canonical payload."""
     cached = getattr(link, "_signed_digest", None)
     if cached is None:
@@ -300,7 +302,7 @@ def encode_link(link: HistoryLink) -> bytes:
     return _link_bytes(link.owner_id, _payload_bytes(link), link.signature)
 
 
-def link_digest(link: HistoryLink) -> Digest:
+def link_digest(link: HistoryLink) -> bytes:
     """A link's content address: hash of its full serialized form."""
     cached = getattr(link, "_link_digest", None)
     if cached is None:
@@ -314,7 +316,7 @@ _set_attribute = object.__setattr__
 
 
 def _new_entry(
-    peer_id: int, peer_link_digest: Digest, peer_signature: bytes, peer_credential: Credential
+    peer_id: int, peer_link_digest: bytes, peer_signature: bytes, peer_credential: Credential
 ) -> EventEntry:
     """``EventEntry(peer_id, peer_link_digest, peer_signature,
     peer_credential)`` in one step: the same instance, its fields set in
@@ -373,8 +375,7 @@ def decode_link(data: bytes, issued: Mapping[int, Credential] | None = None) -> 
                 cert = data[pos : pos + size]
                 pos += size
                 credential = Credential(cred_id, verify_key, cert)
-            # The ``32s`` field is exactly DIGEST_SIZE bytes, so the digest skips its length check.
-            entries.append(_new_entry(peer, bytes.__new__(Digest, peer_digest), signature, credential))
+            entries.append(_new_entry(peer, peer_digest, signature, credential))
         payload_end = pos
         (size,) = _LENGTH.unpack_from(data, pos)
         pos += _LENGTH.size + size
@@ -387,7 +388,7 @@ def decode_link(data: bytes, issued: Mapping[int, Credential] | None = None) -> 
             owner_id=owner,
             interval=interval,
             events=EventList(interval=interval, entries=tuple(entries)),
-            prev_digest=Digest(prev),
+            prev_digest=prev,
             signature=data[payload_end + _LENGTH.size :],
         )
     except ValueError as exc:
@@ -401,23 +402,23 @@ class LinkStore:
     """Content-addressed link storage: digest(encode_link(link)) -> link."""
 
     def __init__(self) -> None:
-        self._links: dict[Digest, HistoryLink] = {}
+        self._links: dict[bytes, HistoryLink] = {}
 
-    def insert(self, link: HistoryLink) -> Digest:
+    def insert(self, link: HistoryLink) -> bytes:
         d = link_digest(link)
         self._links[d] = link
         return d
 
-    def get(self, d: Digest) -> HistoryLink | None:
+    def get(self, d: bytes) -> HistoryLink | None:
         return self._links.get(d)
 
-    def __contains__(self, d: Digest) -> bool:
+    def __contains__(self, d: bytes) -> bool:
         return d in self._links
 
     def __len__(self) -> int:
         return len(self._links)
 
-    def digests(self) -> Iterator[Digest]:
+    def digests(self) -> Iterator[bytes]:
         return iter(self._links)
 
     def links(self) -> Iterator[HistoryLink]:
@@ -482,7 +483,7 @@ def build_event_list(t: int, offers: Iterable[HistoryOffer]) -> EventList:
     return EventList(interval=t, entries=tuple(first.values()))
 
 
-def sign_link(signer: SigningIdentity, owner_id: int, events: EventList, prev: Digest) -> HistoryLink:
+def sign_link(signer: SigningIdentity, owner_id: int, events: EventList, prev: bytes) -> HistoryLink:
     """A link for ``owner_id`` over (events, prev), signed with
     ``signer``'s key; the link's place in a chain is unchecked.
 
@@ -543,7 +544,7 @@ def check_link(link: HistoryLink, credential: Credential | None) -> str | None:
 def check_entry(
     entry: EventEntry,
     t: int,
-    resolve: Callable[[Digest], HistoryLink | None],
+    resolve: Callable[[bytes], HistoryLink | None],
     credentials: Mapping[int, Credential],
 ) -> str | None:
     """None if ``entry``, found in a link for interval ``t``, witnesses its

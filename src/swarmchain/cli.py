@@ -64,9 +64,17 @@ def _resolve_seed(config: SimConfig, args, out) -> SimConfig:
     return config
 
 
+def _write(path: str, text: str) -> None:
+    """Write an output file; an unwritable path is an error (exit 2), not a traceback."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc}") from exc
+
+
 def _emit(doc: dict[str, Any], path: str | None) -> None:
     if path:
-        Path(path).write_text(dump_json(doc))
+        _write(path, dump_json(doc))
 
 
 def cmd_simulate(args, out=None) -> int:
@@ -74,7 +82,7 @@ def cmd_simulate(args, out=None) -> int:
     config = _resolve_seed(_load_config(args.config), args, out)
     manifest = run_manifest(config, config_path=args.config, output_path=args.output)
     trace = run_simulation(config)
-    Path(args.output).write_text(trace.to_json(manifest=manifest))
+    _write(args.output, trace.to_json(manifest=manifest))
     adversary_actions = sum(1 for x in trace.exchanges if x.fabricated or x.notes)
     if args.format == "machine":
         print(
@@ -110,6 +118,8 @@ def _load_trace(path: str) -> SimTrace:
 
 def cmd_analyze(args, out=None) -> int:
     out = out if out is not None else sys.stdout
+    if not 0.0 < args.epsilon < 1.0:  # refuses nan too
+        raise ValueError(f"--epsilon must be in (0, 1), got {args.epsilon}")
     trace = _load_trace(args.trace)
     config = trace.config
     delta = args.delta if args.delta is not None else config.delta
@@ -250,6 +260,8 @@ def cmd_montecarlo(args, out=None) -> int:
         raise ValueError(f"--runs must be >= 0, got {args.runs}")
     if not args.tolerance >= 0.0:  # refuses nan too
         raise ValueError(f"--tolerance must be >= 0, got {args.tolerance}")
+    if not 0.0 < args.epsilon < 1.0:
+        raise ValueError(f"--epsilon must be in (0, 1), got {args.epsilon}")
     config = _resolve_seed(_load_config(args.config), args, out)
     row, ok = _mc_rows(config, args.trials, args.tolerance)
 

@@ -5,8 +5,9 @@ and a certificate binding (robot_id, verify_key) under the central key.
 The concrete algorithms (Ed25519 signatures, SHA-256 digests) are an
 internal detail of this module: callers treat signatures and digests as
 opaque bytes, so the scheme can be swapped without touching the rest of
-the code.  A :class:`Digest` is a ``bytes`` of length ``DIGEST_SIZE``,
-usable wherever bytes are.
+the code.  A digest is a plain ``bytes`` of length ``DIGEST_SIZE``; its
+length is checked where a digest is encoded (``chain``) and where one is
+read from outside input (a trace's heads).
 
 Key material is derived deterministically from the provisioning seed, so
 a swarm provisioned twice with the same (n, seed) is byte-identical.
@@ -50,22 +51,9 @@ _KEY_DOMAIN = b"swarmchain:key:v1:"
 _CRED_DOMAIN = b"swarmchain:cred:v1:"
 
 
-class Digest(bytes):
-    """A fixed-length hash output.  A digest is its bytes: it hashes,
-    compares, orders and encodes as the ``DIGEST_SIZE`` bytes it holds,
-    and the only thing the type adds is the length check."""
-
-    __slots__ = ()
-
-    def __new__(cls, value: bytes) -> "Digest":
-        if len(value) != DIGEST_SIZE:
-            raise ValueError(f"digest must be {DIGEST_SIZE} bytes, got {len(value)}")
-        return super().__new__(cls, value)
-
-
-def digest(message: bytes) -> Digest:
-    """Hash arbitrary bytes to a fixed-length digest."""
-    return Digest(hashlib.sha256(message).digest())
+def digest(message: bytes) -> bytes:
+    """Hash arbitrary bytes to a ``DIGEST_SIZE``-byte digest."""
+    return hashlib.sha256(message).digest()
 
 
 @dataclass(frozen=True)
@@ -197,13 +185,11 @@ def verify(credential: Credential, message: bytes, signature: bytes) -> bool:
     Malformed signatures or keys are rejected, not raised.  Verdicts are
     memoized process-wide; a signature this process made with
     :func:`sign` is found in the memo, and any other one is checked with
-    real crypto on first sight.  A ``bytes`` or :class:`Digest` message is
-    a memo key as it is (a digest hashes and compares as its bytes); any
-    other buffer is copied to ``bytes`` first.
+    real crypto on first sight.  The message is made ``bytes`` as
+    :func:`sign` makes it; for an exact ``bytes``, such as every digest,
+    ``bytes(message)`` is the same object, so the memo key costs no copy.
     """
-    if type(message) is not bytes and type(message) is not Digest:
-        message = bytes(message)
-    return _verify_cached(credential.verify_key, message, bytes(signature))
+    return _verify_cached(credential.verify_key, bytes(message), bytes(signature))
 
 
 def verify_credential(credential: Credential, central_verify_key: bytes) -> bool:

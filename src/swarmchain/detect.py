@@ -58,7 +58,7 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple
 import numpy as np
 
 from .chain import EventEntry, HistoryLink, LinkStore, check_entry, check_link, link_digest, walk_chain
-from .crypto import Credential, Digest
+from .crypto import Credential
 from .prob import pairing_threshold
 from .sim import SimConfig, SimTrace
 
@@ -206,7 +206,7 @@ class ClaimIndex:
             claims[self.entry_claim[repeats[self.entry_ok[repeats] & links[self.entry_link[repeats]]]]] = True
         return claims
 
-    def mask_of(self, head: Digest | None) -> int:
+    def mask_of(self, head: bytes | None) -> int:
         """The closure mask of the link ``head`` names; 0 if none is indexed."""
         i = None if head is None else self.position.get(head)
         return 0 if i is None else self.masks[i]
@@ -378,7 +378,7 @@ class LocalView:
         return cls(None, trace.config.intervals, trace.config, index, mask)
 
     @cached_property
-    def links(self) -> dict[Digest, HistoryLink]:
+    def links(self) -> dict[bytes, HistoryLink]:
         """digest -> link, for the links in view that pass ``check_link``."""
         index = self.index
         return dict(index.select(zip(index.digests, index.links), index.bits(self.mask)))

@@ -4,34 +4,37 @@ Each interval's communication reach is one draw of a binomial random
 graph G(n, p): every unordered pair of robots meets independently with
 probability p.  Intervals are sampled independently; callers pass a
 seeded ``numpy.random.Generator`` (PCG64) so every graph is reproducible
-from a run's root seed.
+from a run's root seed.  A graph's edges are one tuple of pairs (u, v),
+1 <= u < v <= n, in strictly ascending order: the order the simulator
+runs its exchanges in and the trace stores them in.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
+from operator import lt
 
 import numpy as np
 
 
 @dataclass(frozen=True)
 class EncounterGraph:
-    """Who met whom during one interval; vertices are robot ids 1..n."""
+    """Who met whom during one interval; vertices are robot ids 1..n and
+    ``edges`` holds each meeting pair once, strictly ascending.  Any other
+    order is refused, not sorted."""
 
     n: int
     interval: int
-    edges: frozenset[tuple[int, int]]
+    edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        for u, v in self.edges:
+        edges = self.edges
+        if not all(map(lt, edges, edges[1:])):  # one C-level pass
+            before, after = next((x, y) for x, y in zip(edges, edges[1:]) if not x < y)
+            raise ValueError(f"edge {after} after {before}: not strictly ascending")
+        for u, v in edges:
             if not (1 <= u < v <= self.n):
                 raise ValueError(f"edge ({u}, {v}) is not a normalized pair within 1..{self.n}")
-
-    @cached_property
-    def ordered_edges(self) -> tuple[tuple[int, int], ...]:
-        """The edges in ascending (u, v) order, the order the simulator
-        runs its exchanges in."""
-        return tuple(sorted(self.edges))
 
 
 @lru_cache(maxsize=1)
@@ -46,15 +49,11 @@ def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def gen_interval_graph(n: int, p: float, rng: np.random.Generator, interval: int = 1) -> EncounterGraph:
     """Sample G(n, p): each of the C(n, 2) pairs joined independently with
-    probability p.  The pairs are drawn in ascending order, so the graph
-    comes with its ``ordered_edges`` already made."""
+    probability p, drawn in ascending pair order."""
     if n < 1:
         raise ValueError(f"vertex count must be >= 1, got {n}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability must be in [0, 1], got {p}")
     u, v = _pairs(n)
     mask = rng.random(u.size) < p
-    ordered = tuple(zip(u[mask].tolist(), v[mask].tolist()))
-    graph = EncounterGraph(n=n, interval=interval, edges=frozenset(ordered))
-    graph.__dict__["ordered_edges"] = ordered
-    return graph
+    return EncounterGraph(n=n, interval=interval, edges=tuple(zip(u[mask].tolist(), v[mask].tolist())))

@@ -17,7 +17,8 @@ deviate in one of five ways:
 
 A run is a pure function of its :class:`SimConfig`: identities derive
 from the seed, interval graphs come from per-interval child streams of
-the root seed, and exchanges execute in sorted order.  Traces therefore
+the root seed, and exchanges execute in the graph's ascending edge
+order (fabricated colluder pairs merged in).  Traces therefore
 serialize to byte-identical JSON for identical configs.
 
 Each interval is decided as a table with one row per robot: its offer,
@@ -42,7 +43,7 @@ Trace format, version 3 (:meth:`SimTrace.to_dict`)::
                            interval in order; edge k is (u[k], v[k]), the
                            edges strictly ascending with 1 <= u < v <= n
     links                  [hex of encode_link(link)], by (owner, interval, digest)
-    heads                  {"robot id": hex digest or null}
+    heads                  {"robot id": hex of a 32-byte digest, or null}
     exchanges              {interval: [...], a: [...], b: [...], flags: [...],
                             notes: [[record, "note"], ...]}
 
@@ -82,8 +83,8 @@ from .chain import (
     sign_link,
 )
 from .crypto import (
+    DIGEST_SIZE,
     Credential,
-    Digest,
     SigningIdentity,
     provision_swarm,
     sign,
@@ -351,7 +352,7 @@ class SimTrace:
     central_verify_key: bytes
     credentials: dict[int, Credential]
     graphs: tuple[EncounterGraph, ...]
-    heads: dict[int, Digest | None]
+    heads: dict[int, bytes | None]
     store: LinkStore
     exchanges: tuple[ExchangeRecord, ...]
 
@@ -447,7 +448,7 @@ class SimTrace:
             except (TypeError, ValueError) as exc:  # EncodingError is a ValueError
                 raise TraceError(f"links[{i}]", f"bad link: {exc}") from exc
 
-        heads: dict[int, Digest | None] = {}
+        heads: dict[int, bytes | None] = {}
         raw_heads = data.get("heads")
         if not isinstance(raw_heads, Mapping):
             raise TraceError("heads", "must be an object")
@@ -467,9 +468,11 @@ class SimTrace:
             if not isinstance(value, str):
                 raise TraceError(where, f"must be a hex digest or null, got {value!r}")
             try:
-                d = Digest.fromhex(value)
+                d = bytes.fromhex(value)
             except ValueError as exc:
                 raise TraceError(where, f"bad digest: {exc}") from exc
+            if len(d) != DIGEST_SIZE:
+                raise TraceError(where, f"bad digest: must be {DIGEST_SIZE} bytes, got {len(d)}")
             if d not in store:
                 raise TraceError(where, "head digest does not resolve to a stored link")
             heads[robot] = d
@@ -492,7 +495,7 @@ _RECORD_TAILS = tuple((*bits, ()) for bits in _FLAG_BITS)  # the flag fields and
 
 
 def _graph_columns(graph: EncounterGraph) -> dict[str, Any]:
-    edges = sorted(graph.edges)
+    edges = graph.edges
     return {"interval": graph.interval, "n": graph.n, "u": [u for u, _ in edges], "v": [v for _, v in edges]}
 
 
@@ -549,10 +552,10 @@ def _graph_from_dict(data: Any, config: SimConfig, i: int) -> EncounterGraph:
     if len(u) != len(v):
         raise TraceError(f"{where}.v", f"has {len(v)} items, {where}.u has {len(u)}")
     _first_not_below(f"{where}.v", u, v, "an edge (u, v) needs u < v")
-    edges = list(zip(u, v))
+    edges = tuple(zip(u, v))
     # Edge k against edge k - 1; edge 0 against (0, 0), below every edge.
     _first_not_below(f"{where}.u", [(0, 0), *edges[:-1]], edges, "edges must be strictly ascending")
-    return EncounterGraph(n=n, interval=interval, edges=frozenset(edges))
+    return EncounterGraph(n=n, interval=interval, edges=edges)
 
 
 def _exchanges_from_columns(data: Any, config: SimConfig) -> tuple[ExchangeRecord, ...]:
@@ -767,13 +770,11 @@ class Simulation:
             self._queues = {r: [] for r in range(1, cfg.n + 1)}
             self._pairs_this_interval = set()
             self._rows, self._forgeries = {}, {}
-            edges = g.ordered_edges
+            edges = g.edges
             if len(active) < cfg.n:
                 edges = [e for e in edges if e[0] in active and e[1] in active]
             fabricated = {
-                pair
-                for pair in self.colluder_pairs
-                if pair[0] in active and pair[1] in active and pair not in g.edges
+                pair for pair in self.colluder_pairs.difference(g.edges) if pair[0] in active and pair[1] in active
             }
             if fabricated:
                 edges = sorted([*edges, *fabricated])

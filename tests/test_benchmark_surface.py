@@ -7,8 +7,10 @@ as its fourth positional argument.  They count exchange outcomes by
 wrapping ``Simulation.exchange`` and reading the reason before the colon
 of each note of the record it returns, and time the trace's JSON round
 trip by wrapping ``SimTrace.to_json`` and the classmethod
-``SimTrace.from_json``.  A rename or a keyword call would not fail the
-benchmark; it would silently zero a per-layer figure.
+``SimTrace.from_json``.  They count a generated graph's meetings with
+``len(graph.edges)``, and the ``analyze_n100`` output check reads the
+edges as ``for (u, v) in graph.edges``.  A rename or a keyword call
+would not fail the benchmark; it would silently zero a per-layer figure.
 """
 import json
 import re
@@ -105,3 +107,13 @@ def test_the_trace_json_round_trip_runs_inside_to_json_and_from_json(monkeypatch
     loaded = SimTrace.from_json(text)
     assert written == [text] and len(built) == 1
     assert read == [loaded] and parsed == [loaded]
+
+
+def test_a_graph_counts_its_meetings_with_len_and_iterates_them_as_pairs():
+    trace = run_simulation(SimConfig(n=12, p=0.5, intervals=3, delta=2, seed=5))
+    assert len(trace.graphs) == 3
+    for graph in trace.graphs:
+        pairs = [(u, v) for (u, v) in graph.edges]
+        assert len(graph.edges) == len(pairs) > 0
+        assert all(1 <= u < v <= 12 for u, v in pairs)
+        assert {(x.a, x.b) for x in trace.exchanges if x.interval == graph.interval} == set(pairs)

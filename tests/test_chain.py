@@ -29,7 +29,7 @@ from swarmchain.chain import (
     signed_digest,
     verify_chain,
 )
-from swarmchain.crypto import Credential, Digest, digest, provision_swarm
+from swarmchain.crypto import Credential, digest, provision_swarm
 from swarmchain.detect import LocalView
 from swarmchain.sim import SimConfig, SimTrace, TraceError, run_simulation
 
@@ -93,7 +93,7 @@ def test_canonical_encode_injective_over_random_corpus(swarm5):
     seen = {}
     for _ in range(100_000):
         t = rng.randint(1, 500)
-        prev = Digest(rng.randbytes(32))
+        prev = rng.randbytes(32)
         chosen = sorted(rng.sample(base_entries, rng.randint(0, len(base_entries))), key=lambda e: e.peer_id)
         events = EventList(interval=t, entries=tuple(chosen))
         key = (t, prev, frozenset(e.peer_id for e in chosen))
@@ -153,7 +153,7 @@ _blobs = st.integers(0, 300).flatmap(lambda size: st.binary(min_size=size, max_s
 _entries = st.builds(
     EventEntry,
     peer_id=st.integers(0, 2**32 - 1),
-    peer_link_digest=st.binary(min_size=32, max_size=32).map(Digest),
+    peer_link_digest=st.binary(min_size=32, max_size=32),
     peer_signature=_blobs,
     peer_credential=st.builds(Credential, robot_id=st.integers(0, 2**32 - 1), verify_key=_blobs, cert=_blobs),
 )
@@ -162,7 +162,7 @@ _entries = st.builds(
 @settings(max_examples=200, deadline=None)
 @given(
     t=st.integers(1, 2**32 - 1),
-    prev=st.binary(min_size=32, max_size=32).map(Digest),
+    prev=st.binary(min_size=32, max_size=32),
     entries=st.lists(_entries, max_size=6, unique_by=lambda entry: entry.peer_id),
 )
 def test_canonical_encode_follows_the_layout_on_any_event_list(t, prev, entries):

@@ -180,6 +180,11 @@ def test_analyze_reports_position_of_first_failure(tmp_path, capsys):
         ("--alpha", "nan", 0.0, 2),
         ("--alpha", "0", 0.0, 0),
         ("--alpha", "0.99", 0.0, 0),
+        ("--epsilon", "0", 0.4, 2),
+        ("--epsilon", "1", 0.4, 2),
+        ("--epsilon", "7", 0.4, 2),
+        ("--epsilon", "nan", 0.4, 2),
+        ("--epsilon", "0.5", 0.4, 0),
     ],
 )
 def test_analyze_refuses_out_of_range_overrides(option, value, p, code, tmp_path, capsys):
@@ -190,6 +195,30 @@ def test_analyze_refuses_out_of_range_overrides(option, value, p, code, tmp_path
     assert main(["analyze", "--trace", str(trace), option, value]) == code
     err = capsys.readouterr().err
     assert (option in err) == (code == 2), err
+
+
+def test_analyze_refuses_epsilon_before_loading_the_trace(tmp_path, capsys):
+    assert main(["analyze", "--trace", str(tmp_path / "missing.json"), "--epsilon", "7"]) == 2
+    err = capsys.readouterr().err
+    assert "--epsilon" in err and "missing.json" not in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "analyze", "montecarlo"])
+def test_an_unwritable_output_is_an_error_naming_the_path(command, tmp_path, capsys):
+    config = _write_config(tmp_path)
+    trace = tmp_path / "trace.json"
+    assert main(["simulate", "--config", str(config), "--output", str(trace)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "missing" / "out.json"
+    inputs = {
+        "simulate": ["--config", str(config)],
+        "analyze": ["--trace", str(trace)],
+        "montecarlo": ["--config", str(config), "--trials", "50", "--tolerance", "1"],
+    }[command]
+    assert main([command, *inputs, "--output", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write {out}: "), captured.err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["simulate", "montecarlo"])
@@ -304,6 +333,12 @@ def test_montecarlo_impossible_tolerance_fails(tmp_path, capsys):
         ("--tolerance", "-0.01", 2),
         ("--tolerance", "0.5", 0),
         ("--tolerance", "inf", 0),
+        ("--epsilon", "0", 2),
+        ("--epsilon", "1", 2),
+        ("--epsilon", "7", 2),
+        ("--epsilon", "-0.05", 2),
+        ("--epsilon", "nan", 2),
+        ("--epsilon", "0.5", 0),
     ],
 )
 def test_montecarlo_refuses_bad_flags(option, value, code, tmp_path, capsys):

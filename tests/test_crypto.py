@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import random
 
@@ -6,17 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swarmchain import crypto
-from swarmchain.chain import GENESIS
+from swarmchain.chain import GENESIS, link_digest, signed_digest
 from swarmchain.crypto import (
     DIGEST_SIZE,
-    Digest,
     digest,
     provision_swarm,
     sign,
     verify,
     verify_credential,
 )
-from swarmchain.sim import AdversaryProfile, SimConfig, run_simulation
+from swarmchain.sim import AdversaryProfile, SimConfig, SimTrace, run_simulation
 
 
 def test_single_robot_cert_verifies():
@@ -139,29 +139,35 @@ def test_digest_collision_free_over_random_corpus():
             seen[d] = message
 
 
-@settings(max_examples=100)
-@given(st.binary(max_size=500))
-def test_digest_hex_roundtrip(message):
-    d = digest(message)
-    loaded = Digest.fromhex(d.hex())
-    assert loaded == d and type(loaded) is Digest
-
-
-@pytest.mark.parametrize("value", [bytes(31), bytes(33), 32], ids=["31-bytes", "33-bytes", "int"])
-def test_digest_refuses_anything_but_its_size(value):
-    with pytest.raises((TypeError, ValueError)):
-        Digest(value)
-    if isinstance(value, bytes):
-        with pytest.raises(ValueError):
-            Digest.fromhex(value.hex())
-
-
 def test_a_digest_is_its_bytes():
     b = hashlib.sha256(b"swarmchain").digest()
-    assert Digest(b) == b and b == Digest(b)
-    assert hash(Digest(b)) == hash(b)
-    assert digest(b"swarmchain") == b
-    assert GENESIS == bytes(32) and isinstance(GENESIS, Digest)
+    assert digest(b"swarmchain") == b and type(digest(b"swarmchain")) is bytes
+    assert GENESIS == bytes(32) and type(GENESIS) is bytes
+
+
+def _run_digests(trace):
+    """Every digest a trace holds: each link's previous, entry, signed
+    and address digests, and each head."""
+    for link in trace.store.links():
+        yield link.prev_digest
+        yield from (entry.peer_link_digest for entry in link.events.entries)
+        yield link_digest(link)
+        yield signed_digest(link)
+    yield from (d for d in trace.heads.values() if d is not None)
+
+
+def test_every_digest_of_a_run_and_of_its_reloaded_trace_is_plain_bytes():
+    """A digest is an exact ``bytes``, so the cyclic GC never tracks it."""
+    config = SimConfig(
+        n=10, p=0.4, intervals=4, delta=2, alpha=0.1, seed=73,
+        adversaries=(AdversaryProfile("forge_claim", frozenset({4}), target=7),),
+    )
+    trace = run_simulation(config)
+    for source in (trace, SimTrace.from_json(trace.to_json())):
+        digests = list(_run_digests(source))
+        assert len(digests) > 3 * len(trace.store)
+        assert {type(d) for d in digests} == {bytes}
+        assert not any(map(gc.is_tracked, digests))
 
 
 @pytest.fixture

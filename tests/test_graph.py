@@ -8,7 +8,7 @@ from swarmchain.graph import EncounterGraph, gen_interval_graph
 
 def test_p_zero_gives_empty_graph():
     g = gen_interval_graph(10, 0.0, np.random.default_rng(1))
-    assert g.edges == frozenset()
+    assert g.edges == ()
 
 
 def test_p_one_gives_complete_graph():
@@ -36,10 +36,20 @@ def test_empty_swarm_rejected():
 
 
 def test_malformed_edges_rejected():
-    with pytest.raises(ValueError):
-        EncounterGraph(n=3, interval=1, edges=frozenset({(2, 2)}))
-    with pytest.raises(ValueError):
-        EncounterGraph(n=3, interval=1, edges=frozenset({(3, 1)}))
+    """The edges are one strictly ascending tuple of pairs 1 <= u < v <= n:
+    any other order is refused, not sorted."""
+    for edges in (
+        ((1, 3), (1, 2)),  # unsorted
+        ((1, 2), (2, 3), (1, 3)),  # unsorted
+        ((1, 2), (1, 2)),  # repeated
+        ((2, 2),),  # u == v
+        ((3, 1),),  # u > v
+        ((0, 1),),  # u out of range
+        ((1, 4),),  # v out of range
+    ):
+        with pytest.raises(ValueError):
+            EncounterGraph(n=3, interval=1, edges=edges)
+    assert EncounterGraph(n=3, interval=1, edges=((1, 2), (1, 3), (2, 3))).edges == ((1, 2), (1, 3), (2, 3))
 
 
 @settings(max_examples=30)

@@ -520,6 +520,15 @@ def test_trace_json_roundtrip(honest_trace_25):
     assert loaded.to_json() == trace.to_json()
 
 
+def test_each_graph_is_its_ascending_edge_tuple_and_reloads_equal(honest_trace_25):
+    doc = json.loads(honest_trace_25.to_json())
+    loaded = SimTrace.from_dict(doc)
+    assert len(honest_trace_25.graphs) == len(doc["graphs"]) == len(loaded.graphs) == 3
+    for graph, columns, reloaded in zip(honest_trace_25.graphs, doc["graphs"], loaded.graphs):
+        assert type(graph.edges) is tuple and graph.edges == tuple(zip(columns["u"], columns["v"]))
+        assert reloaded == graph
+
+
 def test_trace_rejects_bad_json():
     with pytest.raises(TraceError) as err:
         SimTrace.from_json("{not json")
