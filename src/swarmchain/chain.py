@@ -1,15 +1,16 @@
 """Signed per-interval event lists linked into a tamper-evident history chain.
 
 Every robot closes each interval t >= 1 it is active in, by
-:func:`extend_history` alone, with a link holding its event list for t, a
-reference to its previous link, and a signature.  An event entry
-witnesses one exchange: the peer's id, a digest identifying the peer's
-head link from the previous interval, the signature field of that link,
-and the peer's credential.  A robot with no links yet (first interval, or
-first activity after an outage) witnesses meetings with a signature over
-the genesis digest instead.  An event list's peer ids are strictly
-ascending, so it has one entry per peer at most: :func:`build_event_list`
-makes that order and :class:`EventList` refuses any other.
+:func:`extend_history` alone, with a link holding t, its event list for
+t (a tuple of entries), a reference to its previous link, and a
+signature.  An event entry witnesses one exchange: the peer's id, a
+digest identifying the peer's head link from the previous interval, the
+signature field of that link, and the peer's credential.  A robot with no
+links yet (first interval, or first activity after an outage) witnesses
+meetings with a signature over the genesis digest instead.  An event
+list's peer ids are strictly ascending, so it has one entry per peer at
+most: :func:`build_event_list` makes that order and :class:`HistoryLink`
+refuses any other.
 
 A receiver's accepted offers usually arrive in that order already.  The
 simulator runs an interval's exchanges in ascending edge order (a, b),
@@ -31,7 +32,7 @@ and :func:`decode_link` reads each one from its fixed 32-byte field.
 
 Byte layouts (normative)
 ------------------------
-Canonical payload -- the signed content (``canonical_encode(events, prev)``)::
+Canonical payload -- the signed content (``canonical_encode(interval, entries, prev)``)::
 
     magic     2   b"E1"
     interval  4   big-endian unsigned
@@ -102,11 +103,15 @@ finds, in this order:
 The first three end the walk.  A first link (previous digest genesis)
 above interval 1 is a ``late-start`` over intervals 1..t - 1.
 
-An offer made at interval t may be recorded only if :func:`check_offer`
-accepts it: the entry it would become (:func:`offer_entry`) passes
+An offer is the entry it would become and the link that entry
+references (None for a genesis entry).  An offer made at interval t may
+be recorded only if :func:`check_offer` accepts it: its entry passes
 :func:`check_entry` at t, resolving only the offered link itself, and an
-offered link then passes :func:`verify_chain` over min(window, its
-interval) links.  The first failure names the reason.  Only accepted
+offered link then passes :func:`verify_chain`, under the entry's
+credential, over min(window, its interval) links.  The first failure
+names the reason; so a linked entry offered with no link is a
+``missing-entry-link``, with another link an ``entry-digest-mismatch``,
+and with another signature a ``bad-entry-signature``.  Only accepted
 offers reach :func:`build_event_list`.
 
 The exchange (:func:`check_offer`), the local views and the central
@@ -118,12 +123,12 @@ claim index (``detect.ClaimIndex``) has refused, so the walk runs
 :func:`check_entry` only on those, for their reason.
 
 Offered-entry rule: when :func:`check_offer` accepts an offer at t, it
-keeps on the offer's entry (:func:`offer_entry`, the one object every
-receiver's event list holds) the key of that verdict: t, the issued
-credential object and the offered link object (None for a genesis
-offer).  :func:`check_entry` accepts such an entry at once when it is
-asked at the same t and ``credentials.get(peer)`` and ``resolve(digest)``
-return those same objects.  Sound because the verdict of
+keeps on the offer's entry (the one object every receiver's event list
+holds) the key of that verdict: t, the issued credential object and the
+offered link object (None for a genesis offer).  :func:`check_entry`
+accepts such an entry at once when it is asked at the same t and
+``credentials.get(peer)`` and ``resolve(digest)`` return those same
+objects.  Sound because the verdict of
 :func:`check_entry` is a function of the entry, t, the issued credential
 and the resolved link alone (and of :func:`crypto.verify`, itself a pure
 function), and all four are immutable.  So each offered entry is checked
@@ -136,7 +141,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from operator import attrgetter, lt
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .crypto import (
     DIGEST_SIZE,
@@ -167,48 +172,36 @@ class EventEntry:
     peer_credential: Credential
 
 
-@dataclass(frozen=True)
-class EventList:
-    """The exchanges one robot witnessed during one interval, in strictly
-    ascending peer order (so at most one entry per peer).  Any other
-    order is refused, not sorted; :func:`build_event_list` makes it."""
+_peer_id = attrgetter("peer_id")
 
+
+def _ascending(entries: tuple[EventEntry, ...]) -> bool:
+    """True if the entries' peer ids are strictly ascending (one C-level pass)."""
+    return all(map(lt, map(_peer_id, entries), map(_peer_id, entries[1:])))
+
+
+@dataclass(frozen=True)
+class HistoryLink:
+    """One link of a robot's signed history chain: the exchanges its owner
+    witnessed during ``interval`` (>= 1), in strictly ascending peer order
+    (so at most one entry per peer).  Any other order is refused, not
+    sorted; :func:`build_event_list` makes it."""
+
+    owner_id: int
     interval: int
     entries: tuple[EventEntry, ...]
+    prev_digest: bytes
+    signature: bytes
 
     def __post_init__(self) -> None:
         if self.interval < 1:
             raise ValueError(f"interval must be >= 1, got {self.interval}")
         entries = self.entries
-        if not all(map(lt, map(_peer_id, entries), map(_peer_id, entries[1:]))):  # one C-level pass
+        if not _ascending(entries):
             before, after = next((x, y) for x, y in zip(entries, entries[1:]) if x.peer_id >= y.peer_id)
             raise ValueError(f"entry for peer {after.peer_id} after peer {before.peer_id}: not strictly ascending")
-
-    @classmethod
-    def empty(cls, interval: int) -> "EventList":
-        return cls(interval=interval, entries=())
-
-
-@dataclass(frozen=True)
-class HistoryLink:
-    """One link of a robot's signed history chain."""
-
-    owner_id: int
-    interval: int
-    events: EventList
-    prev_digest: bytes
-    signature: bytes
-
-    def __post_init__(self) -> None:
-        if self.events.interval != self.interval:
-            raise ValueError(
-                f"event list interval {self.events.interval} != link interval {self.interval}"
-            )
         if self.interval == 1 and self.prev_digest != GENESIS:
             raise ValueError("a link at interval 1 must reference the genesis digest")
-
-
-_peer_id = attrgetter("peer_id")
 
 
 _LINK_PREFIX = struct.Struct(">2sI")  # link magic, owner
@@ -245,7 +238,7 @@ def _credential_bytes(credential: Credential) -> bytes:
 
 def _entry_bytes(entry: EventEntry) -> bytes:
     """An entry's normative bytes in the payload, encoded once and cached
-    on the entry (see :func:`offer_entry`: receivers share one entry)."""
+    on the entry (every receiver of an offer holds the offer's entry)."""
     cached = getattr(entry, "_bytes", None)
     if cached is None:
         if len(entry.peer_link_digest) != DIGEST_SIZE:
@@ -261,25 +254,24 @@ def _entry_bytes(entry: EventEntry) -> bytes:
     return cached
 
 
-def canonical_encode(events: EventList, prev: bytes) -> bytes:
+def canonical_encode(interval: int, entries: tuple[EventEntry, ...], prev: bytes) -> bytes:
     """Deterministic, injective encoding of the signed link payload.
 
     Field order is fixed, variable-length fields are length-prefixed,
-    and entries appear in their list's order, ascending by peer id.  The
-    header is packed with the layouts :func:`decode_link` reads and joined
-    with each entry's cached bytes.
+    and entries appear in the given order, ascending by peer id in any
+    link.  The header is packed with the layouts :func:`decode_link`
+    reads and joined with each entry's cached bytes.
     """
     if len(prev) != DIGEST_SIZE:
         raise ValueError(f"previous link digest must be {DIGEST_SIZE} bytes")
-    entries = events.entries
-    head = _PAYLOAD_HEAD.pack(_PAYLOAD_MAGIC, events.interval, prev, len(entries))
+    head = _PAYLOAD_HEAD.pack(_PAYLOAD_MAGIC, interval, prev, len(entries))
     return b"".join([head, *map(_entry_bytes, entries)])
 
 
 def _payload_bytes(link: HistoryLink) -> bytes:
     cached = getattr(link, "_payload", None)
     if cached is None:
-        cached = canonical_encode(link.events, link.prev_digest)
+        cached = canonical_encode(link.interval, link.entries, link.prev_digest)
         object.__setattr__(link, "_payload", cached)
     return cached
 
@@ -338,7 +330,7 @@ def decode_link(data: bytes, issued: Mapping[int, Credential] | None = None) -> 
 
     Accepts exactly the bytes ``encode_link`` can produce: entries in
     strictly ascending peer order, nothing truncated or trailing, and a
-    link that :class:`EventList` and :class:`HistoryLink` accept; anything
+    link that :class:`HistoryLink` accepts (so not at interval 0); anything
     else raises :class:`EncodingError`.  Hence ``encode_link(decode_link(b))
     == b``, so the link keeps its payload slice and ``digest(b)`` as its
     cached payload and address instead of encoding itself again.
@@ -387,7 +379,7 @@ def decode_link(data: bytes, issued: Mapping[int, Credential] | None = None) -> 
         link = HistoryLink(
             owner_id=owner,
             interval=interval,
-            events=EventList(interval=interval, entries=tuple(entries)),
+            entries=tuple(entries),
             prev_digest=prev,
             signature=data[payload_end + _LENGTH.size :],
         )
@@ -425,84 +417,64 @@ class LinkStore:
         return iter(self._links.values())
 
 
-@dataclass(frozen=True)
-class HistoryOffer:
-    """What one robot hands to another during an exchange: its credential
-    and its head link from the previous interval, or a signature over the
-    genesis digest when it has no links yet."""
+class HistoryOffer(NamedTuple):
+    """What one robot hands to another during an exchange: the entry that
+    witnesses it, which every receiver's event list holds as this one
+    object (so its bytes are encoded once), and the link that entry
+    references, its head link from the previous interval, or None when the
+    entry is a signature over the genesis digest (it has no links yet)."""
 
-    credential: Credential
+    entry: EventEntry
     link: HistoryLink | None
-    genesis_signature: bytes | None = None
-
-    def __post_init__(self) -> None:
-        if (self.link is None) == (self.genesis_signature is None):
-            raise ValueError("an offer carries exactly one of link or genesis signature")
-        link, credential = self.link, self.credential
-        if link is None:
-            entry = _new_entry(credential.robot_id, GENESIS, self.genesis_signature, credential)
-        else:
-            entry = _new_entry(credential.robot_id, link_digest(link), link.signature, credential)
-        object.__setattr__(self, "_entry", entry)
 
 
 def offer_history(identity: SigningIdentity, head: HistoryLink | None) -> HistoryOffer:
     """Build the offer a robot presents when meeting a peer."""
+    credential = identity.credential
     if head is None:
-        return HistoryOffer(
-            credential=identity.credential,
-            link=None,
-            genesis_signature=sign(identity, GENESIS),
-        )
-    return HistoryOffer(credential=identity.credential, link=head)
+        return HistoryOffer(_new_entry(credential.robot_id, GENESIS, sign(identity, GENESIS), credential), None)
+    return HistoryOffer(_new_entry(credential.robot_id, link_digest(head), head.signature, credential), head)
 
 
-def offer_entry(offer: HistoryOffer) -> EventEntry:
-    """The event entry that witnesses an offer's giver.  It is built with
-    the offer, so every receiver's event list holds the same entry object
-    (and its bytes are encoded once)."""
-    return offer._entry
-
-
-def build_event_list(t: int, offers: Iterable[HistoryOffer]) -> EventList:
-    """The event list for interval ``t``: one entry per giver, from its
+def build_event_list(offers: Iterable[HistoryOffer]) -> tuple[EventEntry, ...]:
+    """The event list of the given offers: one entry per giver, from its
     first offer, in ascending peer order whatever the order of the offers.
     Offers already in strictly ascending giver order (the simulator's, see
     the module docstring) are taken as they are; any other order is
     sorted.  The offers are not checked again; pass only those
-    :func:`check_offer` accepted.  No offers means an empty list.
+    :func:`check_offer` accepted.  No offers means no entries.
     """
-    entries = tuple([offer_entry(offer) for offer in offers])
-    try:
-        return EventList(interval=t, entries=entries)
-    except ValueError:  # out of giver order (a bad interval is refused again below)
-        pass
+    entries = tuple([offer.entry for offer in offers])
+    if _ascending(entries):
+        return entries
     first: dict[int, EventEntry] = {}
     for entry in sorted(entries, key=_peer_id):  # stable: each giver's first offer first
         first.setdefault(entry.peer_id, entry)
-    return EventList(interval=t, entries=tuple(first.values()))
+    return tuple(first.values())
 
 
-def sign_link(signer: SigningIdentity, owner_id: int, events: EventList, prev: bytes) -> HistoryLink:
-    """A link for ``owner_id`` over (events, prev), signed with
+def sign_link(
+    signer: SigningIdentity, owner_id: int, interval: int, entries: tuple[EventEntry, ...], prev: bytes
+) -> HistoryLink:
+    """A link for ``owner_id`` over (interval, entries, prev), signed with
     ``signer``'s key; the link's place in a chain is unchecked.
 
-    Built in one pass: the payload, the signed digest, the signature, the
-    full link bytes and the link digest are each computed once, and the
-    payload and both digests stay cached on the link.  The link is made
-    as :func:`_new_entry` makes an entry, and ``HistoryLink``'s checks
-    run on it.
+    Built in one pass: ``HistoryLink``'s checks run first, so a refused
+    link is never signed; then the payload, the signed digest, the
+    signature, the full link bytes and the link digest are each computed
+    once, and the payload and both digests stay cached on the link.  The
+    link is made as :func:`_new_entry` makes an entry.
     """
-    payload = canonical_encode(events, prev)
-    signed = digest(payload)
-    signature = sign(signer, signed)
     link = _new_object(HistoryLink)
     _set_attribute(link, "owner_id", owner_id)
-    _set_attribute(link, "interval", events.interval)
-    _set_attribute(link, "events", events)
+    _set_attribute(link, "interval", interval)
+    _set_attribute(link, "entries", entries)
     _set_attribute(link, "prev_digest", prev)
-    _set_attribute(link, "signature", signature)
     link.__post_init__()
+    payload = canonical_encode(interval, entries, prev)
+    signed = digest(payload)
+    signature = sign(signer, signed)
+    _set_attribute(link, "signature", signature)
     _set_attribute(link, "_payload", payload)
     _set_attribute(link, "_signed_digest", signed)
     _set_attribute(link, "_link_digest", digest(_link_bytes(owner_id, payload, signature)))
@@ -512,21 +484,23 @@ def sign_link(signer: SigningIdentity, owner_id: int, events: EventList, prev: b
 def extend_history(
     identity: SigningIdentity,
     prev: HistoryLink | None,
-    events: EventList,
+    interval: int,
+    entries: tuple[EventEntry, ...],
     store: LinkStore,
 ) -> HistoryLink:
-    """Close an interval: sign a new link over (events, prev) and store it.
+    """Close ``interval``: sign a new link over its event list ``entries``
+    and ``prev``, and store it.
 
     The link references ``prev`` (genesis if None) at any later interval:
     the walk reports the jump after an outage as ``interval-gap`` and a
     first link above interval 1 as ``late-start``.  Refused: an interval
     at or before ``prev``'s, and an entry for the owner itself."""
-    if prev is not None and events.interval <= prev.interval:
-        raise ValueError(f"event list for interval {events.interval} must follow the previous link's {prev.interval}")
+    if prev is not None and interval <= prev.interval:
+        raise ValueError(f"event list for interval {interval} must follow the previous link's {prev.interval}")
     owner = identity.credential.robot_id
-    if owner in map(_peer_id, events.entries):
+    if owner in map(_peer_id, entries):
         raise ValueError("an event list cannot record its own owner")
-    link = sign_link(identity, owner, events, GENESIS if prev is None else link_digest(prev))
+    link = sign_link(identity, owner, interval, entries, GENESIS if prev is None else link_digest(prev))
     store.insert(link)  # finds the link digest sign_link cached
     return link
 
@@ -618,7 +592,7 @@ def walk_chain(
             if reason == "wrong-owner":
                 return
         else:
-            for entry in link.events.entries if refused is None else refused(link):
+            for entry in link.entries if refused is None else refused(link):
                 reason = check_entry(entry, t, resolve, credentials)
                 if reason is not None:
                     yield t, t, reason
@@ -678,11 +652,10 @@ def check_offer(
     links of it to verify and ``credentials`` is the issued table.  An
     accepted offer's entry keeps its verdict (the offered-entry rule).
     """
-    link = offer.link
-    entry = offer_entry(offer)
+    entry, link = offer
     reason = check_entry(entry, t, lambda _: link, credentials)
     if reason is None and link is not None:
-        reason = verify_chain(link, offer.credential, store, min(window, link.interval), credentials)
+        reason = verify_chain(link, entry.peer_credential, store, min(window, link.interval), credentials)
     if reason is None:
         object.__setattr__(entry, "_accepted", (t, credentials.get(entry.peer_id), link))
     return reason

@@ -64,6 +64,18 @@ def _resolve_seed(config: SimConfig, args, out) -> SimConfig:
     return config
 
 
+def _check_output(path: str | None) -> None:
+    """Refuse an output path that cannot be written before any work is
+    done: its directory must exist and the path must not be a directory.
+    Whatever else makes the write fail is left to :func:`_write`."""
+    if path:
+        target = Path(path)
+        if target.is_dir():
+            raise ValueError(f"cannot write {path}: it is a directory")
+        if not target.parent.is_dir():
+            raise ValueError(f"cannot write {path}: no directory {target.parent}")
+
+
 def _write(path: str, text: str) -> None:
     """Write an output file; an unwritable path is an error (exit 2), not a traceback."""
     try:
@@ -79,6 +91,7 @@ def _emit(doc: dict[str, Any], path: str | None) -> None:
 
 def cmd_simulate(args, out=None) -> int:
     out = out if out is not None else sys.stdout
+    _check_output(args.output)
     config = _resolve_seed(_load_config(args.config), args, out)
     manifest = run_manifest(config, config_path=args.config, output_path=args.output)
     trace = run_simulation(config)
@@ -120,6 +133,7 @@ def cmd_analyze(args, out=None) -> int:
     out = out if out is not None else sys.stdout
     if not 0.0 < args.epsilon < 1.0:  # refuses nan too
         raise ValueError(f"--epsilon must be in (0, 1), got {args.epsilon}")
+    _check_output(args.output)
     trace = _load_trace(args.trace)
     config = trace.config
     delta = args.delta if args.delta is not None else config.delta
@@ -262,6 +276,7 @@ def cmd_montecarlo(args, out=None) -> int:
         raise ValueError(f"--tolerance must be >= 0, got {args.tolerance}")
     if not 0.0 < args.epsilon < 1.0:
         raise ValueError(f"--epsilon must be in (0, 1), got {args.epsilon}")
+    _check_output(args.output)
     config = _resolve_seed(_load_config(args.config), args, out)
     row, ok = _mc_rows(config, args.trials, args.tolerance)
 

@@ -121,7 +121,7 @@ class ClaimIndex:
         self.digests = list(store.digests())
         self.links = list(store.links())
         self.position = dict(zip(self.digests, range(len(self.links))))
-        resolve = dict(zip(self.digests, self.links)).get  # the store's get
+        resolve = store._links.get
         counted = [check_link(link, credentials.get(link.owner_id)) is None for link in self.links]
         self.counted = int.from_bytes(np.packbits(np.array(counted, bool), bitorder="little").tobytes(), "little")
         find = self.position.get
@@ -131,7 +131,7 @@ class ClaimIndex:
         entry_ok: list[bool] = []
         self.first_entry: list[int] = []
         for i, link in enumerate(self.links):
-            entries = link.events.entries
+            entries = link.entries
             found = [find(link.prev_digest), *[find(e.peer_link_digest) for e in entries]]
             refs.append([j for j in found if j is not None])
             self.first_entry.append(len(peers))
@@ -694,7 +694,7 @@ def central_audit(
         if i is None or not index.counted >> i & 1 or link_digest(index.links[i]) != d:
             raise ValueError(f"link {d.hex()} is not a counted link of the store's claim index")
         walked[i] = True
-        entries, first = link.events.entries, index.first_entry[i]
+        entries, first = link.entries, index.first_entry[i]
         return index.select(entries, ~entry_ok[first : first + len(entries)])
 
     failures: list[tuple[int, int, str]] = []

@@ -69,7 +69,7 @@ import numpy as np
 from . import __version__
 from .chain import (
     GENESIS,
-    EventList,
+    EventEntry,
     HistoryLink,
     HistoryOffer,
     LinkStore,
@@ -165,18 +165,17 @@ class AdversaryProfile:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any], where: str = "adversaries") -> "AdversaryProfile":
+        if not isinstance(data, Mapping):
+            raise ConfigError(where, f"must be an object, got {type(data).__name__}")
         known = {"behavior", "robots", "from_t", "to_t", "target"}
         for key in data:
             if key not in known:
                 raise ConfigError(f"{where}.{key}", "unknown field")
-        behavior = data.get("behavior")
-        if behavior not in BEHAVIORS:
-            raise ConfigError(f"{where}.behavior", f"must be one of {BEHAVIORS}, got {behavior!r}")
         robots = data.get("robots")
         if not isinstance(robots, (list, tuple)) or not all(_is_int(r) for r in robots):
             raise ConfigError(f"{where}.robots", "must be a list of robot ids")
         return cls(
-            behavior=behavior,
+            behavior=data.get("behavior"),
             robots=frozenset(robots),
             from_t=data.get("from_t"),
             to_t=data.get("to_t"),
@@ -228,7 +227,7 @@ class SimConfig:
         for idx, profile in enumerate(self.adversaries):
             where = f"adversaries[{idx}]"
             if profile.behavior not in BEHAVIORS:
-                raise ConfigError(f"{where}.behavior", f"unknown behavior {profile.behavior!r}")
+                raise ConfigError(f"{where}.behavior", f"must be one of {BEHAVIORS}, got {profile.behavior!r}")
             if not profile.robots:
                 raise ConfigError(f"{where}.robots", "profile lists no robots")
             for name in ("from_t", "to_t", "target"):
@@ -625,7 +624,6 @@ class Simulation:
     exchange-level control."""
 
     def __init__(self, config: SimConfig) -> None:
-        config.validate()
         if config.seed is None:
             raise ConfigError("seed", "a concrete seed is required to run a simulation")
         self.config = config
@@ -686,15 +684,12 @@ class Simulation:
         must fail.
         """
         target_cred = self.credentials[self.forge_target[forger]]
+        target = target_cred.robot_id
         if t == 1:
-            return HistoryOffer(
-                credential=target_cred,
-                link=None,
-                genesis_signature=sign(self.identities[forger], GENESIS),
-            )
-        forged = sign_link(self.identities[forger], target_cred.robot_id, EventList.empty(t - 1), GENESIS)
+            return HistoryOffer(EventEntry(target, GENESIS, sign(self.identities[forger], GENESIS), target_cred), None)
+        forged = sign_link(self.identities[forger], target, t - 1, (), GENESIS)
         self.store.insert(forged)
-        return HistoryOffer(credential=target_cred, link=forged)
+        return HistoryOffer(EventEntry(target, link_digest(forged), forged.signature, target_cred), forged)
 
     # -- protocol steps ---------------------------------------------------
 
@@ -757,7 +752,7 @@ class Simulation:
         if r in self.forge_target:
             # A forger plants an unwitnessed entry for its target, unless it holds a real one.
             offers.append(self._forgery(r, t)[0])
-        self.heads[r] = extend_history(self.identities[r], self.heads[r], build_event_list(t, offers), self.store)
+        self.heads[r] = extend_history(self.identities[r], self.heads[r], t, build_event_list(offers), self.store)
 
     def run(self) -> SimTrace:
         cfg = self.config

@@ -65,7 +65,7 @@ def _audit_checking_every_entry(heads, store, credentials, total_intervals):
             if verdict == "wrong-owner":
                 break
             if verdict is None:
-                for entry in link.events.entries:
+                for entry in link.entries:
                     if check_entry(entry, t, store.get, credentials) is None:
                         claims.add((robot, entry.peer_id, t))
             prev = None if link.prev_digest == GENESIS else store.get(link.prev_digest)

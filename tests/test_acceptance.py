@@ -148,7 +148,7 @@ def _chain_and_scope(trace, robot):
         link = trace.store.get(link.prev_digest)
     scope = list(chain)
     for link in chain:
-        for entry in link.events.entries:
+        for entry in link.entries:
             resolved = trace.store.get(entry.peer_link_digest)
             if resolved is not None:
                 scope.append(resolved)
@@ -204,7 +204,7 @@ def _forged_entry_count(trace, forgers, target):
     for link in trace.store.links():
         if link.owner_id in forgers:
             continue
-        entry = next((e for e in link.events.entries if e.peer_id == target), None)
+        entry = next((e for e in link.entries if e.peer_id == target), None)
         if entry is None:
             continue
         if entry.peer_link_digest == GENESIS:

@@ -4,7 +4,6 @@ import json
 import random
 import struct
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +14,7 @@ from swarmchain.chain import (
     GENESIS,
     EncodingError,
     EventEntry,
-    EventList,
+    HistoryLink,
     LinkStore,
     build_event_list,
     canonical_encode,
@@ -24,8 +23,8 @@ from swarmchain.chain import (
     encode_link,
     extend_history,
     link_digest,
-    offer_entry,
     offer_history,
+    sign_link,
     signed_digest,
     verify_chain,
 )
@@ -38,7 +37,7 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 def _entry_for(identity, head):
     """Entry witnessing `identity` with its current head (or genesis)."""
-    return offer_entry(offer_history(identity, head))
+    return offer_history(identity, head).entry
 
 
 def _issued(identities):
@@ -54,8 +53,8 @@ def _grow_pairwise(identities, store, intervals):
         new_heads = {}
         for me in identities:
             peer_offers = [offers[other.robot_id] for other in identities if other is not me]
-            events = build_event_list(t, peer_offers)
-            new_heads[me.robot_id] = extend_history(me, heads[me.robot_id], events, store)
+            entries = build_event_list(peer_offers)
+            new_heads[me.robot_id] = extend_history(me, heads[me.robot_id], t, entries, store)
         heads = new_heads
     return heads
 
@@ -65,24 +64,24 @@ def _grow_pairwise(identities, store, intervals):
 
 def test_canonical_encode_is_order_independent(swarm5):
     """The order of the offers never reaches the bytes: build_event_list
-    puts the entries in peer order, and EventList refuses any other."""
+    puts the entries in peer order, and HistoryLink refuses any other."""
     _, identities = swarm5
     offers = [offer_history(identity, None) for identity in identities]
-    expected = canonical_encode(build_event_list(1, offers), GENESIS)
+    expected = canonical_encode(1, build_event_list(offers), GENESIS)
     rng = random.Random(5)
     for _ in range(20):
         rng.shuffle(offers)
-        events = build_event_list(1, offers)
-        assert [e.peer_id for e in events.entries] == [1, 2, 3, 4, 5]
-        assert canonical_encode(events, GENESIS) == expected
+        entries = build_event_list(offers)
+        assert [e.peer_id for e in entries] == [1, 2, 3, 4, 5]
+        assert canonical_encode(1, entries, GENESIS) == expected
     two, three = _entry_for(identities[1], None), _entry_for(identities[2], None)
     for entries, after in (((three, two), 3), ((two, two), 2), ((two, three, two), 3)):
         with pytest.raises(ValueError, match=f"entry for peer 2 after peer {after}"):
-            EventList(interval=1, entries=entries)
+            HistoryLink(owner_id=1, interval=1, entries=entries, prev_digest=GENESIS, signature=b"")
 
 
 def test_genesis_empty_payload_bytes_are_pinned():
-    payload = canonical_encode(EventList.empty(1), GENESIS)
+    payload = canonical_encode(1, (), GENESIS)
     assert payload == b"E1" + struct.pack(">I", 1) + b"\x00" * 32 + struct.pack(">I", 0)
 
 
@@ -95,9 +94,8 @@ def test_canonical_encode_injective_over_random_corpus(swarm5):
         t = rng.randint(1, 500)
         prev = rng.randbytes(32)
         chosen = sorted(rng.sample(base_entries, rng.randint(0, len(base_entries))), key=lambda e: e.peer_id)
-        events = EventList(interval=t, entries=tuple(chosen))
         key = (t, prev, frozenset(e.peer_id for e in chosen))
-        blob = canonical_encode(events, prev)
+        blob = canonical_encode(t, tuple(chosen), prev)
         if blob in seen:
             assert seen[blob] == key
         else:
@@ -113,15 +111,15 @@ def test_peer_id_difference_changes_bytes(swarm5):
         peer_signature=e1.peer_signature,
         peer_credential=identities[3].credential,
     )
-    a = canonical_encode(EventList(interval=1, entries=(e1,)), GENESIS)
-    b = canonical_encode(EventList(interval=1, entries=(e2,)), GENESIS)
+    a = canonical_encode(1, (e1,), GENESIS)
+    b = canonical_encode(1, (e2,), GENESIS)
     assert a != b
 
 
-def _layout_payload(events, t, prev):
+def _layout_payload(entries, t, prev):
     """The canonical payload of the module docstring, field by field."""
-    parts = [b"E1", struct.pack(">I", t), prev, struct.pack(">I", len(events.entries))]
-    for entry in events.entries:
+    parts = [b"E1", struct.pack(">I", t), prev, struct.pack(">I", len(entries))]
+    for entry in entries:
         cred = entry.peer_credential
         parts.append(struct.pack(">I", entry.peer_id))
         parts.append(entry.peer_link_digest)
@@ -144,8 +142,8 @@ def test_canonical_encode_follows_the_layout_on_every_stored_link(path):
     assert len(loaded.store) == len(trace.store)
     for store in (trace.store, loaded.store):
         for link in store.links():
-            expected = _layout_payload(link.events, link.interval, link.prev_digest)
-            assert canonical_encode(link.events, link.prev_digest) == expected
+            expected = _layout_payload(link.entries, link.interval, link.prev_digest)
+            assert canonical_encode(link.interval, link.entries, link.prev_digest) == expected
             assert encode_link(link)[6 : 6 + len(expected)] == expected
 
 
@@ -166,26 +164,26 @@ _entries = st.builds(
     entries=st.lists(_entries, max_size=6, unique_by=lambda entry: entry.peer_id),
 )
 def test_canonical_encode_follows_the_layout_on_any_event_list(t, prev, entries):
-    events = EventList(interval=t, entries=tuple(sorted(entries, key=lambda e: e.peer_id)))
-    expected = _layout_payload(events, t, prev)
-    assert canonical_encode(events, prev) == expected
-    assert canonical_encode(events, prev) == expected  # from the cached entry bytes
+    entries = tuple(sorted(entries, key=lambda e: e.peer_id))
+    expected = _layout_payload(entries, t, prev)
+    assert canonical_encode(t, entries, prev) == expected
+    assert canonical_encode(t, entries, prev) == expected  # from the cached entry bytes
 
 
 def test_receivers_share_one_entry_per_offer(swarm5):
     _, identities = swarm5
     offer = offer_history(identities[0], None)
-    lists = [build_event_list(1, [offer]) for _ in range(3)]
-    assert {id(events.entries[0]) for events in lists} == {id(offer_entry(offer))}
+    lists = [build_event_list([offer]) for _ in range(3)]
+    assert {id(entries[0]) for entries in lists} == {id(offer.entry)}
 
 
 def test_canonical_encode_refuses_a_digest_of_another_length(swarm5):
     _, identities = swarm5
     entry = dataclasses.replace(_entry_for(identities[1], None), peer_link_digest=b"\x00" * 31)
     with pytest.raises(ValueError):
-        canonical_encode(EventList(interval=1, entries=(entry,)), GENESIS)
+        canonical_encode(1, (entry,), GENESIS)
     with pytest.raises(ValueError):
-        canonical_encode(EventList.empty(1), b"\x00" * 33)
+        canonical_encode(1, (), b"\x00" * 33)
 
 
 def test_link_encoding_roundtrip(swarm5):
@@ -211,7 +209,7 @@ def test_decode_rejects_truncations(swarm5):
 def test_decode_rejects_trailing_bytes(swarm5):
     _, identities = swarm5
     store = LinkStore()
-    link = extend_history(identities[0], None, EventList.empty(1), store)
+    link = extend_history(identities[0], None, 1, (), store)
     with pytest.raises(EncodingError):
         decode_link(encode_link(link) + b"\x00")
 
@@ -225,9 +223,10 @@ def config_traces():
     ]
 
 
-def _encoded_with_entries(link, entries):
-    """``encode_link(link)`` with ``entries`` in place of its entries, in that order."""
-    payload = _layout_payload(SimpleNamespace(entries=entries), link.interval, link.prev_digest)
+def _encoded_with_entries(link, entries, interval=None):
+    """``encode_link(link)`` with ``entries`` in place of its entries, in that
+    order, and ``interval`` (if given) in place of its interval."""
+    payload = _layout_payload(entries, link.interval if interval is None else interval, link.prev_digest)
     return b"L1" + struct.pack(">I", link.owner_id) + payload + struct.pack(">H", len(link.signature)) + link.signature
 
 
@@ -236,8 +235,8 @@ def test_decode_link_refuses_entries_out_of_peer_order(honest_trace_25):
     EncodingError, and a trace holding such a link at ``links[i]``."""
     doc = honest_trace_25.to_dict()
     links = [decode_link(bytes.fromhex(text)) for text in doc["links"]]
-    i, link = next((i, link) for i, link in enumerate(links) if len(link.events.entries) >= 2)
-    first, second, *rest = link.events.entries
+    i, link = next((i, link) for i, link in enumerate(links) if len(link.entries) >= 2)
+    first, second, *rest = link.entries
     assert decode_link(_encoded_with_entries(link, (first, second, *rest))) == link
     for entries in ((second, first, *rest), (first, first, *rest)):
         blob = _encoded_with_entries(link, entries)
@@ -248,6 +247,20 @@ def test_decode_link_refuses_entries_out_of_peer_order(honest_trace_25):
         assert err.value.location == f"links[{i}]"
 
 
+def test_decode_link_refuses_a_link_below_interval_1(honest_trace_25):
+    """A link at interval 0 is refused as an EncodingError, and a trace
+    holding one at ``links[i]``."""
+    doc = honest_trace_25.to_dict()
+    links = [decode_link(bytes.fromhex(text)) for text in doc["links"]]
+    i, link = next((i, link) for i, link in enumerate(links) if link.interval == 1 and link.entries)
+    blob = _encoded_with_entries(link, link.entries, interval=0)
+    with pytest.raises(EncodingError, match="interval must be >= 1, got 0"):
+        decode_link(blob)
+    with pytest.raises(TraceError) as err:
+        SimTrace.from_dict({**doc, "links": [*doc["links"][:i], blob.hex(), *doc["links"][i + 1 :]]})
+    assert err.value.location == f"links[{i}]"
+
+
 def test_decode_link_is_the_canonical_inverse(config_traces):
     """Every stored link decodes from its encoding to itself, and the payload
     and address a decoded link caches are those its fields encode to."""
@@ -256,7 +269,7 @@ def test_decode_link_is_the_canonical_inverse(config_traces):
             decoded = decode_link(encode_link(link))
             assert decoded == link
             fresh = dataclasses.replace(decoded)  # the same fields, nothing cached
-            assert decoded.__dict__["_payload"] == canonical_encode(fresh.events, fresh.prev_digest)
+            assert decoded.__dict__["_payload"] == canonical_encode(fresh.interval, fresh.entries, fresh.prev_digest)
             assert decoded.__dict__["_link_digest"] == digest(encode_link(fresh)) == link_digest(link)
 
 
@@ -284,23 +297,35 @@ def test_every_link_decode_accepts_re_encodes_to_its_own_bytes(config_traces):
 
 
 def test_no_exchanges_gives_empty_list():
-    events = build_event_list(4, [])
-    assert events.interval == 4
-    assert events.entries == ()
+    assert build_event_list([]) == ()
 
 
 def test_duplicate_offers_collapse_to_one_entry(swarm5):
     _, identities = swarm5
     offer = offer_history(identities[1], None)
-    events = build_event_list(1, [offer, offer])
-    assert len(events.entries) == 1
+    assert build_event_list([offer, offer]) == (offer.entry,)
 
 
-def test_event_list_rejects_duplicate_peers(swarm5):
+def test_event_list_rejects_duplicate_peers(swarm5, monkeypatch):
+    """A link refuses two entries for one peer, built directly or by
+    sign_link, and sign_link refuses before it signs anything."""
     _, identities = swarm5
     entry = _entry_for(identities[1], None)
-    with pytest.raises(ValueError):
-        EventList(interval=1, entries=(entry, entry))
+    with pytest.raises(ValueError, match="entry for peer 2 after peer 2"):
+        HistoryLink(owner_id=1, interval=1, entries=(entry, entry), prev_digest=GENESIS, signature=b"")
+    monkeypatch.setattr(chain, "sign", lambda *args: pytest.fail("signed a refused link"))
+    with pytest.raises(ValueError, match="entry for peer 2 after peer 2"):
+        sign_link(identities[0], 1, 1, (entry, entry), GENESIS)
+
+
+@pytest.mark.parametrize("interval", [0, -1])
+def test_a_link_below_interval_1_is_refused(interval, swarm5, monkeypatch):
+    _, identities = swarm5
+    with pytest.raises(ValueError, match=f"interval must be >= 1, got {interval}"):
+        HistoryLink(owner_id=1, interval=interval, entries=(), prev_digest=GENESIS, signature=b"")
+    monkeypatch.setattr(chain, "sign", lambda *args: pytest.fail("signed a refused link"))
+    with pytest.raises(ValueError, match=f"interval must be >= 1, got {interval}"):
+        sign_link(identities[0], 1, interval, (), GENESIS)
 
 
 # -- extension and verification ----------------------------------------------
@@ -309,7 +334,7 @@ def test_event_list_rejects_duplicate_peers(swarm5):
 def test_genesis_extension_verifies(swarm5):
     _, identities = swarm5
     store = LinkStore()
-    link = extend_history(identities[0], None, EventList.empty(1), store)
+    link = extend_history(identities[0], None, 1, (), store)
     assert link.prev_digest == GENESIS
     assert verify_chain(link, identities[0].credential, store, depth=1, credentials=_issued(identities)) is None
 
@@ -330,12 +355,12 @@ def test_extension_interval_mismatch_raises(swarm5):
     links over the gap, which the walk reports as an interval gap."""
     _, identities = swarm5
     store = LinkStore()
-    link = extend_history(identities[0], None, EventList.empty(1), store)
-    two = extend_history(identities[0], link, EventList.empty(2), store)
+    link = extend_history(identities[0], None, 1, (), store)
+    two = extend_history(identities[0], link, 2, (), store)
     for t in (1, 2):
         with pytest.raises(ValueError):
-            extend_history(identities[0], two, EventList.empty(t), store)
-    four = extend_history(identities[0], two, EventList.empty(4), store)
+            extend_history(identities[0], two, t, (), store)
+    four = extend_history(identities[0], two, 4, (), store)
     assert four.prev_digest == link_digest(two)
     walk = chain.walk_chain(four, identities[0].credential, store, _issued(identities), None)
     assert list(walk) == [(3, 3, "interval-gap")]
@@ -345,9 +370,8 @@ def test_extension_interval_mismatch_raises(swarm5):
 def test_extension_rejects_self_entry(swarm5):
     _, identities = swarm5
     store = LinkStore()
-    events = EventList(interval=1, entries=(_entry_for(identities[0], None),))
     with pytest.raises(ValueError):
-        extend_history(identities[0], None, events, store)
+        extend_history(identities[0], None, 1, (_entry_for(identities[0], None),), store)
 
 
 def test_tampered_middle_interval_rejected_at_that_interval(swarm5, refusal):
@@ -401,7 +425,7 @@ def test_wrong_owner_rejected(swarm5):
 def test_depth_must_be_positive(swarm5):
     _, identities = swarm5
     store = LinkStore()
-    link = extend_history(identities[0], None, EventList.empty(1), store)
+    link = extend_history(identities[0], None, 1, (), store)
     with pytest.raises(ValueError):
         verify_chain(link, identities[0].credential, store, depth=0, credentials=_issued(identities))
 
@@ -435,13 +459,13 @@ def test_walk_record_keeps_no_forgiven_accept(swarm5, refusal):
     _, identities = swarm5
     owner, peer = identities[0], identities[1]
     elsewhere = LinkStore()
-    p1 = extend_history(peer, None, EventList.empty(1), elsewhere)
-    o1 = extend_history(owner, None, EventList.empty(1), elsewhere)
-    o2 = extend_history(owner, o1, EventList.empty(2), elsewhere)
+    p1 = extend_history(peer, None, 1, (), elsewhere)
+    o1 = extend_history(owner, None, 1, (), elsewhere)
+    o2 = extend_history(owner, o1, 2, (), elsewhere)
     store = LinkStore()
-    head = extend_history(owner, o2, build_event_list(3, [offer_history(peer, p1)]), store)
+    head = extend_history(owner, o2, 3, build_event_list([offer_history(peer, p1)]), store)
     issued = _issued(identities)
-    (entry,) = head.events.entries
+    (entry,) = head.entries
     assert check_entry(entry, 3, store.get, issued) == "missing-entry-link"
     assert verify_chain(head, owner.credential, store, 1, issued) is None
     store.insert(p1)
@@ -506,12 +530,12 @@ def test_verify_chain_accepts_only_entries_with_kept_verdicts(name, monkeypatch)
         assert refused is None
 
         def every_entry(link):
-            for entry in link.events.entries:
+            for entry in link.entries:
                 fresh = EventEntry(entry.peer_id, entry.peer_link_digest, entry.peer_signature, entry.peer_credential)
                 if check_entry(fresh, link.interval, store.get, credentials) is None:
                     resolved = None if entry.peer_link_digest == GENESIS else store.get(entry.peer_link_digest)
                     accepted.append((entry, (link.interval, credentials.get(entry.peer_id), resolved)))
-            return link.events.entries
+            return link.entries
 
         return walk(head, owner_credential, store, credentials, depth, every_entry)
 
@@ -552,8 +576,7 @@ def _two_robot_links(identities, record=(True, True)):
     links = {}
     for me, other, does_record in ((a, b, record[0]), (b, a, record[1])):
         chosen = [offers[other.robot_id]] if does_record else []
-        events = build_event_list(1, chosen)
-        links[me.robot_id] = extend_history(me, None, events, store)
+        links[me.robot_id] = extend_history(me, None, 1, build_event_list(chosen), store)
     return links[a.robot_id], links[b.robot_id]
 
 
@@ -595,10 +618,10 @@ def test_claims_of_different_intervals_do_not_pair(swarm5, paired_intervals):
     _, identities = swarm5
     a, b = identities[0], identities[1]
     store = LinkStore()
-    a1 = extend_history(a, None, build_event_list(1, [offer_history(b, None)]), store)
-    b1 = extend_history(b, None, EventList.empty(1), store)
-    a2 = extend_history(a, a1, EventList.empty(2), store)
-    b2 = extend_history(b, b1, build_event_list(2, [offer_history(a, a1)]), store)
+    a1 = extend_history(a, None, 1, build_event_list([offer_history(b, None)]), store)
+    b1 = extend_history(b, None, 1, (), store)
+    a2 = extend_history(a, a1, 2, (), store)
+    b2 = extend_history(b, b1, 2, build_event_list([offer_history(a, a1)]), store)
     view = _view(identities, [a1, b1, a2, b2])
     assert view.claims == {(1, 2, 1), (2, 1, 2)}
     assert paired_intervals(view) == {}
@@ -620,7 +643,7 @@ def test_first_links_of_different_owners_do_not_collide(swarm5):
     """Identical payloads, different owners: distinct store addresses."""
     _, identities = swarm5
     store = LinkStore()
-    links = [extend_history(i, None, EventList.empty(1), store) for i in identities]
+    links = [extend_history(i, None, 1, (), store) for i in identities]
     assert len(store) == len(identities)
     assert len({link_digest(l) for l in links}) == len(identities)
     assert len({signed_digest(l) for l in links}) == 1
@@ -662,7 +685,7 @@ def test_any_honest_construction_round_trips(meetings):
             met[a].append(offers[b])
             met[b].append(offers[a])
         heads = {
-            r: extend_history(by_id[r], heads[r], build_event_list(t, met[r]), store)
+            r: extend_history(by_id[r], heads[r], t, build_event_list(met[r]), store)
             for r in by_id
         }
     for r, identity in by_id.items():

@@ -221,6 +221,48 @@ def test_an_unwritable_output_is_an_error_naming_the_path(command, tmp_path, cap
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind", ["missing-directory", "directory"])
+@pytest.mark.parametrize("command", ["simulate", "analyze", "montecarlo"])
+def test_an_unwritable_output_is_refused_before_any_work(command, kind, tmp_path, capsys, monkeypatch):
+    from swarmchain import cli
+
+    config = _write_config(tmp_path)
+    trace = tmp_path / "trace.json"
+    assert main(["simulate", "--config", str(config), "--output", str(trace)]) == 0
+    capsys.readouterr()
+
+    def never(*args, **kwargs):
+        raise AssertionError("worked before refusing the output")
+
+    for name in ("run_simulation", "_load_trace", "mc_report_within"):
+        monkeypatch.setattr(cli, name, never)
+    out = tmp_path / "missing" / "out.json" if kind == "missing-directory" else tmp_path
+    inputs = {
+        "simulate": ["--config", str(config)],
+        "analyze": ["--trace", str(trace)],
+        "montecarlo": ["--config", str(config), "--trials", "50", "--tolerance", "1"],
+    }[command]
+    assert main([command, *inputs, "--output", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+
+
+@pytest.mark.parametrize("profile", [5, "ab"])
+def test_a_non_object_adversary_profile_is_a_config_error(profile, tmp_path, capsys):
+    config = _write_config(tmp_path, alpha=0.5, adversaries=[profile])
+    out = tmp_path / "trace.json"
+    assert main(["simulate", "--config", str(config), "--output", str(out)]) == 2
+    assert "config error: field 'adversaries[0]': must be an object" in capsys.readouterr().err
+    assert not out.exists()
+    good = _write_config(tmp_path, name="good.json")
+    assert main(["simulate", "--config", str(good), "--output", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    doc["config"]["adversaries"] = [profile]
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["analyze", "--trace", str(out)]) == 2
+    assert "trace error: config.adversaries[0]: " in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["simulate", "montecarlo"])
 @pytest.mark.parametrize("where", ["config", "option"])
 def test_a_negative_seed_is_refused_naming_the_field(command, where, tmp_path, capsys):

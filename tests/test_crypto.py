@@ -150,7 +150,7 @@ def _run_digests(trace):
     and address digests, and each head."""
     for link in trace.store.links():
         yield link.prev_digest
-        yield from (entry.peer_link_digest for entry in link.events.entries)
+        yield from (entry.peer_link_digest for entry in link.entries)
         yield link_digest(link)
         yield signed_digest(link)
     yield from (d for d in trace.heads.values() if d is not None)

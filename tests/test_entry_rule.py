@@ -21,7 +21,6 @@ from swarmchain import chain, crypto, sim
 from swarmchain.chain import (
     GENESIS,
     EventEntry,
-    EventList,
     HistoryOffer,
     LinkStore,
     build_event_list,
@@ -31,7 +30,6 @@ from swarmchain.chain import (
     encode_link,
     extend_history,
     link_digest,
-    offer_entry,
     offer_history,
     sign_link,
     signed_digest,
@@ -70,12 +68,12 @@ def _world():
     central, identities = provision_swarm(3, seed=2718)
     o, p, q = identities
     store = LinkStore()
-    p1 = extend_history(p, None, EventList.empty(1), store)
-    p2 = extend_history(p, p1, EventList.empty(2), store)
-    q1 = extend_history(q, None, EventList.empty(1), store)
-    o1 = extend_history(o, None, EventList.empty(1), store)
-    o2 = extend_history(o, o1, EventList.empty(2), store)
-    unstored = extend_history(p, p1, build_event_list(2, [offer_history(q, q1)]), LinkStore())
+    p1 = extend_history(p, None, 1, (), store)
+    p2 = extend_history(p, p1, 2, (), store)
+    q1 = extend_history(q, None, 1, (), store)
+    o1 = extend_history(o, None, 1, (), store)
+    o2 = extend_history(o, o1, 2, (), store)
+    unstored = extend_history(p, p1, 2, build_event_list([offer_history(q, q1)]), LinkStore())
     return central, identities, store, {"p1": p1, "p2": p2, "q1": q1, "o2": o2, "unstored": unstored}
 
 
@@ -83,26 +81,26 @@ def _entry_case(reason, identities, store, links):
     """The entry for the peer, at interval T, that fails with ``reason``;
     the digest-mismatch case rebinds the peer's stored link in ``store``."""
     _, p, q = identities
-    good = offer_entry(offer_history(p, links["p2"]))
+    good = offer_history(p, links["p2"]).entry
     if reason is None:
         return good
     if reason == "entry-credential-mismatch":
         return replace(good, peer_credential=q.credential)
     if reason == "uncertified-credential":
-        return offer_entry(offer_history(_self_keyed(PEER), None))
+        return offer_history(_self_keyed(PEER), None).entry
     if reason == "bad-entry-signature/genesis":
         return EventEntry(PEER, GENESIS, sign(q, GENESIS), p.credential)
     if reason == "bad-entry-signature/linked":
         return replace(good, peer_signature=sign(q, signed_digest(links["p2"])))
     if reason == "missing-entry-link":
-        return offer_entry(offer_history(p, links["unstored"]))
+        return offer_history(p, links["unstored"]).entry
     if reason == "entry-digest-mismatch":
         store._links[good.peer_link_digest] = links["unstored"]
         return good
     if reason == "entry-owner-mismatch":
         return replace(good, peer_link_digest=link_digest(links["q1"]), peer_signature=links["q1"].signature)
     if reason == "entry-interval-mismatch":
-        return offer_entry(offer_history(p, links["p1"]))
+        return offer_history(p, links["p1"]).entry
     raise AssertionError(reason)
 
 
@@ -125,7 +123,7 @@ def test_every_checker_applies_the_same_entry_rule(case, refusal):
     entry = _entry_case(case, identities, store, links)
     reason = None if case is None else case.split("/")[0]
     owner = identities[0]
-    head = extend_history(owner, links["o2"], EventList(interval=T, entries=(entry,)), store)
+    head = extend_history(owner, links["o2"], T, (entry,), store)
     issued = {i.robot_id: i.credential for i in identities}
 
     assert check_entry(entry, T, store.get, issued) == reason
@@ -155,7 +153,7 @@ def test_depth_one_forgives_only_a_missing_entry_link():
     issued = {i.robot_id: i.credential for i in identities}
     for case in ("missing-entry-link", "uncertified-credential", "entry-interval-mismatch"):
         entry = _entry_case(case, identities, store, links)
-        head = extend_history(owner, links["o2"], EventList(interval=T, entries=(entry,)), LinkStore())
+        head = extend_history(owner, links["o2"], T, (entry,), LinkStore())
         reason = verify_chain(head, owner.credential, store, 1, issued)
         assert (reason is None) == (case == "missing-entry-link"), (case, reason)
 
@@ -166,19 +164,19 @@ def test_depth_one_forgives_only_a_missing_entry_link():
 def _offer_case(case, identities, store, links):
     """(offer, interval it is made at, window) for one row of the offer rule.
 
-    ``offer_entry`` names the credential's owner and the offered link
-    resolves to itself, so ``entry-credential-mismatch``,
-    ``entry-digest-mismatch`` and, for the offered link, ``missing-entry-link``
-    cannot arise; the rows after the entry reasons break an ancestor the
-    window reaches.
+    The offered link is the only one the entry rule resolves, so an entry
+    offered with no link or with another link fails as ``missing-entry-link``
+    or ``entry-digest-mismatch``; the rows after the entry reasons break an
+    ancestor the window reaches.
     """
     _, p, q = identities
     p1, p2 = links["p1"], links["p2"]
+    entry = offer_history(p, p2).entry
 
     def over(ancestor, interval=None):
         """A stored, empty link of the peer's whose previous link is ``ancestor``."""
         t = ancestor.interval + 1 if interval is None else interval
-        link = sign_link(p, PEER, EventList.empty(t), link_digest(ancestor))
+        link = sign_link(p, PEER, t, (), link_digest(ancestor))
         store.insert(link)
         return link
 
@@ -186,26 +184,35 @@ def _offer_case(case, identities, store, links):
         return offer_history(p, None), 1, 1
     if case == "linked":
         return offer_history(p, p2), 3, 2
+    if case == "genesis/with-link":
+        return HistoryOffer(offer_history(p, None).entry, p2), 3, 2
+    if case == "entry-credential-mismatch":
+        return HistoryOffer(replace(entry, peer_credential=q.credential), p2), 3, 2
+    if case == "missing-entry-link/no-link":
+        return HistoryOffer(entry, None), 3, 2
+    if case == "entry-digest-mismatch/another-link":
+        return HistoryOffer(entry, links["unstored"]), 3, 2
+    if case == "bad-entry-signature/another-signature":
+        return HistoryOffer(replace(entry, peer_signature=p1.signature), p2), 3, 2
     if case == "uncertified-credential":
         return offer_history(_self_keyed(PEER), None), 1, 1
     if case == "bad-entry-signature/wrong-key":
-        wrong_key = sign(q, GENESIS)
-        return HistoryOffer(credential=p.credential, link=None, genesis_signature=wrong_key), 1, 1
+        return HistoryOffer(EventEntry(PEER, GENESIS, sign(q, GENESIS), p.credential), None), 1, 1
     if case == "bad-entry-signature/tampered":
         tampered = replace(p2, signature=bytes([p2.signature[0] ^ 1]) + p2.signature[1:])
-        return HistoryOffer(credential=p.credential, link=tampered), 3, 2
+        return offer_history(p, tampered), 3, 2
     if case == "entry-owner-mismatch":
-        return HistoryOffer(credential=p.credential, link=links["q1"]), 2, 1
+        return offer_history(p, links["q1"]), 2, 1
     if case == "entry-interval-mismatch/stale":
         return offer_history(p, p1), 3, 2
     if case == "wrong-owner":
         return offer_history(p, over(links["q1"])), 3, 2
     if case == "bad-signature":
-        forged = sign_link(q, PEER, EventList.empty(1), GENESIS)
+        forged = sign_link(q, PEER, 1, (), GENESIS)
         store.insert(forged)
         return offer_history(p, over(forged)), 3, 2
     if case == "bad-signature/beyond-window":
-        forged = sign_link(q, PEER, EventList.empty(1), GENESIS)
+        forged = sign_link(q, PEER, 1, (), GENESIS)
         store.insert(forged)
         return offer_history(p, over(forged)), 3, 1
     if case == "missing-link":
@@ -218,8 +225,8 @@ def _offer_case(case, identities, store, links):
     if case == "interval-order":
         return offer_history(p, over(p2, interval=2)), 3, 2
     if case == "missing-entry-link":
-        unstored_q2 = sign_link(q, OTHER, EventList.empty(2), link_digest(links["q1"]))
-        p3 = sign_link(p, PEER, build_event_list(3, [offer_history(q, unstored_q2)]), link_digest(p2))
+        unstored_q2 = sign_link(q, OTHER, 2, (), link_digest(links["q1"]))
+        p3 = sign_link(p, PEER, 3, build_event_list([offer_history(q, unstored_q2)]), link_digest(p2))
         store.insert(p3)
         return offer_history(p, over(p3)), 5, 2
     raise AssertionError(case)
@@ -228,6 +235,11 @@ def _offer_case(case, identities, store, links):
 OFFER_CASES = {
     "genesis": None,
     "linked": None,
+    "genesis/with-link": None,
+    "entry-credential-mismatch": "entry-credential-mismatch",
+    "missing-entry-link/no-link": "missing-entry-link",
+    "entry-digest-mismatch/another-link": "entry-digest-mismatch",
+    "bad-entry-signature/another-signature": "bad-entry-signature",
     "uncertified-credential": "uncertified-credential",
     "bad-entry-signature/wrong-key": "bad-entry-signature",
     "bad-entry-signature/tampered": "bad-entry-signature",
@@ -252,6 +264,19 @@ def test_offer_rule(case):
     assert check_offer(offer, t, store, window, issued) == OFFER_CASES[case]
 
 
+def test_a_genesis_entry_offered_with_a_link_is_recorded_alone():
+    """The offered link only serves the offer rule: the receiver records
+    the genesis entry, which references no link, and it counts."""
+    _, identities, store, links = _world()
+    issued = {i.robot_id: i.credential for i in identities}
+    offer, t, window = _offer_case("genesis/with-link", identities, store, links)
+    assert check_offer(offer, t, store, window, issued) is None
+    head = extend_history(identities[0], links["o2"], t, build_event_list([offer]), store)
+    assert head.entries == (offer.entry,) and offer.entry.peer_link_digest == GENESIS
+    assert verify_chain(head, issued[OWNER], store, t, issued) is None
+    assert central_audit({OWNER: head}, store, issued, t).verification_failures == ()
+
+
 # -- the walk rule ------------------------------------------------------------------
 
 
@@ -263,7 +288,7 @@ def _walk_case(case, identities, store, links):
 
     def signed(t, prev, signer=o, owner=OWNER, entries=()):
         prev_digest = GENESIS if prev is None else link_digest(prev)
-        link = sign_link(signer, owner, EventList(interval=t, entries=entries), prev_digest)
+        link = sign_link(signer, owner, t, entries, prev_digest)
         store.insert(link)
         return link
 
@@ -333,7 +358,7 @@ def test_the_audit_matches_the_per_entry_audit_on_every_entry_row(case, referenc
     chain and on its peers' heads."""
     _, identities, store, links = _world()
     entry = _entry_case(case, identities, store, links)
-    head = extend_history(identities[0], links["o2"], EventList(interval=T, entries=(entry,)), store)
+    head = extend_history(identities[0], links["o2"], T, (entry,), store)
     issued = {i.robot_id: i.credential for i in identities}
     # the digest-mismatch row rebinds the peer's head digest to another link
     peer_head = None if case == "entry-digest-mismatch" else links["p2"]
@@ -437,7 +462,7 @@ def _accepted_offer():
     _, identities = provision_swarm(3, seed=77)
     issued = {i.robot_id: i.credential for i in identities}
     store = LinkStore()
-    head = extend_history(identities[PEER - 1], None, EventList.empty(1), store)
+    head = extend_history(identities[PEER - 1], None, 1, (), store)
     offer = offer_history(identities[PEER - 1], head)
     assert check_offer(offer, 2, store, 3, issued) is None
     return identities[PEER - 1], issued, store, offer
@@ -445,7 +470,7 @@ def _accepted_offer():
 
 def test_an_accepted_offer_keeps_its_verdict_only_for_the_same_objects(monkeypatch):
     _, issued, store, offer = _accepted_offer()
-    entry = offer_entry(offer)
+    entry = offer.entry
     verifies = []
 
     def counting_verify(*args):
@@ -472,11 +497,11 @@ def test_a_refused_offer_and_a_decoded_entry_keep_no_verdict():
     identity, issued, store, offer = _accepted_offer()
     late = offer_history(identity, offer.link)
     assert check_offer(late, 4, store, 3, issued) == "entry-interval-mismatch"
-    assert not hasattr(offer_entry(late), "_accepted")
+    assert not hasattr(late.entry, "_accepted")
     trace = sim.run_simulation(SimConfig(n=6, p=0.6, intervals=3, delta=3, seed=5))
-    assert any(hasattr(e, "_accepted") for link in trace.store.links() for e in link.events.entries)
+    assert any(hasattr(e, "_accepted") for link in trace.store.links() for e in link.entries)
     loaded = SimTrace.from_json(trace.to_json())
-    assert not any(hasattr(e, "_accepted") for link in loaded.store.links() for e in link.events.entries)
+    assert not any(hasattr(e, "_accepted") for link in loaded.store.links() for e in link.entries)
 
 
 def _kept_verdict_traces():
@@ -498,7 +523,7 @@ def test_kept_verdicts_agree_with_the_whole_rule(make):
     """On a simulated store, the claim index and every full walk read the
     same verdicts with the kept ones as with every entry checked again."""
     trace = make()
-    entries = [e for link in trace.store.links() for e in link.events.entries]
+    entries = [e for link in trace.store.links() for e in link.entries]
     assert any(hasattr(e, "_accepted") for e in entries)
 
     def verdicts():

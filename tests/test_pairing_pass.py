@@ -16,8 +16,6 @@ import pytest
 
 from swarmchain.chain import (
     GENESIS,
-    EventList,
-    HistoryOffer,
     LinkStore,
     build_event_list,
     check_entry,
@@ -25,7 +23,6 @@ from swarmchain.chain import (
     decode_link,
     extend_history,
     link_digest,
-    offer_entry,
     offer_history,
     sign_link,
 )
@@ -125,9 +122,8 @@ def test_one_pass_matches_per_subject_reference(name, paired_intervals):
 
 def _signed_link(identity, t, prev, entries):
     """A link signed by ``identity`` with no check on what its entries name."""
-    events = EventList(interval=t, entries=tuple(entries))
     prev_digest = GENESIS if prev is None else link_digest(prev)
-    return sign_link(identity, identity.credential.robot_id, events, prev_digest)
+    return sign_link(identity, identity.credential.robot_id, t, tuple(entries), prev_digest)
 
 
 def _trace(central, identities, store, heads, intervals):
@@ -146,12 +142,12 @@ def test_self_claim_counts_once_toward_its_owner(paired_intervals):
     central, identities = provision_swarm(2, seed=31)
     a, b = identities
     store = LinkStore()
-    a1 = extend_history(a, None, EventList.empty(1), store)
-    b1 = extend_history(b, None, EventList.empty(1), store)
+    a1 = extend_history(a, None, 1, (), store)
+    b1 = extend_history(b, None, 1, (), store)
     # robot 1 records itself next to a real meeting with robot 2
-    a2 = _signed_link(a, 2, a1, [offer_entry(offer_history(a, a1)), offer_entry(offer_history(b, b1))])
+    a2 = _signed_link(a, 2, a1, [offer_history(a, a1).entry, offer_history(b, b1).entry])
     store.insert(a2)
-    b2 = extend_history(b, b1, build_event_list(2, [offer_history(a, a1)]), store)
+    b2 = extend_history(b, b1, 2, build_event_list([offer_history(a, a1)]), store)
     view = LocalView.central(_trace(central, identities, store, {1: a2, 2: b2}, 2))
 
     assert view.claims == {(1, 1, 2), (1, 2, 2), (2, 1, 2)}
@@ -172,7 +168,7 @@ def _fresh_claims(view, credentials):
     return frozenset(
         (link.owner_id, entry.peer_id, link.interval)
         for link in view.links.values()
-        for entry in link.events.entries
+        for entry in link.entries
         if check_entry(entry, link.interval, view.links.get, credentials) is None
     )
 
@@ -183,21 +179,14 @@ def _hostile_world():
     central, identities = provision_swarm(3, seed=1618)
     one, two, three = identities
     store = LinkStore()
-    o1 = extend_history(one, None, EventList.empty(1), store)
-    q1 = extend_history(three, None, EventList.empty(1), store)
-    forged = sign_link(three, 2, EventList.empty(1), GENESIS)
+    o1 = extend_history(one, None, 1, (), store)
+    q1 = extend_history(three, None, 1, (), store)
+    forged = sign_link(three, 2, 1, (), GENESIS)
     store.insert(forged)
-    o2 = extend_history(
-        one, o1,
-        EventList(interval=2, entries=(
-            offer_entry(HistoryOffer(credential=two.credential, link=forged)),
-            offer_entry(offer_history(three, q1)),
-        )),
-        store,
-    )
-    q2 = extend_history(three, q1, build_event_list(2, [offer_history(one, o1)]), store)
-    o3 = extend_history(one, o2, build_event_list(3, [offer_history(three, q2)]), store)
-    q3 = extend_history(three, q2, build_event_list(3, [offer_history(one, o2)]), store)
+    o2 = extend_history(one, o1, 2, (offer_history(two, forged).entry, offer_history(three, q1).entry), store)
+    q2 = extend_history(three, q1, 2, build_event_list([offer_history(one, o1)]), store)
+    o3 = extend_history(one, o2, 3, build_event_list([offer_history(three, q2)]), store)
+    q3 = extend_history(three, q2, 3, build_event_list([offer_history(one, o2)]), store)
     trace = _trace(central, identities, store, {1: o3, 2: forged, 3: q3}, 3)
     return trace, {"o2": o2, "q1": q1, "forged": forged}
 
@@ -211,7 +200,7 @@ def _all_views(trace, central_first):
 @pytest.mark.parametrize("central_first", [True, False])
 def test_shared_memo_matches_a_fresh_pass_per_view(central_first):
     trace, links = _hostile_world()
-    (forged_entry,) = [e for e in links["o2"].events.entries if e.peer_id == 2]
+    (forged_entry,) = [e for e in links["o2"].entries if e.peer_id == 2]
     # the two ways to resolve disagree on the reason, and both refuse
     assert check_entry(forged_entry, 2, trace.store.get, trace.credentials) == "bad-entry-signature"
     central = LocalView.central(trace)

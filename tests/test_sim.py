@@ -9,7 +9,7 @@ import pytest
 
 from swarmchain.chain import (
     GENESIS,
-    EventList,
+    EventEntry,
     HistoryOffer,
     LinkStore,
     build_event_list,
@@ -40,12 +40,12 @@ from swarmchain.sim import (
 
 def _entry_naming(link, peer):
     """The entry of ``link`` that witnesses ``peer``, or None."""
-    return next((e for e in link.events.entries if e.peer_id == peer), None)
+    return next((e for e in link.entries if e.peer_id == peer), None)
 
 
 def _peers(link):
     """The peer ids ``link``'s event list holds entries for."""
-    return {e.peer_id for e in link.events.entries}
+    return {e.peer_id for e in link.entries}
 
 
 def _profile(behavior, robots, **kwargs):
@@ -117,14 +117,32 @@ def _disappear(**window):
     ],
 )
 def test_json_booleans_are_not_numbers(changes, field, honest_trace_25):
+    _assert_refused_at(changes, field, honest_trace_25)
+
+
+def _assert_refused_at(changes, field, trace):
+    """The config with ``changes`` is refused at ``field``, alone and in a trace."""
     data = {"n": 4, "p": 0.5, "intervals": 3, "delta": 2, "alpha": 0.5, "seed": 1, **changes}
     with pytest.raises(ConfigError) as err:
         SimConfig.from_dict(data)
     assert err.value.field == field
-    doc = {**honest_trace_25.to_dict(), "config": data}
+    doc = {**trace.to_dict(), "config": data}
     with pytest.raises(TraceError) as err:
         SimTrace.from_dict(doc)
     assert err.value.location == f"config.{field}"
+
+
+@pytest.mark.parametrize(
+    "changes,field",
+    [
+        ({"adversaries": [5]}, "adversaries[0]"),
+        ({"adversaries": ["ab"]}, "adversaries[0]"),
+        ({"adversaries": [{"behavior": "bogus", "robots": [1]}]}, "adversaries[0].behavior"),
+    ],
+    ids=["int", "string", "unknown-behavior"],
+)
+def test_a_malformed_adversary_profile_is_refused_at_its_field(changes, field, honest_trace_25):
+    _assert_refused_at(changes, field, honest_trace_25)
 
 
 @pytest.mark.parametrize("n", [MAX_ROBOTS + 1, 10**12])
@@ -142,11 +160,6 @@ def test_an_oversized_swarm_is_refused_before_anything_is_provisioned(n, monkeyp
     assert SimConfig(n=MAX_ROBOTS, p=0.5, intervals=1, delta=1).n == MAX_ROBOTS
     with pytest.raises(ConfigError) as err:
         SimConfig(n=n, p=0.5, intervals=1, delta=1)
-    assert err.value.field == "n"
-    config = SimConfig(n=2, p=0.5, intervals=1, delta=1)
-    object.__setattr__(config, "n", n)  # past the dataclass's own validation
-    with pytest.raises(ConfigError) as err:
-        Simulation(config)
     assert err.value.field == "n"
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"n": n, "p": 0.5, "intervals": 1, "delta": 1, "seed": 1}))
@@ -438,7 +451,7 @@ def test_colluders_never_fake_meetings_with_honest_robots(colluder_trace_25):
     for link in trace.store.links():
         if link.owner_id not in (3, 7):
             continue
-        for entry in link.events.entries:
+        for entry in link.entries:
             if entry.peer_id in (3, 7):
                 continue
             pair = tuple(sorted((link.owner_id, entry.peer_id)))
@@ -731,7 +744,7 @@ def test_trace_refuses_bad_heads_and_exchange_records(mutate, args, location, ho
 
 def test_loaded_entries_share_the_issued_credentials(honest_trace_25):
     loaded = SimTrace.from_json(honest_trace_25.to_json())
-    entries = [entry for link in loaded.store.links() for entry in link.events.entries]
+    entries = [entry for link in loaded.store.links() for entry in link.entries]
     assert entries
     for entry in entries:
         assert entry.peer_credential is loaded.credentials[entry.peer_id]
@@ -744,11 +757,11 @@ def test_a_credential_one_byte_off_loads_as_its_own_and_is_refused():
     issued = two.credential
     off = replace(issued, cert=issued.cert[:-1] + bytes([issued.cert[-1] ^ 1]))
     store = LinkStore()
-    o1 = extend_history(one, None, EventList.empty(1), store)
-    w1 = extend_history(two, None, EventList.empty(1), store)
-    forged_offer = HistoryOffer(credential=off, link=None, genesis_signature=sign(two, GENESIS))
-    o2 = extend_history(one, o1, build_event_list(2, [forged_offer]), store)
-    w2 = extend_history(two, w1, EventList.empty(2), store)
+    o1 = extend_history(one, None, 1, (), store)
+    w1 = extend_history(two, None, 1, (), store)
+    forged_offer = HistoryOffer(EventEntry(2, GENESIS, sign(two, GENESIS), off), None)
+    o2 = extend_history(one, o1, 2, build_event_list([forged_offer]), store)
+    w2 = extend_history(two, w1, 2, (), store)
     trace = SimTrace(
         config=SimConfig(n=2, p=0.5, intervals=2, delta=2, seed=0),
         central_verify_key=central,
@@ -759,7 +772,7 @@ def test_a_credential_one_byte_off_loads_as_its_own_and_is_refused():
         exchanges=(),
     )
     loaded = SimTrace.from_json(trace.to_json())
-    (entry,) = loaded.head_link(1).events.entries
+    (entry,) = loaded.head_link(1).entries
     assert entry.peer_credential == off and entry.peer_credential is not loaded.credentials[2]
     assert loaded.to_json() == trace.to_json()
     assert LocalView.central(loaded).claims == frozenset()
@@ -804,9 +817,9 @@ def _segments(link):
         ("payload magic", b"E1"),
         ("interval", u32(link.interval)),
         ("prev", link.prev_digest),
-        ("count", u32(len(link.events.entries))),
+        ("count", u32(len(link.entries))),
     ]
-    for j, e in enumerate(link.events.entries):
+    for j, e in enumerate(link.entries):
         cred = e.peer_credential
         segments += [
             (f"entries.{j}.peer", u32(e.peer_id)),
@@ -825,7 +838,7 @@ def _link_with_entries(doc):
     """Position and link of the first stored link at interval 1 with two or more entries."""
     for i, text in enumerate(doc["links"]):
         link = decode_link(bytes.fromhex(text))
-        if link.interval == 1 and len(link.events.entries) >= 2:
+        if link.interval == 1 and len(link.entries) >= 2:
             return i, link
     raise AssertionError("no interval-1 link with two entries; pick another trace")
 
@@ -937,4 +950,4 @@ def test_link_byte_fields_of_65535_bytes_load(honest_trace_25):
     doc["links"][i] = b"".join(value for _, value in segments).hex()
     loaded = SimTrace.from_dict(doc).store
     assert len(loaded) == len(doc["links"])
-    assert loaded.get(digest(bytes.fromhex(doc["links"][i]))).events.entries[0].peer_credential.cert == bytes(65535)
+    assert loaded.get(digest(bytes.fromhex(doc["links"][i]))).entries[0].peer_credential.cert == bytes(65535)

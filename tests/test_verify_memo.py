@@ -12,7 +12,7 @@ from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
 
 from swarmchain import crypto, suites
-from swarmchain.chain import GENESIS, EventList, check_link, sign_link
+from swarmchain.chain import GENESIS, check_link, sign_link
 from swarmchain.crypto import SigningIdentity, provision_swarm, sign, verify
 from swarmchain.detect import LocalView, audit_trace
 from swarmchain.sim import SimConfig, run_simulation
@@ -102,7 +102,7 @@ def test_a_mismatched_identity_seeds_no_false_verdict(real_verifies):
     signature = sign(impostor, b"claim")
     assert not verify(robot2.credential, b"claim", signature)
     assert verify(robot1.credential, b"claim", signature)
-    link = sign_link(impostor, 2, EventList.empty(1), GENESIS)
+    link = sign_link(impostor, 2, 1, (), GENESIS)
     assert check_link(link, robot2.credential) == "bad-signature"
     assert real_verifies == [robot2.credential.verify_key] * 2
 

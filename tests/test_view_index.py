@@ -16,6 +16,7 @@ report and the audit each entry is checked once, as the index is built.
 """
 import json
 import tracemalloc
+import weakref
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
@@ -25,14 +26,12 @@ import pytest
 from swarmchain import chain, detect
 from swarmchain.chain import (
     GENESIS,
-    EventList,
     LinkStore,
     build_event_list,
     check_entry,
     check_link,
     extend_history,
     link_digest,
-    offer_entry,
     offer_history,
     sign_link,
 )
@@ -64,7 +63,7 @@ def _closure(store, head, cache):
     if link is None:
         return frozenset()
     out = {head}
-    for ref in (link.prev_digest, *(e.peer_link_digest for e in link.events.entries)):
+    for ref in (link.prev_digest, *(e.peer_link_digest for e in link.entries)):
         if ref != GENESIS:
             out |= _closure(store, ref, cache)
     cache[head] = frozenset(out)
@@ -106,7 +105,7 @@ class _SetView:
         return frozenset(
             (link.owner_id, entry.peer_id, link.interval)
             for link in self.links.values()
-            for entry in link.events.entries
+            for entry in link.entries
             if check_entry(entry, link.interval, self.links.get, self.credentials) is None
         )
 
@@ -233,7 +232,7 @@ ENTRY_REASONS = {
 
 
 def _counted_entries(index):
-    return sum(len(link.events.entries) for link, bit in zip(index.links, index.bits(-1).tolist()) if bit)
+    return sum(len(link.entries) for link, bit in zip(index.links, index.bits(-1).tolist()) if bit)
 
 
 @pytest.mark.parametrize("name", ["collusion_n25", "forge_n10"])
@@ -290,6 +289,20 @@ def test_the_index_checks_every_entry_as_it_is_built_and_no_report_checks_one(na
     assert len(calls) == built
 
 
+def test_the_index_keeps_no_reference_to_its_store():
+    """The index resolves entries through the store's own table while it is
+    built and keeps nothing of the store, so the two are freed together."""
+    trace = run_simulation(SimConfig(n=6, p=0.6, intervals=3, delta=3, seed=5))
+    store = LinkStore()
+    for link in trace.store.links():
+        store.insert(link)
+    index = detect.ClaimIndex(store, trace.credentials)
+    gone = weakref.ref(store)
+    del store
+    assert gone() is None
+    assert len(index.links) == len(trace.store) and index.entry_ok.all()
+
+
 # -- hand-built traces -----------------------------------------------------------------
 
 
@@ -312,13 +325,13 @@ def _fork():
     one, two, three = identities
     store = LinkStore()
     genesis_two = offer_history(two, None)
-    first = extend_history(one, None, build_event_list(1, [genesis_two]), store)
-    second = sign_link(one, 1, build_event_list(1, [genesis_two, offer_history(three, None)]), GENESIS)
+    first = extend_history(one, None, 1, build_event_list([genesis_two]), store)
+    second = sign_link(one, 1, 1, build_event_list([genesis_two, offer_history(three, None)]), GENESIS)
     store.insert(second)
-    t1 = extend_history(two, None, build_event_list(1, [offer_history(one, None)]), store)
-    t2 = extend_history(two, t1, build_event_list(2, [offer_history(one, first)]), store)
-    h2 = extend_history(three, None, EventList.empty(1), store)
-    h3 = extend_history(three, h2, build_event_list(2, [offer_history(one, second)]), store)
+    t1 = extend_history(two, None, 1, build_event_list([offer_history(one, None)]), store)
+    t2 = extend_history(two, t1, 2, build_event_list([offer_history(one, first)]), store)
+    h2 = extend_history(three, None, 1, (), store)
+    h3 = extend_history(three, h2, 2, build_event_list([offer_history(one, second)]), store)
     return _trace(central, identities, store, {1: first, 2: t2, 3: h3}, 2), first, second
 
 
@@ -352,15 +365,15 @@ def test_a_refused_link_keeps_its_references_in_the_closure(paired_intervals):
     central, identities = provision_swarm(3, seed=6)
     one, two, three = identities
     store = LinkStore()
-    o1 = extend_history(one, None, EventList.empty(1), store)
-    w1 = extend_history(two, None, EventList.empty(1), store)
+    o1 = extend_history(one, None, 1, (), store)
+    w1 = extend_history(two, None, 1, (), store)
     # robot 1's interval-2 link, signed with robot 3's key: bad-signature
-    bad = sign_link(three, 1, build_event_list(2, [offer_history(two, w1)]), link_digest(o1))
+    bad = sign_link(three, 1, 2, build_event_list([offer_history(two, w1)]), link_digest(o1))
     store.insert(bad)
     assert check_link(bad, one.credential) == "bad-signature"
-    h1 = extend_history(three, None, EventList.empty(1), store)
-    h2 = extend_history(three, h1, EventList.empty(2), store)
-    h3 = extend_history(three, h2, build_event_list(3, [offer_history(one, bad)]), store)
+    h1 = extend_history(three, None, 1, (), store)
+    h2 = extend_history(three, h1, 2, (), store)
+    h3 = extend_history(three, h2, 3, build_event_list([offer_history(one, bad)]), store)
     trace = _trace(central, identities, store, {1: bad, 2: w1, 3: h3}, 3)
 
     view = LocalView.from_trace(trace, 3)
@@ -374,10 +387,10 @@ def test_a_dangling_reference_adds_nothing(paired_intervals):
     central, identities = provision_swarm(2, seed=7)
     one, two = identities
     store = LinkStore()
-    unstored = sign_link(two, 2, build_event_list(1, [offer_history(one, None)]), GENESIS)
-    o1 = extend_history(one, None, EventList.empty(1), store)
-    o2 = extend_history(one, o1, build_event_list(2, [offer_history(two, unstored)]), store)
-    w1 = extend_history(two, None, EventList.empty(1), store)
+    unstored = sign_link(two, 2, 1, build_event_list([offer_history(one, None)]), GENESIS)
+    o1 = extend_history(one, None, 1, (), store)
+    o2 = extend_history(one, o1, 2, build_event_list([offer_history(two, unstored)]), store)
+    w1 = extend_history(two, None, 1, (), store)
     trace = _trace(central, identities, store, {1: o2, 2: w1}, 2)
 
     view = LocalView.from_trace(trace, 1)
@@ -407,8 +420,7 @@ def test_a_hostile_interval_costs_no_memory(paired_intervals):
     store = LinkStore()
     heads = {}
     for me, other in ((one, two), (two, one)):
-        events = EventList(interval=big, entries=(offer_entry(offer_history(other, None)),))
-        heads[me.robot_id] = sign_link(me, me.robot_id, events, GENESIS)
+        heads[me.robot_id] = sign_link(me, me.robot_id, big, (offer_history(other, None).entry,), GENESIS)
         store.insert(heads[me.robot_id])
     trace = _trace(central, identities, store, heads, 3)
     trace = SimTrace.from_json(trace.to_json())

@@ -23,7 +23,7 @@ from test_config_sweep import _random_config
 from test_entry_rule import DISAPPEARED, _PlantingSimulation
 
 from swarmchain import crypto
-from swarmchain.chain import EventEntry, EventList, check_offer, extend_history, offer_entry, offer_history
+from swarmchain.chain import EventEntry, check_offer, extend_history, offer_history
 from swarmchain.sim import AdversaryProfile, DuplicateExchangeError, ExchangeRecord, SimConfig, Simulation
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -37,11 +37,11 @@ def _config(name: str) -> SimConfig:
 # -- reference: the exchange and interval close before the interval table ---------
 
 
-def _reference_build_event_list(t, offers):
+def _reference_build_event_list(offers):
     entries: dict[int, EventEntry] = {}
-    for offer in sorted(offers, key=lambda offer: offer.credential.robot_id):  # stable: each giver's first offer first
-        entries.setdefault(offer.credential.robot_id, offer_entry(offer))
-    return EventList(interval=t, entries=tuple(entries.values()))
+    for offer in sorted(offers, key=lambda offer: offer.entry.peer_id):  # stable: each giver's first offer first
+        entries.setdefault(offer.entry.peer_id, offer.entry)
+    return tuple(entries.values())
 
 
 class _ReferenceSimulation(Simulation):
@@ -105,8 +105,8 @@ class _ReferenceSimulation(Simulation):
         offers = self._queues[r]
         if self.behavior[r] == "forge_claim":
             offers.append(self._checked_offer(r, t, forged=True)[0])
-        events = _reference_build_event_list(t, offers)
-        self.heads[r] = extend_history(self.identities[r], self.heads[r], events, self.store)
+        entries = _reference_build_event_list(offers)
+        self.heads[r] = extend_history(self.identities[r], self.heads[r], t, entries, self.store)
 
 
 class _ReferencePlanting(_PlantingSimulation, _ReferenceSimulation):
@@ -118,7 +118,8 @@ def _assert_same_run(simulation: Simulation, reference: Simulation) -> None:
     assert trace.exchanges == expected.exchanges
     assert sorted(trace.store.digests()) == sorted(expected.store.digests())
     for d in expected.store.digests():
-        assert trace.store.get(d).events == expected.store.get(d).events
+        link, reference = trace.store.get(d), expected.store.get(d)
+        assert (link.interval, link.entries) == (reference.interval, reference.entries)
     assert trace.to_json() == expected.to_json()
 
 
