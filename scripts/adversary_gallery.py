@@ -8,7 +8,7 @@ findings, next to the ground truth that was injected.
 import argparse
 import sys
 
-from swarmchain.detect import LocalView, audit_trace, compile_report
+from swarmchain.detect import PAIRING_STATUS, LocalView, audit_trace, compile_report
 from swarmchain.sim import AdversaryProfile, SimConfig, run_simulation
 
 # (profile, edge probability): collusion runs at a sparser p so that four
@@ -40,7 +40,8 @@ def show(name: str, profile: AdversaryProfile, p: float, seed: int) -> None:
     fabricated = sum(1 for x in trace.exchanges if x.fabricated)
     print(f"   exchange notes: {len(notes)} ({fabricated} fabricated meetings)")
     print(f"   disappeared: {sorted(report.disappeared)}")
-    suspicious = sorted(r for r, v in report.pairing if v.status == "suspicious")
+    pairing = report.pairing
+    suspicious = [r for r, status in zip(pairing.robot, pairing.status) if PAIRING_STATUS[status] == "suspicious"]
     print(f"   pairing-suspicious: {suspicious}")
     print(f"   collusion suspects: {sorted(report.collusion_suspects)}")
     print(f"   revoked by default policy: {sorted(report.revoked)}")

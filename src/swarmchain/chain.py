@@ -196,6 +196,10 @@ class HistoryLink:
     def __post_init__(self) -> None:
         if self.interval < 1:
             raise ValueError(f"interval must be >= 1, got {self.interval}")
+        if self.interval > _U32_MAX:
+            raise ValueError(f"interval must be <= {_U32_MAX}, got {self.interval}")
+        if not 0 <= self.owner_id <= _U32_MAX:
+            raise ValueError(f"owner_id must be in 0..{_U32_MAX}, got {self.owner_id}")
         entries = self.entries
         if not _ascending(entries):
             before, after = next((x, y) for x, y in zip(entries, entries[1:]) if x.peer_id >= y.peer_id)
@@ -204,6 +208,7 @@ class HistoryLink:
             raise ValueError("a link at interval 1 must reference the genesis digest")
 
 
+_U32_MAX = 2**32 - 1  # the largest interval or owner id a link's u32 fields hold
 _LINK_PREFIX = struct.Struct(">2sI")  # link magic, owner
 _PAYLOAD_HEAD = struct.Struct(">2sI32sI")  # payload magic, interval, prev, count
 _ENTRY_HEAD = struct.Struct(">I32sH")  # peer id, link digest, signature length

@@ -36,7 +36,7 @@ from .sim import (
 )
 
 REPORT_FORMAT = "swarmchain-report"
-REPORT_VERSION = 1
+REPORT_VERSION = 2
 
 
 def _load_config(path: str) -> SimConfig:
@@ -174,10 +174,10 @@ def cmd_analyze(args, out=None) -> int:
     _emit(doc, args.output)
 
     if args.format == "machine":
-        for report in observers:
-            print(json.dumps({"record": "observer-report", **report.to_dict()}, sort_keys=True), file=out)
+        for record in doc["observers"]:
+            print(json.dumps({"record": "observer-report", **record}, sort_keys=True), file=out)
         print(json.dumps({"record": "central-report", **doc["central"]}, sort_keys=True), file=out)
-        print(json.dumps({"record": "central-audit", **audit.to_dict()}, sort_keys=True), file=out)
+        print(json.dumps({"record": "central-audit", **doc["audit"]}, sort_keys=True), file=out)
     else:
         print(f"analysis of {args.trace} (delta={delta}, alpha={alpha}, epsilon={epsilon})", file=out)
         print(f"{'observer':>9} {'disappeared':>12} {'unpaired':>9} {'collusion':>10} {'revoked':>8}", file=out)

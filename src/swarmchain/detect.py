@@ -12,7 +12,7 @@ top of that view sit four detectors:
 * ``detect_disappeared`` -- nobody has vouched for the robot within the
   last delta intervals.
 * ``compile_report``'s pairing verdicts -- too few of the robot's
-  encounters are recorded by both sides (``ClaimIndex.verdicts``).
+  encounters are recorded by both sides.
 * ``detect_collusion``   -- a pair co-meets in k consecutive intervals
   although p**k is below the plausibility threshold.
 * ``update_revocation``  -- applies a pluggable policy to the evidence;
@@ -33,12 +33,11 @@ built (an entry ``check_offer`` accepted answers from its kept verdict,
 the offered-entry rule of :mod:`swarmchain.chain`).  The index also
 keeps the per-trace constants every reader shares: each claim's entry,
 the claims grouped by claimer and by target, the links grouped by owner,
-the window claims of each ``(as_of, delta)`` and one
-:class:`PairingVerdict` per distinct ``(paired, unpaired, threshold)``.
-A view is then its head's mask (the central view ORs every head's), and
-a report is a handful of numpy passes over the claims (gathers, segment
-sums with ``np.add.reduceat``, a run filter) plus Python work only for
-the n robots' rows and what the report lists; no report checks an
+and the window claims of each ``(as_of, delta)``.  A view is then its
+head's mask (the central view ORs every head's), and a report is a
+handful of numpy passes over the claims (gathers, segment sums with
+``np.add.reduceat``, a run filter, the pairing status column) plus
+Python work only for what the report lists; no report checks an
 entry, and no interval is ever a bit position or an array size.  The
 audit walks each chain with ``walk_chain`` but takes the refused entries
 of every counted link from the index, so ``check_entry`` runs again only
@@ -69,24 +68,6 @@ _NONE = np.zeros(0, np.int64)  # no claim numbers
 
 class InsufficientHistoryError(ValueError):
     """The view does not span the detection window yet."""
-
-
-@dataclass(frozen=True)
-class PairingVerdict:
-    """Outcome of the paired-records check for one robot."""
-
-    status: str  # "trusted" | "suspicious" | "indeterminate"
-    paired: int
-    unpaired: int
-    threshold: int
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "status": self.status,
-            "paired": self.paired,
-            "unpaired": self.unpaired,
-            "threshold": self.threshold,
-        }
 
 
 class ClaimIndex:
@@ -193,7 +174,6 @@ class ClaimIndex:
         self.self_claims = np.flatnonzero(claimer == target)
         self._windows: dict[tuple[int, int], np.ndarray] = {}
         self._swarms: dict[int, np.ndarray] = {}
-        self._verdicts: dict[int, dict[int, PairingVerdict]] = {}  # threshold -> counts key -> verdict
 
     def held(self, links: np.ndarray) -> np.ndarray:
         """The claims of the accepted entries of ``links`` (a bool array
@@ -244,30 +224,6 @@ class ClaimIndex:
         if dense is None:
             dense = self._swarms[n] = _position(self.robots, np.arange(1, n + 1))
         return dense
-
-    def verdicts(self, paired: np.ndarray, unpaired: np.ndarray, threshold: int) -> list[PairingVerdict]:
-        """The pairing verdict for each robot's paired and unpaired counts,
-        one shared object per distinct counts and threshold (verdicts are
-        frozen).
-
-        Only decidable evidence counts (see ``LocalView._pairing``).  A
-        robot with a decisive omission against it and fewer paired
-        encounters than ``threshold``, the single-interval expectation
-        ceil((1-alpha)*n*p), is suspicious.  No decidable encounters at all
-        is indeterminate, not suspicious: isolation may just be graph
-        sparsity.
-        """
-        stride = len(self.claim_t) + 1  # above any count of claims naming one robot
-        keys = (paired * stride + unpaired).tolist()
-        shared = self._verdicts.setdefault(threshold, {})
-        for key in set(keys).difference(shared):
-            good, bad = divmod(key, stride)
-            if good == 0 and bad == 0:
-                shared[key] = PairingVerdict(status="indeterminate", paired=0, unpaired=0, threshold=0)
-            else:
-                status = "trusted" if bad == 0 or good >= threshold else "suspicious"
-                shared[key] = PairingVerdict(status=status, paired=good, unpaired=bad, threshold=threshold)
-        return list(map(shared.__getitem__, keys))
 
     @staticmethod
     def select(items: Iterable, mask: np.ndarray) -> Iterator:
@@ -508,6 +464,19 @@ def detect_collusion(view: LocalView, delta: int, epsilon: float) -> frozenset[t
     return frozenset(longest.items())
 
 
+PAIRING_STATUS = ("trusted", "suspicious", "indeterminate")  # status code -> name
+
+
+class PairingColumns(NamedTuple):
+    """One report's pairing verdicts, row k for robot ``robot[k]``: robots
+    1..n but the observer, ascending."""
+
+    robot: tuple[int, ...]
+    status: tuple[int, ...]  # codes into PAIRING_STATUS
+    paired: tuple[int, ...]  # encounters recorded by both sides
+    unpaired: tuple[int, ...]  # decisively unpaired claims naming the robot
+
+
 @dataclass
 class SuspicionReport:
     """One observer's verdicts, each carrying its evidence."""
@@ -517,7 +486,8 @@ class SuspicionReport:
     disappeared: frozenset[tuple[int, int]]  # (robot, last interval with evidence; 0 = never)
     unpaired_claims: tuple[tuple[int, int, int], ...]  # (claimer, target, interval)
     collusion_suspects: frozenset[tuple[tuple[int, int], int]]  # (pair, consecutive count)
-    pairing: tuple[tuple[int, PairingVerdict], ...]
+    threshold: int  # the fewest paired encounters that outweigh unpaired claims
+    pairing: PairingColumns
     revoked: frozenset[int] = field(default_factory=frozenset)
 
     def to_dict(self) -> dict[str, Any]:
@@ -534,7 +504,8 @@ class SuspicionReport:
                 {"pair": list(pair), "consecutive": k}
                 for pair, k in sorted(self.collusion_suspects)
             ],
-            "pairing": {str(r): verdict.to_dict() for r, verdict in self.pairing},
+            "threshold": self.threshold,
+            "pairing": {name: list(column) for name, column in self.pairing._asdict().items()},
             "revoked": sorted(self.revoked),
         }
 
@@ -545,7 +516,8 @@ RevocationPolicy = Callable[[SuspicionReport], Iterable[int]]
 def default_revocation_policy(report: SuspicionReport) -> set[int]:
     """Revoke the disappeared, the under-paired, and both halves of a colluding pair."""
     out = {r for r, _ in report.disappeared}
-    out |= {r for r, verdict in report.pairing if verdict.status == "suspicious"}
+    pairing = report.pairing
+    out |= {r for r, status in zip(pairing.robot, pairing.status) if PAIRING_STATUS[status] == "suspicious"}
     for pair, _ in report.collusion_suspects:
         out |= set(pair)
     return out
@@ -554,8 +526,9 @@ def default_revocation_policy(report: SuspicionReport) -> set[int]:
 def update_revocation(report: SuspicionReport, policy: RevocationPolicy | None = None) -> frozenset[int]:
     """Apply a revocation policy to a report; default policy above.
 
-    The returned set is the observer's local blacklist: peers whose
-    future exchange offers it ignores.  It is never propagated.
+    The returned set is the observer's blacklist, decided post hoc: the
+    simulator never reads a report, so a revoked robot keeps exchanging
+    for the rest of the run.  It is never propagated.
     """
     chosen = default_revocation_policy if policy is None else policy
     return frozenset(chosen(report))
@@ -568,22 +541,32 @@ def compile_report(
     epsilon: float,
     policy: RevocationPolicy | None = None,
 ) -> SuspicionReport:
-    """Run every detector over one view and assemble the report."""
+    """Run every detector over one view and assemble the report.
+
+    Only decidable evidence counts toward a robot's pairing verdict (see
+    ``LocalView._pairing``).  A robot with a decisive omission against it
+    and fewer paired encounters than the threshold, the single-interval
+    expectation ceil((1-alpha)*n*p), is suspicious.  No decidable
+    encounters at all is indeterminate, not suspicious: isolation may
+    just be graph sparsity.
+    """
     n, index, tally = view.params.n, view.index, view._pairing
-    robots = index.swarm(n)
-    verdicts = index.verdicts(
-        tally.paired[robots] // 2, tally.unpaired[robots], pairing_threshold(n, view.params.p, alpha)
-    )
-    pairing = list(zip(range(1, n + 1), verdicts))
-    if view.observer is not None and 1 <= view.observer <= n:
-        del pairing[view.observer - 1]
+    threshold = pairing_threshold(n, view.params.p, alpha)
+    robot = np.arange(1, n + 1)
+    if view.observer is not None:
+        robot = robot[robot != view.observer]
+    dense = index.swarm(n)[robot - 1]
+    paired, unpaired = tally.paired[dense] // 2, tally.unpaired[dense]
+    status = np.where((unpaired == 0) | (paired >= threshold), 0, 1)  # trusted, suspicious
+    status[(paired == 0) & (unpaired == 0)] = 2  # indeterminate
     report = SuspicionReport(
         observer=view.observer,
         as_of=view.as_of,
         disappeared=frozenset(zip(*_last_seen(view, delta))),
         unpaired_claims=view.unpaired_claims(),
         collusion_suspects=detect_collusion(view, delta, epsilon),
-        pairing=tuple(pairing),
+        threshold=threshold,
+        pairing=PairingColumns(*(tuple(column.tolist()) for column in (robot, status, paired, unpaired))),
     )
     report.revoked = update_revocation(report, policy)
     return report

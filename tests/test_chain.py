@@ -328,6 +328,28 @@ def test_a_link_below_interval_1_is_refused(interval, swarm5, monkeypatch):
         sign_link(identities[0], 1, interval, (), GENESIS)
 
 
+@pytest.mark.parametrize(
+    "field, owner, interval",
+    [("interval", 1, 2**32), ("owner_id", 2**32, 1), ("owner_id", -1, 1)],
+)
+def test_a_link_past_its_u32_fields_is_refused(field, owner, interval, swarm5, monkeypatch):
+    """An interval or owner id that the link's u32 fields cannot hold is a
+    ValueError naming the field, before anything is signed or encoded;
+    2**32 - 1 still fits."""
+    _, identities = swarm5
+    prev = GENESIS if interval == 1 else b"\x01" * 32
+    with pytest.raises(ValueError, match=f"{field} must be"):
+        HistoryLink(owner_id=owner, interval=interval, entries=(), prev_digest=prev, signature=b"")
+    big = sign_link(identities[0], 2**32 - 1, 2**32 - 1, (), prev)
+    assert decode_link(encode_link(big)) == big
+    monkeypatch.setattr(chain, "sign", lambda *args: pytest.fail("signed a refused link"))
+    with pytest.raises(ValueError, match=f"{field} must be"):
+        sign_link(identities[0], owner, interval, (), prev)
+    if field == "interval":
+        with pytest.raises(ValueError, match="interval must be"):
+            extend_history(identities[0], None, interval, (), LinkStore())
+
+
 # -- extension and verification ----------------------------------------------
 
 

@@ -146,6 +146,25 @@ def test_analyze_machine_format_emits_json_lines(tmp_path, capsys):
     assert {"observer-report", "central-report", "central-audit"} <= kinds
 
 
+def test_analyze_machine_records_are_the_report_document(tmp_path, capsys):
+    """Each machine record is the ``--output`` document's observer report,
+    central report or audit, in that order, with its record kind added."""
+    config = _write_config(tmp_path, alpha=0.2, adversaries=[{"behavior": "refuse_record", "robots": [2]}])
+    trace, report = tmp_path / "trace.json", tmp_path / "report.json"
+    main(["simulate", "--config", str(config), "--output", str(trace)])
+    capsys.readouterr()
+    assert main(["analyze", "--trace", str(trace), "--format", "machine", "--output", str(report)]) == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    doc = json.loads(report.read_text())
+    expected = [
+        *({"record": "observer-report", **observer} for observer in doc["observers"]),
+        {"record": "central-report", **doc["central"]},
+        {"record": "central-audit", **doc["audit"]},
+    ]
+    assert records == expected
+    assert len(doc["observers"]) == 12
+
+
 def test_analyze_rejects_corrupt_trace(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{broken")

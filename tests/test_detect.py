@@ -2,8 +2,10 @@ import pytest
 
 from swarmchain.chain import encode_link, decode_link, link_digest
 from swarmchain.detect import (
+    PAIRING_STATUS,
     InsufficientHistoryError,
     LocalView,
+    PairingColumns,
     SuspicionReport,
     audit_trace,
     central_audit,
@@ -117,8 +119,13 @@ def test_honest_single_observer_miss_rate_is_tiny():
 
 
 def _pairing(view, alpha):
-    """robot -> the pairing verdict of ``compile_report`` over ``view``."""
-    return dict(compile_report(view, view.params.delta, alpha, 0.05).pairing)
+    """robot -> its pairing verdict in ``compile_report`` over ``view``: the
+    row of the report's pairing columns, with the status code named."""
+    pairing = compile_report(view, view.params.delta, alpha, 0.05).pairing
+    return {
+        robot: {"status": PAIRING_STATUS[status], "paired": paired, "unpaired": unpaired}
+        for robot, status, paired, unpaired in zip(*pairing)
+    }
 
 
 def test_all_honest_central_view_trusts_everyone(honest_trace_25):
@@ -127,19 +134,19 @@ def test_all_honest_central_view_trusts_everyone(honest_trace_25):
     pairing = _pairing(view, 0.0)
     for subject in range(1, cfg.n + 1):
         verdict = pairing[subject]
-        assert verdict.status == "trusted", (subject, verdict)
-        assert verdict.unpaired == 0
+        assert verdict["status"] == "trusted", (subject, verdict)
+        assert verdict["unpaired"] == 0
 
 
 def test_refuse_record_adversaries_fail_pairing(refuse_record_trace_25):
     pairing = _pairing(LocalView.central(refuse_record_trace_25), 1 / 3)
     for subject in range(1, 9):
         verdict = pairing[subject]
-        assert verdict.status == "suspicious", (subject, verdict)
-        assert verdict.paired == 0
+        assert verdict["status"] == "suspicious", (subject, verdict)
+        assert verdict["paired"] == 0
     for subject in range(9, 26):
         verdict = pairing[subject]
-        assert verdict.status == "trusted", (subject, verdict)
+        assert verdict["status"] == "trusted", (subject, verdict)
 
 
 def test_large_swarm_framing_scenario_keeps_honest_robots_seen():
@@ -149,12 +156,12 @@ def test_large_swarm_framing_scenario_keeps_honest_robots_seen():
     assert collective_disappeared(trace, 4) & set(range(17, 49)) == frozenset()
     pairing = _pairing(LocalView.central(trace), 1 / 3)
     for subject in range(17, 49):
-        assert pairing[subject].status == "trusted"
+        assert pairing[subject]["status"] == "trusted"
 
 
 def test_unseen_subject_is_indeterminate():
     trace = run_simulation(SimConfig(n=3, p=0.0, intervals=2, delta=2, seed=1))
-    assert _pairing(LocalView.central(trace), 0.0)[2].status == "indeterminate"
+    assert _pairing(LocalView.central(trace), 0.0)[2]["status"] == "indeterminate"
 
 
 def test_local_honest_views_never_accuse(honest_trace_25):
@@ -165,8 +172,8 @@ def test_local_honest_views_never_accuse(honest_trace_25):
             if subject == observer:
                 continue
             verdict = pairing[subject]
-            assert verdict.status in ("trusted", "indeterminate")
-            assert verdict.unpaired == 0
+            assert verdict["status"] in ("trusted", "indeterminate")
+            assert verdict["unpaired"] == 0
 
 
 # -- collusion ----------------------------------------------------------------------
@@ -212,7 +219,8 @@ def _empty_report():
         disappeared=frozenset(),
         unpaired_claims=(),
         collusion_suspects=frozenset(),
-        pairing=(),
+        threshold=0,
+        pairing=PairingColumns((), (), (), ()),
     )
 
 
@@ -224,6 +232,17 @@ def test_disappeared_robot_revoked_by_default_policy():
     report = _empty_report()
     report.disappeared = frozenset({(6, 0)})
     assert update_revocation(report, default_revocation_policy) == frozenset({6})
+
+
+def test_default_policy_revokes_the_suspicious_rows_only():
+    report = _empty_report()
+    report.pairing = PairingColumns(
+        robot=(2, 3, 4),
+        status=tuple(map(PAIRING_STATUS.index, ("trusted", "suspicious", "indeterminate"))),
+        paired=(5, 1, 0),
+        unpaired=(1, 2, 0),
+    )
+    assert update_revocation(report) == frozenset({3})
 
 
 def test_never_revoke_policy_overrides_evidence():

@@ -27,7 +27,7 @@ from swarmchain.chain import (
     sign_link,
 )
 from swarmchain.crypto import provision_swarm
-from swarmchain.detect import LocalView, PairingVerdict, compile_report
+from swarmchain.detect import PAIRING_STATUS, LocalView, compile_report
 from swarmchain.prob import pairing_threshold
 from swarmchain.sim import SimConfig, SimTrace, run_simulation
 
@@ -55,14 +55,13 @@ def _reference_counts(claims, owners_at, subject):
     return paired, unpaired
 
 
-def _reference_verdict(claims, owners_at, subject, alpha, n, p):
+def _reference_verdict(claims, owners_at, subject, threshold):
     paired, unpaired = _reference_counts(claims, owners_at, subject)
     paired //= 2
     if paired == 0 and unpaired == 0:
-        return PairingVerdict(status="indeterminate", paired=0, unpaired=0, threshold=0)
-    threshold = pairing_threshold(n, p, alpha)
+        return {"status": "indeterminate", "paired": 0, "unpaired": 0}
     status = "trusted" if unpaired == 0 or paired >= threshold else "suspicious"
-    return PairingVerdict(status=status, paired=paired, unpaired=unpaired, threshold=threshold)
+    return {"status": status, "paired": paired, "unpaired": unpaired}
 
 
 def _reference_unpaired(claims, owners_at):
@@ -87,21 +86,26 @@ def _tallied(view, subject):
     return int(tally.paired[slot]), int(tally.unpaired[slot])
 
 
-def _verdicts(view, alpha):
-    """robot -> the pairing verdict of ``compile_report`` over ``view``;
-    a report gives none for its own observer."""
-    return dict(compile_report(view, view.params.delta, alpha, 0.05).pairing)
+def _verdicts(report):
+    """robot -> the status name and counts of its row in ``report``'s
+    pairing columns; a report has no row for its own observer."""
+    return {
+        robot: {"status": PAIRING_STATUS[status], "paired": paired, "unpaired": unpaired}
+        for robot, status, paired, unpaired in zip(*report.pairing)
+    }
 
 
 def _assert_pass_matches_reference(view, alpha, paired_intervals):
     claims, owners_at = view.claims, _owners_at(view)
     n, p = view.params.n, view.params.p
-    verdicts = _verdicts(view, alpha)
-    assert set(verdicts) == set(range(1, n + 1)) - {view.observer}
+    report = compile_report(view, view.params.delta, alpha, 0.05)
+    assert report.threshold == pairing_threshold(n, p, alpha)
+    verdicts = _verdicts(report)
+    assert list(verdicts) == sorted(set(range(1, n + 1)) - {view.observer})
     for subject in range(1, n + 1):
         assert _tallied(view, subject) == _reference_counts(claims, owners_at, subject), subject
         if subject != view.observer:
-            assert verdicts[subject] == _reference_verdict(claims, owners_at, subject, alpha, n, p), subject
+            assert verdicts[subject] == _reference_verdict(claims, owners_at, subject, report.threshold), subject
     assert view.unpaired_claims() == _reference_unpaired(claims, owners_at)
     assert paired_intervals(view) == _reference_intervals(claims)
 
@@ -153,9 +157,9 @@ def test_self_claim_counts_once_toward_its_owner(paired_intervals):
     assert view.claims == {(1, 1, 2), (1, 2, 2), (2, 1, 2)}
     assert _tallied(view, 1) == (3, 0)  # (1,1,2) once, (1,2,2) and (2,1,2) once each
     assert _tallied(view, 2) == (2, 0)
-    verdicts = _verdicts(view, 0.0)
-    assert verdicts[1].paired == 1
-    assert verdicts[2].paired == 1
+    verdicts = _verdicts(compile_report(view, view.params.delta, 0.0, 0.05))
+    assert verdicts[1]["paired"] == 1
+    assert verdicts[2]["paired"] == 1
     assert view.unpaired_claims() == ()
     assert paired_intervals(view) == {(1, 2): {2}}
     _assert_pass_matches_reference(view, 0.0, paired_intervals)

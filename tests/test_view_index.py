@@ -37,8 +37,9 @@ from swarmchain.chain import (
 )
 from swarmchain.crypto import provision_swarm
 from swarmchain.detect import (
+    PAIRING_STATUS,
     LocalView,
-    PairingVerdict,
+    PairingColumns,
     SuspicionReport,
     audit_trace,
     compile_report,
@@ -148,18 +149,17 @@ def _set_report(view, delta, alpha, epsilon):
         for r in range(1, n + 1)
         if r != view.observer and view.evidence.get(r, 0) < window_start
     )
-    pairing = []
+    threshold = pairing_threshold(n, p, alpha)
+    rows = []
     for r in range(1, n + 1):
         if r == view.observer:
             continue
         good, bad = paired.get(r, 0) // 2, unpaired.get(r, 0)
         if good == 0 and bad == 0:
-            verdict = PairingVerdict("indeterminate", 0, 0, 0)
+            status = "indeterminate"
         else:
-            threshold = pairing_threshold(n, p, alpha)
             status = "trusted" if bad == 0 or good >= threshold else "suspicious"
-            verdict = PairingVerdict(status, good, bad, threshold)
-        pairing.append((r, verdict))
+        rows.append((r, PAIRING_STATUS.index(status), good, bad))
     suspects = set()
     for pair, ts in intervals.items():
         run = best = 0
@@ -174,7 +174,8 @@ def _set_report(view, delta, alpha, epsilon):
         disappeared=disappeared,
         unpaired_claims=omissions,
         collusion_suspects=frozenset(suspects),
-        pairing=tuple(pairing),
+        threshold=threshold,
+        pairing=PairingColumns(*(tuple(column) for column in zip(*rows))),
     )
     report.revoked = update_revocation(report)
     return report
