@@ -88,6 +88,39 @@ the first failure names the reason:
 8. ``bad-entry-signature`` -- the entry's signature is not the referenced
    link's owner signature, verified under the embedded credential.
 
+The entry rule over an indexed store, as columns.  Number the store's
+links, with ``position[d]`` the number of the link stored at digest d,
+``digests[i]`` its address and ``counted[i]`` whether it passes
+:func:`check_link` under its owner's issued credential.  An entry of a
+counted link at t, for ``peer``, with credential ``cred``, signature
+``sig`` and reference ``d``, passes :func:`check_entry` (resolving
+through the store under ``credentials``) exactly when all of these hold:
+
+- steps 1-2: ``cred == credentials[peer]``, and that issued credential's
+  ``robot_id`` is ``peer`` (so ``cred.robot_id`` is too);
+- genesis (step 3): ``verify(cred, GENESIS, sig)``, a pure function of
+  the verify key and ``sig``, so asked once per distinct pair;
+- otherwise, for ``ref = position[d]``: step 4, ``ref`` exists; step 5,
+  ``link_digest(links[ref]) == digests[ref]``, computed once per link;
+  step 6, ``owner[ref] == peer``; step 7, ``interval[ref] == t - 1``;
+  step 8, ``sig == links[ref].signature`` and ``counted[ref]``.
+
+Step 8 asks :func:`check_link` of the referenced link under ``cred``.
+:func:`check_link` reads only the credential's robot id and verify key,
+and by steps 1, 2 and 6 ``cred`` equals the issued credential of the
+link's owner, so the answer is the link's own ``counted`` bit.
+:func:`indexed_entry_rule` codes this form over flat per-entry
+columns (each entry with its link and its ``ref``), which the claim
+index (``detect.ClaimIndex``) gathers in the pass that resolves each
+entry's reference for its closure masks; it fills ``entry_ok`` from
+them and calls :func:`check_entry` on no entry.  :func:`check_entry`
+stays the normative rule and the only code that names a reason.
+:func:`check_offer` calls it on the offered entry, and
+:func:`walk_chain` on the entries it walks: for :func:`verify_chain`,
+where a kept verdict answers at once (the offered-entry rule below),
+and for the audit, which passes the walk only the entries the index
+refused.
+
 A chain is walked by :func:`walk_chain`, from its head toward genesis,
 and the walk reports only what it refuses: each link goes through
 :func:`check_link` (``wrong-owner`` ends the walk; a ``bad-signature``
@@ -131,17 +164,17 @@ accepts such an entry at once when it is asked at the same t and
 objects.  Sound because the verdict of
 :func:`check_entry` is a function of the entry, t, the issued credential
 and the resolved link alone (and of :func:`crypto.verify`, itself a pure
-function), and all four are immutable.  So each offered entry is checked
-once per run, whether the next check comes from a walk over the
-receiver's chain or from a claim index over the store.  Only
-:func:`check_offer` keeps a verdict; a decoded entry never carries one.
+function), and all four are immutable.  So each offered entry goes
+through the whole rule once per run, however often a walk over the
+receiver's chain checks it again.  Only :func:`check_offer` keeps a
+verdict; a decoded entry never carries one.
 """
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
 from operator import attrgetter, lt
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .crypto import (
     DIGEST_SIZE,
@@ -208,7 +241,8 @@ class HistoryLink:
             raise ValueError("a link at interval 1 must reference the genesis digest")
 
 
-_U32_MAX = 2**32 - 1  # the largest interval or owner id a link's u32 fields hold
+_U32_MAX = 2**32 - 1  # the largest interval or id a u32 field holds
+_U16_MAX = 2**16 - 1  # the longest signature, key or certificate a u16 length prefix allows
 _LINK_PREFIX = struct.Struct(">2sI")  # link magic, owner
 _PAYLOAD_HEAD = struct.Struct(">2sI32sI")  # payload magic, interval, prev, count
 _ENTRY_HEAD = struct.Struct(">I32sH")  # peer id, link digest, signature length
@@ -226,9 +260,19 @@ def _credential_bytes(credential: Credential) -> bytes:
     """A credential's normative bytes in an entry (cred_id through the
     certificate), encoded once and cached on the credential: every entry
     that embeds an issued credential joins these bytes, and
-    :func:`decode_link` matches them to share the issued object."""
+    :func:`decode_link` matches them to share the issued object.  A field
+    its u32 or u16 layout cannot hold is refused with a ``ValueError``
+    naming it."""
     cached = getattr(credential, "_bytes", None)
     if cached is None:
+        if not 0 <= credential.robot_id <= _U32_MAX:
+            raise ValueError(f"credential robot_id must be in 0..{_U32_MAX}, got {credential.robot_id}")
+        if len(credential.verify_key) > _U16_MAX:
+            raise ValueError(
+                f"credential verify_key must be at most {_U16_MAX} bytes, got {len(credential.verify_key)}"
+            )
+        if len(credential.cert) > _U16_MAX:
+            raise ValueError(f"credential cert must be at most {_U16_MAX} bytes, got {len(credential.cert)}")
         cached = b"".join(
             [
                 _CRED_HEAD.pack(credential.robot_id, len(credential.verify_key)),
@@ -243,11 +287,18 @@ def _credential_bytes(credential: Credential) -> bytes:
 
 def _entry_bytes(entry: EventEntry) -> bytes:
     """An entry's normative bytes in the payload, encoded once and cached
-    on the entry (every receiver of an offer holds the offer's entry)."""
+    on the entry (every receiver of an offer holds the offer's entry).  A
+    field its layout cannot hold is refused with a ``ValueError`` naming it."""
     cached = getattr(entry, "_bytes", None)
     if cached is None:
         if len(entry.peer_link_digest) != DIGEST_SIZE:
             raise ValueError(f"entry link digest must be {DIGEST_SIZE} bytes")
+        if not 0 <= entry.peer_id <= _U32_MAX:
+            raise ValueError(f"entry peer_id must be in 0..{_U32_MAX}, got {entry.peer_id}")
+        if len(entry.peer_signature) > _U16_MAX:
+            raise ValueError(
+                f"entry peer_signature must be at most {_U16_MAX} bytes, got {len(entry.peer_signature)}"
+            )
         cached = b"".join(
             [
                 _ENTRY_HEAD.pack(entry.peer_id, entry.peer_link_digest, len(entry.peer_signature)),
@@ -566,6 +617,56 @@ def check_entry(
     if entry.peer_signature != resolved.signature or check_link(resolved, entry.peer_credential):
         return "bad-entry-signature"
     return None
+
+
+def indexed_entry_rule(
+    links: Sequence[HistoryLink],
+    digests: Sequence[bytes],
+    counted: Sequence[bool],
+    credentials: Mapping[int, Credential],
+    entries: Sequence[EventEntry],
+    entry_link: Sequence[int],
+    refs: Sequence[int | None],
+) -> list[bool]:
+    """The entry rule over an indexed store, as columns (see the module
+    docstring).  ``links[i]`` is the link the store holds at
+    ``digests[i]``, and ``counted[i]`` says whether it passes
+    :func:`check_link` under ``credentials.get(links[i].owner_id)``.
+    ``entries[k]`` is an entry of the counted link ``links[entry_link[k]]``,
+    and its reference is stored at ``digests[refs[k]]`` (``refs[k]``
+    None: not stored).
+
+    Returns, for each ``entries[k]``, whether ``check_entry(entries[k],
+    links[entry_link[k]].interval, store.get, credentials)`` accepts it.
+    No entry goes through :func:`check_entry`; each distinct genesis
+    (verify key, signature) goes through :func:`crypto.verify` once.
+    """
+    issued = {peer: credential for peer, credential in credentials.items() if credential.robot_id == peer}.get
+    # what an entry of a link at interval t referencing link i carries when
+    # steps 5-8 accept it: (owner, t, signature); None: no entry is accepted
+    wanted = [
+        (link.owner_id, link.interval + 1, link.signature) if ok and link_digest(link) == address else None
+        for link, address, ok in zip(links, digests, counted)
+    ]
+    interval = [link.interval for link in links]
+    genesis: dict[tuple[bytes, bytes], bool] = {}
+
+    def genesis_ok(credential: Credential, signature: bytes) -> bool:
+        key = (credential.verify_key, signature)
+        verdict = genesis.get(key)
+        if verdict is None:
+            verdict = genesis[key] = verify(credential, GENESIS, signature)
+        return verdict
+
+    return [
+        (e.peer_credential is issued(e.peer_id) or e.peer_credential == issued(e.peer_id))
+        and (
+            genesis_ok(e.peer_credential, e.peer_signature)
+            if e.peer_link_digest == GENESIS
+            else ref is not None and wanted[ref] == (e.peer_id, interval[i], e.peer_signature)
+        )
+        for e, i, ref in zip(entries, entry_link, refs)
+    ]
 
 
 def walk_chain(

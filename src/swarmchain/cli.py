@@ -133,6 +133,8 @@ def cmd_analyze(args, out=None) -> int:
     out = out if out is not None else sys.stdout
     if not 0.0 < args.epsilon < 1.0:  # refuses nan too
         raise ValueError(f"--epsilon must be in (0, 1), got {args.epsilon}")
+    if args.alpha is not None and not 0.0 <= args.alpha < 1.0:  # a trace's own alpha is validated as it loads
+        raise ValueError(f"--alpha must be in [0, 1), got {args.alpha}")
     _check_output(args.output)
     trace = _load_trace(args.trace)
     config = trace.config
@@ -141,8 +143,6 @@ def cmd_analyze(args, out=None) -> int:
     epsilon = args.epsilon
     if not 1 <= delta <= config.intervals:
         raise ValueError(f"--delta must be in 1..intervals={config.intervals}, got {delta}")
-    if not 0.0 <= alpha < 1.0:
-        raise ValueError(f"--alpha must be in [0, 1), got {alpha}")
 
     observers = []
     for robot in range(1, config.n + 1):

@@ -26,22 +26,24 @@ by both participants, and reports coverage gaps.
 
 Cost.  A store's :class:`ClaimIndex` is built once, by the first view or
 audit that reads the store under a credential table, and kept on the
-store.  Every stored link goes through ``check_link`` once, one
-iterative pass gives each link its closure mask, and each entry of a
-link that passes goes through ``check_entry`` once, as the index is
-built (an entry ``check_offer`` accepted answers from its kept verdict,
-the offered-entry rule of :mod:`swarmchain.chain`).  The index also
-keeps the per-trace constants every reader shares: each claim's entry,
-the claims grouped by claimer and by target, the links grouped by owner,
-and the window claims of each ``(as_of, delta)``.  A view is then its
+store.  Every stored link goes through ``check_link`` once, and one
+pass over the links resolves each entry's reference, for the closure
+masks and for the entry rule as columns (``indexed_entry_rule``, derived
+in :mod:`swarmchain.chain`): an entry is decided by its credential
+against the issued table and by the digest, owner, interval, signature
+and ``check_link`` verdict of the link it references, with one verify
+per distinct genesis signature and no ``check_entry`` call.  The index
+also keeps the per-trace constants every reader shares: each claim's
+entry, the claims grouped by claimer and by target, the links grouped
+by owner, and the window claims of each ``(as_of, delta)``.  A view is then its
 head's mask (the central view ORs every head's), and a report is a
 handful of numpy passes over the claims (gathers, segment sums with
 ``np.add.reduceat``, a run filter, the pairing status column) plus
 Python work only for what the report lists; no report checks an
 entry, and no interval is ever a bit position or an array size.  The
 audit walks each chain with ``walk_chain`` but takes the refused entries
-of every counted link from the index, so ``check_entry`` runs again only
-on those, for their reason.  The index assumes that the store's link
+of every counted link from the index, so ``check_entry`` runs only on
+those, for their reason.  The index assumes that the store's link
 table and the credential table are not altered in place; it is tagged
 with both table objects and the table's size, so a store given another
 table, grown by :meth:`LinkStore.insert`, or read under another
@@ -52,17 +54,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress
+from operator import attrgetter
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
-from .chain import EventEntry, HistoryLink, LinkStore, check_entry, check_link, link_digest, walk_chain
+from .chain import EventEntry, HistoryLink, LinkStore, check_link, indexed_entry_rule, link_digest, walk_chain
 from .crypto import Credential
 from .prob import pairing_threshold
 from .sim import SimConfig, SimTrace
 
 
 Claim = tuple[int, int, int]  # (claimer, target, interval)
+_peer_id = attrgetter("peer_id")
 _NONE = np.zeros(0, np.int64)  # no claim numbers
 
 
@@ -81,13 +85,14 @@ class ClaimIndex:
     ``check_link``.  Each entry of a counted link names a claim
     ``(claimer, target, interval)``; distinct claims are numbered in
     sorted order, so duplicate entries collapse.  An entry counts when
-    ``check_entry`` accepts it, resolving through the store; the
-    constructor checks every entry of every counted link once, into
-    ``entry_ok`` and ``claim_ok``.  Once built, the index changes only
-    its memo dicts.  The per-claim and per-link columns are numpy arrays;
-    robots are numbered densely, and no robot id or interval is ever an
-    array position.  A per-robot array has one more slot, always 0, that
-    the -1 of an absent robot indexes.
+    ``check_entry`` would accept it, resolving through the store; the
+    constructor decides every entry of every counted link once, by the
+    rule's columns (``indexed_entry_rule``), into ``entry_ok`` and
+    ``claim_ok``.  Once built, the index changes only its memo dicts.
+    The per-claim and per-link columns are numpy arrays; robots are
+    numbered densely, and no robot id or interval is ever an array
+    position.  A per-robot array has one more slot, always 0, that the -1
+    of an absent robot indexes.
 
     A view's masks and tallies are sized by the trace (its links, claims
     or robots), never by what the view holds: numpy keeps freed buffers
@@ -102,29 +107,27 @@ class ClaimIndex:
         self.digests = list(store.digests())
         self.links = list(store.links())
         self.position = dict(zip(self.digests, range(len(self.links))))
-        resolve = store._links.get
         counted = [check_link(link, credentials.get(link.owner_id)) is None for link in self.links]
         self.counted = int.from_bytes(np.packbits(np.array(counted, bool), bitorder="little").tobytes(), "little")
         find = self.position.get
         refs: list[list[int]] = []
-        peers: list[int] = []
+        entries: list[EventEntry] = []  # the entries of the counted links
         entry_link: list[int] = []
-        entry_ok: list[bool] = []
+        entry_ref: list[int | None] = []
         self.first_entry: list[int] = []
         for i, link in enumerate(self.links):
-            entries = link.entries
-            found = [find(link.prev_digest), *[find(e.peer_link_digest) for e in entries]]
-            refs.append([j for j in found if j is not None])
-            self.first_entry.append(len(peers))
+            found = [find(e.peer_link_digest) for e in link.entries]
+            refs.append([j for j in (find(link.prev_digest), *found) if j is not None])
+            self.first_entry.append(len(entries))
             if counted[i]:
-                t = link.interval
-                peers += [e.peer_id for e in entries]
-                entry_link += [i] * len(entries)
-                entry_ok += [check_entry(e, t, resolve, credentials) is None for e in entries]
-        self.entry_ok = np.array(entry_ok, bool)
+                entries += link.entries
+                entry_link += [i] * len(found)
+                entry_ref += found
+        ok = indexed_entry_rule(self.links, self.digests, counted, credentials, entries, entry_link, entry_ref)
+        self.entry_ok = np.array(ok, bool)
         self.masks = _closure_masks(refs)
         owner_ids = np.array([link.owner_id for link in self.links], np.int64)
-        peer_ids = np.array(peers, np.int64)
+        peer_ids = np.array(list(map(_peer_id, entries)), np.int64)
         self.link_t = np.array([link.interval for link in self.links], np.int64)
         self.entry_link = np.array(entry_link, np.int64)
         self.robots = _numbered(np.concatenate((owner_ids, peer_ids)))[0]
@@ -657,10 +660,10 @@ def central_audit(
 
     The audit reads the store's :class:`ClaimIndex`, the one the trace's
     views read: the walk takes each checked link's refused entries from
-    ``index.entry_ok``, so ``check_entry`` runs only on those, for their
-    reason.  Its claims are the index claims of the accepted entries of
-    the links the walks checked; a claim without its mirror is unpaired,
-    and a forward claim with it is an encounter.
+    the refused positions of ``index.entry_ok``, so ``check_entry`` runs
+    only on those, for their reason.  Its claims are the index claims of
+    the accepted entries of the links the walks checked; a claim without
+    its mirror is unpaired, and a forward claim with it is an encounter.
 
     Every head is a link the store holds, and ``credentials`` maps each
     robot id to that robot's credential, as in every loaded trace;
@@ -668,8 +671,11 @@ def central_audit(
     audit raises ``ValueError``.
     """
     index = _claim_index(store, credentials)
-    entry_ok = index.entry_ok
     walked = np.zeros(len(index.links), bool)
+    refused_at: dict[int, list[int]] = {}  # link number -> the positions of its refused entries
+    bad = np.flatnonzero(~index.entry_ok)
+    for k, i in zip(bad.tolist(), index.entry_link[bad].tolist()):
+        refused_at.setdefault(i, []).append(k - index.first_entry[i])
 
     def refused(link: HistoryLink) -> Iterable[EventEntry]:
         d = link_digest(link)
@@ -677,8 +683,7 @@ def central_audit(
         if i is None or not index.counted >> i & 1 or link_digest(index.links[i]) != d:
             raise ValueError(f"link {d.hex()} is not a counted link of the store's claim index")
         walked[i] = True
-        entries, first = link.entries, index.first_entry[i]
-        return index.select(entries, ~entry_ok[first : first + len(entries)])
+        return [link.entries[k] for k in refused_at.get(i, ())]
 
     failures: list[tuple[int, int, str]] = []
     gaps: list[tuple[int, int, int]] = []

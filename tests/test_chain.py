@@ -350,6 +350,39 @@ def test_a_link_past_its_u32_fields_is_refused(field, owner, interval, swarm5, m
             extend_history(identities[0], None, interval, (), LinkStore())
 
 
+@pytest.mark.parametrize(
+    "field, refused, fits",
+    [
+        ("entry peer_id", 2**32, 2**32 - 1),
+        ("entry peer_id", -1, 0),
+        ("entry peer_signature", bytes(2**16), bytes(2**16 - 1)),
+        ("credential robot_id", 2**32, 2**32 - 1),
+        ("credential verify_key", bytes(2**16), bytes(2**16 - 1)),
+        ("credential cert", bytes(2**16), bytes(2**16 - 1)),
+    ],
+    ids=["peer_id-2**32", "peer_id--1", "peer_signature-65536", "robot_id-2**32", "verify_key-65536", "cert-65536"],
+)
+def test_an_entry_past_its_u32_or_u16_fields_is_refused(field, refused, fits, swarm5, monkeypatch):
+    """An entry field, or a field of the entry's credential, that the
+    payload's u32 id or u16 length prefix cannot hold is a ValueError naming
+    the field, before anything is signed; the largest value that fits still
+    encodes and decodes."""
+    _, identities = swarm5
+    entry = offer_history(identities[1], None).entry
+    holder, name = field.split()
+
+    def with_value(value):
+        if holder == "entry":
+            return dataclasses.replace(entry, **{name: value})
+        return dataclasses.replace(entry, peer_credential=dataclasses.replace(entry.peer_credential, **{name: value}))
+
+    link = sign_link(identities[0], 1, 1, (with_value(fits),), GENESIS)
+    assert decode_link(encode_link(link)) == link
+    monkeypatch.setattr(chain, "sign", lambda *args: pytest.fail("signed a refused entry"))
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        sign_link(identities[0], 1, 1, (with_value(refused),), GENESIS)
+
+
 # -- extension and verification ----------------------------------------------
 
 

@@ -222,6 +222,12 @@ def test_analyze_refuses_epsilon_before_loading_the_trace(tmp_path, capsys):
     assert "--epsilon" in err and "missing.json" not in err
 
 
+def test_analyze_refuses_alpha_before_loading_the_trace(tmp_path, capsys):
+    assert main(["analyze", "--trace", str(tmp_path / "missing.json"), "--alpha", "1.0"]) == 2
+    err = capsys.readouterr().err
+    assert "--alpha must be in [0, 1), got 1.0" in err and "missing.json" not in err
+
+
 @pytest.mark.parametrize("command", ["simulate", "analyze", "montecarlo"])
 def test_an_unwritable_output_is_an_error_naming_the_path(command, tmp_path, capsys):
     config = _write_config(tmp_path)

@@ -12,7 +12,8 @@ references.  The hostile-trace tests pin what the set code got wrong:
 an interval used as a bit position, and recursion once per link.  The
 audit, which reads the same index, must equal the audit that checks
 every entry itself (the ``reference_audit`` fixture), and over every
-report and the audit each entry is checked once, as the index is built.
+report and the audit each entry is decided once, as the index is built,
+with ``check_entry`` run only on the entries the audit refuses.
 """
 import json
 import tracemalloc
@@ -21,6 +22,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from swarmchain import chain, detect
@@ -236,21 +238,37 @@ def _counted_entries(index):
     return sum(len(link.entries) for link, bit in zip(index.links, index.bits(-1).tolist()) if bit)
 
 
+def _counting(monkeypatch, module, name):
+    """Replace ``module.name`` with a wrapper that records each call's
+    arguments in the returned list."""
+    calls = []
+    real = getattr(module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
 @pytest.mark.parametrize("name", ["collusion_n25", "forge_n10"])
 def test_each_entry_is_checked_once_across_every_report_and_the_audit(name, monkeypatch):
     """Over every observer report, the central report and the audit of a
-    loaded trace, ``check_entry`` runs once per entry of a counted link and
-    once more per entry the audit refuses, for its reason."""
+    loaded trace, the entry rule decides each entry of a counted link once,
+    as the index is built, in columns; ``check_entry`` runs once per entry
+    the audit refuses, for its reason, and on no other entry."""
     config = SimConfig.from_dict(json.loads((CONFIGS / f"{name}.json").read_text()))
     trace = SimTrace.from_json(run_simulation(config).to_json())
-    calls = []
+    checked = _counting(monkeypatch, chain, "check_entry")
+    decided = []
+    rule = detect.indexed_entry_rule
 
-    def counting_check_entry(entry, t, resolve, credentials):
-        calls.append(entry)
-        return check_entry(entry, t, resolve, credentials)
+    def counting_rule(links, digests, counted, credentials, entries, entry_link, refs):
+        decided.extend(entries)
+        return rule(links, digests, counted, credentials, entries, entry_link, refs)
 
-    monkeypatch.setattr(detect, "check_entry", counting_check_entry)
-    monkeypatch.setattr(chain, "check_entry", counting_check_entry)
+    monkeypatch.setattr(detect, "indexed_entry_rule", counting_rule)
     for robot in sorted(trace.heads):
         if trace.heads[robot] is not None:
             compile_report(LocalView.from_trace(trace, robot), *DELTA_ALPHA_EPSILON)
@@ -260,34 +278,45 @@ def test_each_entry_is_checked_once_across_every_report_and_the_audit(name, monk
 
     index = central.index
     assert index.bits(central.mask).tolist() == index.bits(-1).tolist()  # every counted link is in view
+    assert len(decided) == len(set(map(id, decided))) == _counted_entries(index)
     refused = [reason for _, _, reason in audit.verification_failures if reason in ENTRY_REASONS]
-    assert len(calls) == _counted_entries(index) + len(refused)
-    assert len(calls) - len(set(map(id, calls))) == len(refused)
+    assert len(checked) == len({id(entry) for entry, *_ in checked}) == len(refused)
+    assert len(refused) == np.count_nonzero(~index.entry_ok)
     assert (len(refused) > 0) == (name == "forge_n10")
 
 
 @pytest.mark.parametrize("name", ["framing_n25", "forge_n10"])
 def test_the_index_checks_every_entry_as_it_is_built_and_no_report_checks_one(name, monkeypatch):
-    """Building a loaded trace's claim index runs ``check_entry`` once per
-    entry of a counted link; every report after that runs it zero times."""
+    """Building a loaded trace's claim index decides every entry of a
+    counted link by the entry rule's columns and runs ``check_entry`` zero
+    times.  It verifies once per link (``check_link``) and once per distinct
+    genesis (verify key, signature) of an entry whose credential is its
+    peer's issued one; every report after that checks no entry."""
     config = SimConfig.from_dict(json.loads((CONFIGS / f"{name}.json").read_text()))
     trace = SimTrace.from_json(run_simulation(config).to_json())
-    calls = []
-
-    def counting_check_entry(entry, t, resolve, credentials):
-        calls.append(entry)
-        return check_entry(entry, t, resolve, credentials)
-
-    monkeypatch.setattr(detect, "check_entry", counting_check_entry)
-    monkeypatch.setattr(chain, "check_entry", counting_check_entry)
+    checked = _counting(monkeypatch, chain, "check_entry")
+    verified = _counting(monkeypatch, chain, "verify")
     index = detect._claim_index(trace.store, trace.credentials)
-    assert len(calls) == len(set(map(id, calls))) == _counted_entries(index) > 0
-    built = len(calls)
+    assert checked == []
+    counted = [link for link, bit in zip(index.links, index.bits(-1).tolist()) if bit]
+    genesis = {
+        (e.peer_credential.verify_key, e.peer_signature)
+        for link in counted
+        for e in link.entries
+        if e.peer_link_digest == GENESIS
+        and e.peer_credential == trace.credentials.get(e.peer_id)
+        and e.peer_credential.robot_id == e.peer_id
+    }
+    assert len(verified) == len(index.links) + len(genesis) and genesis
+    resolve, issued = trace.store.get, trace.credentials
+    assert index.entry_ok.tolist() == [
+        check_entry(e, link.interval, resolve, issued) is None for link in counted for e in link.entries
+    ]
     for robot in sorted(trace.heads):
         if trace.heads[robot] is not None:
             compile_report(LocalView.from_trace(trace, robot), *DELTA_ALPHA_EPSILON)
     compile_report(LocalView.central(trace), *DELTA_ALPHA_EPSILON)
-    assert len(calls) == built
+    assert checked == []
 
 
 def test_the_index_keeps_no_reference_to_its_store():
