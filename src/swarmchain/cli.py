@@ -66,10 +66,13 @@ def _resolve_seed(config: SimConfig, args, out) -> SimConfig:
 
 def _check_output(path: str | None) -> None:
     """Refuse an output path that cannot be written before any work is
-    done: its directory must exist and the path must not be a directory.
-    Whatever else makes the write fail is left to :func:`_write`."""
-    if path:
+    done: a given path must not be empty, its directory must exist and it
+    must not be a directory.  Whatever else makes the write fail is left
+    to :func:`_write`."""
+    if path is not None:
         target = Path(path)
+        if not path:
+            raise ValueError(f"cannot write {path}: the path is empty")
         if target.is_dir():
             raise ValueError(f"cannot write {path}: it is a directory")
         if not target.parent.is_dir():

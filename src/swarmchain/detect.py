@@ -7,7 +7,7 @@ verified entry naming j inside someone's interval-t event list.  What
 "signed" and "verified" mean is the link and entry rule stated once in
 :mod:`swarmchain.chain` (``check_link``, ``check_entry``): an entry
 counts only with the credential central control issued to its peer.  On
-top of that view sit four detectors:
+top of that view sit three detectors:
 
 * ``detect_disappeared`` -- nobody has vouched for the robot within the
   last delta intervals.
@@ -15,9 +15,9 @@ top of that view sit four detectors:
   encounters are recorded by both sides.
 * ``detect_collusion``   -- a pair co-meets in k consecutive intervals
   although p**k is below the plausibility threshold.
-* ``update_revocation``  -- applies a pluggable policy to the evidence;
-  what misbehavior costs a robot its standing is the swarm engineer's
-  call, so the policy is just a function.
+
+One rule, ``revocations``, turns a report's evidence into the robots it
+revokes; ``compile_report`` applies it as it builds the report.
 
 ``central_audit`` is the post-task counterpart: it walks every collected
 chain in full by the walk rule of :mod:`swarmchain.chain`
@@ -55,7 +55,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress
 from operator import attrgetter
-from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple
+from typing import Any, Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -371,11 +371,13 @@ class LocalView:
         """(claimer, target, interval) for every entry in view that passes
         ``check_entry``.
 
-        The index checked each entry once, resolving through the trace's
-        store.  That accepts exactly what resolving through the view's own
-        links would: every view holds the ``check_link``-verified part of a
-        closure of the store, so whatever an entry of a link in view
-        references and the store holds is in the closure too.
+        The index decided each entry once, by the entry rule's columns
+        (``indexed_entry_rule``), which accept exactly what ``check_entry``
+        accepts resolving through the trace's store.  That accepts exactly
+        what resolving through the view's own links would: every view holds
+        the ``check_link``-verified part of a closure of the store, so
+        whatever an entry of a link in view references and the store holds
+        is in the closure too.
         """
         return frozenset(self.index.claims_at(np.flatnonzero(self._selected[1][:-1])))
 
@@ -491,7 +493,7 @@ class SuspicionReport:
     collusion_suspects: frozenset[tuple[tuple[int, int], int]]  # (pair, consecutive count)
     threshold: int  # the fewest paired encounters that outweigh unpaired claims
     pairing: PairingColumns
-    revoked: frozenset[int] = field(default_factory=frozenset)
+    revoked: frozenset[int]  # revocations(disappeared, pairing, collusion_suspects)
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -513,28 +515,24 @@ class SuspicionReport:
         }
 
 
-RevocationPolicy = Callable[[SuspicionReport], Iterable[int]]
+def revocations(
+    disappeared: Iterable[tuple[int, int]],
+    pairing: PairingColumns,
+    collusion_suspects: Iterable[tuple[tuple[int, int], int]],
+) -> frozenset[int]:
+    """The robots a report revokes: the disappeared, the rows of
+    ``pairing`` whose status is suspicious, and both halves of every
+    colluding pair.
 
-
-def default_revocation_policy(report: SuspicionReport) -> set[int]:
-    """Revoke the disappeared, the under-paired, and both halves of a colluding pair."""
-    out = {r for r, _ in report.disappeared}
-    pairing = report.pairing
-    out |= {r for r, status in zip(pairing.robot, pairing.status) if PAIRING_STATUS[status] == "suspicious"}
-    for pair, _ in report.collusion_suspects:
-        out |= set(pair)
-    return out
-
-
-def update_revocation(report: SuspicionReport, policy: RevocationPolicy | None = None) -> frozenset[int]:
-    """Apply a revocation policy to a report; default policy above.
-
-    The returned set is the observer's blacklist, decided post hoc: the
-    simulator never reads a report, so a revoked robot keeps exchanging
-    for the rest of the run.  It is never propagated.
+    The set is the observer's blacklist, decided post hoc: the simulator
+    never reads a report, so a revoked robot keeps exchanging for the
+    rest of the run.  It is never propagated.
     """
-    chosen = default_revocation_policy if policy is None else policy
-    return frozenset(chosen(report))
+    out = {r for r, _ in disappeared}
+    out.update(r for r, status in zip(pairing.robot, pairing.status) if status == 1)  # suspicious
+    for pair, _ in collusion_suspects:
+        out.update(pair)
+    return frozenset(out)
 
 
 def compile_report(
@@ -542,7 +540,6 @@ def compile_report(
     delta: int,
     alpha: float,
     epsilon: float,
-    policy: RevocationPolicy | None = None,
 ) -> SuspicionReport:
     """Run every detector over one view and assemble the report.
 
@@ -562,17 +559,19 @@ def compile_report(
     paired, unpaired = tally.paired[dense] // 2, tally.unpaired[dense]
     status = np.where((unpaired == 0) | (paired >= threshold), 0, 1)  # trusted, suspicious
     status[(paired == 0) & (unpaired == 0)] = 2  # indeterminate
-    report = SuspicionReport(
+    disappeared = frozenset(zip(*_last_seen(view, delta)))
+    collusion = detect_collusion(view, delta, epsilon)
+    pairing = PairingColumns(*(tuple(column.tolist()) for column in (robot, status, paired, unpaired)))
+    return SuspicionReport(
         observer=view.observer,
         as_of=view.as_of,
-        disappeared=frozenset(zip(*_last_seen(view, delta))),
+        disappeared=disappeared,
         unpaired_claims=view.unpaired_claims(),
-        collusion_suspects=detect_collusion(view, delta, epsilon),
+        collusion_suspects=collusion,
         threshold=threshold,
-        pairing=PairingColumns(*(tuple(column.tolist()) for column in (robot, status, paired, unpaired))),
+        pairing=pairing,
+        revoked=revocations(disappeared, pairing, collusion),
     )
-    report.revoked = update_revocation(report, policy)
-    return report
 
 
 def collective_disappeared(trace: SimTrace, delta: int) -> frozenset[int]:

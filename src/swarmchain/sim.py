@@ -119,10 +119,6 @@ class TraceError(ValueError):
         self.location = location
 
 
-class DuplicateExchangeError(RuntimeError):
-    """A pair can exchange history at most once per interval."""
-
-
 # One direction of an exchange, giver -> receiver: (gave, recorded, note
 # kind or None), at the giver's code in the interval table plus 1 if the
 # receiver refuses to record.  A receiver that refuses outranks a refused
@@ -647,7 +643,6 @@ class Simulation:
         self.graphs: list[EncounterGraph] = []
         self.exchanges: list[ExchangeRecord] = []
         self._queues: dict[int, list[HistoryOffer]] = {}
-        self._pairs_this_interval: set[tuple[int, int]] = set()
         # The interval table: robot -> (offer or None, giver code, 1 if it refuses to record).
         self._rows: dict[int, tuple[HistoryOffer | None, int, int]] = {}
         self._forgeries: dict[int, tuple[HistoryOffer, str | None]] = {}
@@ -693,24 +688,18 @@ class Simulation:
 
     # -- protocol steps ---------------------------------------------------
 
-    def exchange(self, i: int, j: int, t: int, fabricated: bool = False) -> ExchangeRecord:
-        """Run the one allowed exchange between ``i`` and ``j`` for interval ``t``.
+    def exchange(self, a: int, b: int, t: int, fabricated: bool = False) -> ExchangeRecord:
+        """Run the one exchange between ``a`` and ``b`` for interval ``t``.
 
-        In each direction, a < b first, the giver hands over its offer
-        unless it withholds its history, and the receiver records an offer
-        that :func:`check_offer` accepted unless it refuses to record; then
-        each forger presents its forged offer.  Every anomaly becomes a
-        note ``reason:giver->receiver``, in that order.
+        Precondition, unchecked: a < b, and the pair has not exchanged in
+        interval ``t`` yet.  :meth:`run` calls it so, once per edge in
+        ascending edge order.  In each direction, a -> b first, the giver
+        hands over its offer unless it withholds its history, and the
+        receiver records an offer that :func:`check_offer` accepted unless
+        it refuses to record; then each forger presents its forged offer.
+        Every anomaly becomes a note ``reason:giver->receiver``, in that
+        order.
         """
-        if i == j:
-            raise ValueError("a robot cannot exchange history with itself")
-        pair = (i, j) if i < j else (j, i)
-        pairs = self._pairs_this_interval
-        if pair in pairs:
-            raise DuplicateExchangeError(f"pair {pair} already exchanged in interval {t}")
-        pairs.add(pair)
-        a, b = pair
-
         rows = self._rows
         offer_a, give_a, refuses_a = rows.get(a) or self._row(a, t)
         offer_b, give_b, refuses_b = rows.get(b) or self._row(b, t)
@@ -763,7 +752,6 @@ class Simulation:
             g = gen_interval_graph(cfg.n, cfg.p, rng, interval=t)
             self.graphs.append(g)
             self._queues = {r: [] for r in range(1, cfg.n + 1)}
-            self._pairs_this_interval = set()
             self._rows, self._forgeries = {}, {}
             edges = g.edges
             if len(active) < cfg.n:

@@ -280,7 +280,10 @@ def test_criterion_8_collusion_detection():
 # -- 9. determinism ---------------------------------------------------------------------------
 
 
-def test_criterion_9_trace_determinism(tmp_path):
+def test_criterion_9_trace_determinism(tmp_path, monkeypatch):
+    # Relative paths from tmp_path keep the manifest, and so the byte
+    # count below, the same whatever pytest names its temporary directory.
+    monkeypatch.chdir(tmp_path)
     config_path = tmp_path / "config.json"
     config_path.write_text(
         '{"n": 25, "p": 0.33, "intervals": 3, "delta": 3, "seed": 90909,\n'
@@ -289,8 +292,8 @@ def test_criterion_9_trace_determinism(tmp_path):
         '                  {"behavior": "collude", "robots": [4, 5]}]}'
     )
     out = tmp_path / "trace.json"
-    assert main(["simulate", "--config", str(config_path), "--output", str(out)]) == 0
+    assert main(["simulate", "--config", "config.json", "--output", "trace.json"]) == 0
     first = out.read_bytes()
-    assert main(["simulate", "--config", str(config_path), "--output", str(out)]) == 0
+    assert main(["simulate", "--config", "config.json", "--output", "trace.json"]) == 0
     ok = out.read_bytes() == first
     _report(9, "identical runs give byte-identical traces", ok, f"{len(first)} bytes compared")

@@ -246,7 +246,7 @@ def test_an_unwritable_output_is_an_error_naming_the_path(command, tmp_path, cap
     assert not out.exists()
 
 
-@pytest.mark.parametrize("kind", ["missing-directory", "directory"])
+@pytest.mark.parametrize("kind", ["missing-directory", "directory", "empty"])
 @pytest.mark.parametrize("command", ["simulate", "analyze", "montecarlo"])
 def test_an_unwritable_output_is_refused_before_any_work(command, kind, tmp_path, capsys, monkeypatch):
     from swarmchain import cli
@@ -261,7 +261,7 @@ def test_an_unwritable_output_is_refused_before_any_work(command, kind, tmp_path
 
     for name in ("run_simulation", "_load_trace", "mc_report_within"):
         monkeypatch.setattr(cli, name, never)
-    out = tmp_path / "missing" / "out.json" if kind == "missing-directory" else tmp_path
+    out = {"missing-directory": tmp_path / "missing" / "out.json", "directory": tmp_path, "empty": ""}[kind]
     inputs = {
         "simulate": ["--config", str(config)],
         "analyze": ["--trace", str(trace)],

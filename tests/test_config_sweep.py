@@ -55,6 +55,10 @@ def test_a_validated_config_simulates_and_every_reader_reads_it(seed):
     config = _random_config(seed)
     text = run_simulation(config).to_json()
     trace = SimTrace.from_json(text)
+    # Simulation.exchange relies on this order without checking it: a < b,
+    # and each pair once per interval, ascending.
+    order = [(x.interval, x.a, x.b) for x in trace.exchanges]
+    assert order == sorted(set(order)) and all(a < b for _, a, b in order)
     assert trace.to_json() == text
     for robot in range(1, config.n + 1):
         if trace.heads[robot] is not None:

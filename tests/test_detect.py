@@ -6,15 +6,13 @@ from swarmchain.detect import (
     InsufficientHistoryError,
     LocalView,
     PairingColumns,
-    SuspicionReport,
     audit_trace,
     central_audit,
     collective_disappeared,
     compile_report,
-    default_revocation_policy,
     detect_collusion,
     detect_disappeared,
-    update_revocation,
+    revocations,
 )
 from swarmchain.sim import AdversaryProfile, SimConfig, run_simulation
 
@@ -212,44 +210,25 @@ def test_epsilon_validated(honest_trace_25):
 # -- revocation -----------------------------------------------------------------------
 
 
-def _empty_report():
-    return SuspicionReport(
-        observer=1,
-        as_of=3,
-        disappeared=frozenset(),
-        unpaired_claims=(),
-        collusion_suspects=frozenset(),
-        threshold=0,
-        pairing=PairingColumns((), (), (), ()),
-    )
+_NO_PAIRING = PairingColumns((), (), (), ())
 
 
 def test_empty_report_revokes_nobody():
-    assert update_revocation(_empty_report()) == frozenset()
+    assert revocations(frozenset(), _NO_PAIRING, frozenset()) == frozenset()
 
 
-def test_disappeared_robot_revoked_by_default_policy():
-    report = _empty_report()
-    report.disappeared = frozenset({(6, 0)})
-    assert update_revocation(report, default_revocation_policy) == frozenset({6})
+def test_revocations_revoke_the_disappeared():
+    assert revocations(frozenset({(6, 0)}), _NO_PAIRING, frozenset()) == frozenset({6})
 
 
-def test_default_policy_revokes_the_suspicious_rows_only():
-    report = _empty_report()
-    report.pairing = PairingColumns(
+def test_revocations_revoke_the_suspicious_rows_only():
+    pairing = PairingColumns(
         robot=(2, 3, 4),
         status=tuple(map(PAIRING_STATUS.index, ("trusted", "suspicious", "indeterminate"))),
         paired=(5, 1, 0),
         unpaired=(1, 2, 0),
     )
-    assert update_revocation(report) == frozenset({3})
-
-
-def test_never_revoke_policy_overrides_evidence():
-    report = _empty_report()
-    report.disappeared = frozenset({(6, 0)})
-    report.collusion_suspects = frozenset({((1, 2), 3)})
-    assert update_revocation(report, lambda _report: set()) == frozenset()
+    assert revocations(frozenset(), pairing, frozenset()) == frozenset({3})
 
 
 def test_compile_report_brings_it_together(colluder_trace_25):

@@ -27,7 +27,6 @@ from swarmchain.sim import (
     MAX_ROBOTS,
     AdversaryProfile,
     ConfigError,
-    DuplicateExchangeError,
     ExchangeRecord,
     SimConfig,
     SimTrace,
@@ -364,16 +363,6 @@ def test_interval_graphs_come_from_the_spawned_children():
         for t, stream in enumerate(streams, 1)
     ]
     assert list(run_simulation(config).graphs) == expected
-
-
-def test_duplicate_exchange_raises():
-    sim = Simulation(SimConfig(n=3, p=1.0, intervals=1, delta=1, seed=1))
-    sim._queues = {r: [] for r in (1, 2, 3)}
-    sim.exchange(1, 2, 1)
-    with pytest.raises(DuplicateExchangeError):
-        sim.exchange(2, 1, 1)
-    with pytest.raises(ValueError):
-        sim.exchange(2, 2, 1)
 
 
 def test_shallow_verification_window_still_runs_clean():

@@ -45,7 +45,7 @@ from swarmchain.detect import (
     SuspicionReport,
     audit_trace,
     compile_report,
-    update_revocation,
+    revocations,
 )
 from swarmchain.prob import pairing_threshold
 from swarmchain.sim import SimConfig, SimTrace, run_simulation
@@ -170,17 +170,17 @@ def _set_report(view, delta, alpha, epsilon):
             best = max(best, run)
         if best >= 1 and p**best < epsilon:
             suspects.add((pair, best))
-    report = SuspicionReport(
+    pairing = PairingColumns(*(tuple(column) for column in zip(*rows)))
+    return SuspicionReport(
         observer=view.observer,
         as_of=view.as_of,
         disappeared=disappeared,
         unpaired_claims=omissions,
         collusion_suspects=frozenset(suspects),
         threshold=threshold,
-        pairing=PairingColumns(*(tuple(column) for column in zip(*rows))),
+        pairing=pairing,
+        revoked=revocations(disappeared, pairing, suspects),
     )
-    report.revoked = update_revocation(report)
-    return report
 
 
 def _assert_views_match(paired_intervals, trace, delta=3, alpha=0.2, epsilon=0.05):
