@@ -44,7 +44,7 @@ def show(name: str, profile: AdversaryProfile, p: float, seed: int) -> None:
     suspicious = [r for r, status in zip(pairing.robot, pairing.status) if PAIRING_STATUS[status] == "suspicious"]
     print(f"   pairing-suspicious: {suspicious}")
     print(f"   collusion suspects: {sorted(report.collusion_suspects)}")
-    print(f"   revoked by default policy: {sorted(report.revoked)}")
+    print(f"   revocations: {sorted(report.revoked)}")
     print(
         f"   audit: {len(audit.verification_failures)} verification failures, "
         f"{len(audit.unpaired_claims)} unpaired claims, "

@@ -17,6 +17,7 @@ from typing import Any
 from . import __version__, suites
 from .detect import LocalView, audit_trace, compile_report
 from .prob import (
+    MAX_MC_TRIALS,
     Estimate,
     ProbQuery,
     mc_report_within,
@@ -37,6 +38,9 @@ from .sim import (
 
 REPORT_FORMAT = "swarmchain-report"
 REPORT_VERSION = 2
+# montecarlo --runs: ten times the 1000-run suites of criterion 4; about
+# 5 minutes at (n, p, delta) = (48, .17, 3) with 16 record refusers.
+MAX_MC_RUNS = 10_000
 
 
 def _load_config(path: str) -> SimConfig:
@@ -273,8 +277,10 @@ def _mc_rows(config: SimConfig, trials: int, tolerance: float) -> tuple[dict[str
 
 def cmd_montecarlo(args, out=None) -> int:
     out = out if out is not None else sys.stdout
-    if args.runs < 0:
-        raise ValueError(f"--runs must be >= 0, got {args.runs}")
+    if not 1 <= args.trials <= MAX_MC_TRIALS:
+        raise ValueError(f"--trials must be in 1..{MAX_MC_TRIALS}, got {args.trials}")
+    if not 0 <= args.runs <= MAX_MC_RUNS:
+        raise ValueError(f"--runs must be in 0..{MAX_MC_RUNS}, got {args.runs}")
     if not args.tolerance >= 0.0:  # refuses nan too
         raise ValueError(f"--tolerance must be >= 0, got {args.tolerance}")
     if not 0.0 < args.epsilon < 1.0:

@@ -19,11 +19,17 @@ report probability by about +0.0085.  The Monte Carlo estimator and the
 exhaustive enumeration oracle compute the same event on sampled and on
 fully enumerated graph sequences; the estimator samples only the
 2(n-2)+1 edges that touch R or R', so it costs O(trials * delta * n)
-time and O(block) memory: it draws its uniforms into one reused buffer
-of about ``_BLOCK_CELLS`` cells (one trial if a trial is larger).
+time and O(block) memory.  It splits the trials into one contiguous
+part per usable CPU (at most four), each on its own thread, and the
+parts share one budget of about ``_BLOCK_CELLS`` uniforms: each draws
+into a reused buffer of its share (one trial if a trial is larger, and
+then one part runs).  Each part jumps its stream to its first trial, so
+every estimate is the same for any CPU count.
 """
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from itertools import combinations
 from math import ceil, sqrt
@@ -32,10 +38,19 @@ from numbers import Real
 import numpy as np
 
 _MAX_ENUMERATION_SLOTS = 24
+# Largest Monte Carlo trial count: a thousand times the CLI's default,
+# about 100 s at (n, p, delta) = (48, .17, 3) on 2 CPUs.
+MAX_MC_TRIALS = 10**8
 _MC_CHUNK = 20_000
 # Cells per Monte Carlo block: 1 MiB of float64 uniforms, which stays in
 # cache; 2**16 to 2**18 cells measured best at (48, .17, 3) and (1000, .01, 3).
 _BLOCK_CELLS = 1 << 17
+# Fewest cells in one part's block, so at most 4 parts: below this, the
+# interpreter time per block, which the GIL serialises, outgrows what a
+# CPU adds.  20 000 trials at (48, .17, 3) on one thread took 27 ms in
+# 2**17-cell blocks, 29 ms in 2**15, 35 ms in 2**14 and 62 ms in 2**12.
+_PART_CELLS = 1 << 15
+_EVENT_PASS = threading.Lock()
 
 
 def _is_int(value: object) -> bool:
@@ -133,7 +148,9 @@ def _report_events(edges: np.ndarray) -> np.ndarray:
     edge (0, 1), columns 1..n-2 are (0, k) and columns n-1..2n-4 are
     (1, k) for the intermediaries k = 2..n-1.  A trial counts if R meets
     R' in any interval, or meets at interval u someone who met R' at
-    some v < u.
+    some v < u.  So the (0, k) cells of the first interval and the
+    (1, k) cells of the last never decide the event; the sampler still
+    draws them, so that every estimate keeps its stream.
     """
     m, delta, width = edges.shape
     k = (width - 1) // 2
@@ -141,11 +158,56 @@ def _report_events(edges: np.ndarray) -> np.ndarray:
     direct = edges[:, :, 0].any(axis=1)
     relayed = np.zeros(m, dtype=bool)
     met_target = np.zeros((m, k), dtype=bool)
-    for t in range(delta):
-        if t > 0:
-            relayed |= (meets_r[:, t] & met_target).any(axis=1)
-        met_target |= meets_target[:, t]
+    for t in range(1, delta):
+        met_target |= meets_target[:, t - 1]
+        relayed |= (meets_r[:, t] & met_target).any(axis=1)
     return direct | relayed
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask, where the OS keeps one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this OS
+        return os.cpu_count() or 1
+
+
+def _part_hits(
+    q: ProbQuery, seed: int, first: int, last: int, block: int, stop: threading.Event
+) -> int | None:
+    """Hits of trials ``[first, last)``, drawn in blocks of ``block`` trials.
+
+    Each chunk the range covers gets its own child stream of ``seed``,
+    advanced past the uniforms of the chunk's earlier trials.
+    ``Generator.random`` takes one 64-bit output per double, so the part
+    draws exactly the values that one pass over the whole chunk gives
+    these trials.  Returns None, having counted only some trials, once
+    ``stop`` is set.
+    """
+    width = 2 * (q.n - 2) + 1
+    uniforms = np.empty((block, q.delta, width))
+    edges = np.empty(uniforms.shape, dtype=bool)
+    hits = 0
+    for chunk in range(first // _MC_CHUNK, -(-last // _MC_CHUNK)):
+        lo, hi = max(first, chunk * _MC_CHUNK), min(last, (chunk + 1) * _MC_CHUNK)
+        # child ``chunk`` of the root, as ``SeedSequence(seed).spawn`` gives it
+        bits = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(chunk,)))
+        bits.advance((lo - chunk * _MC_CHUNK) * q.delta * width)
+        rng = np.random.Generator(bits)
+        for start in range(lo, hi, block):
+            if stop.is_set():
+                return None
+            b = min(block, hi - start)
+            rng.random(out=uniforms[:b])
+            np.less(uniforms[:b], q.p, out=edges[:b])
+            # One part's event pass at a time: it is mostly interpreter
+            # time, which the GIL serialises anyway (no slower than
+            # unlocked on perfbench's montecarlo_n48), and a single-threaded
+            # tracer that wraps ``_report_events`` sees its calls nested.
+            with _EVENT_PASS:
+                events = _report_events(edges[:b])
+            hits += int(events.sum())
+    return hits
 
 
 def mc_report_within(q: ProbQuery, trials: int, seed: int) -> Estimate:
@@ -156,32 +218,51 @@ def mc_report_within(q: ProbQuery, trials: int, seed: int) -> Estimate:
     O(block) memory.  The target is :func:`prob_report_within_exact`, not
     the paper's approximation :func:`prob_report_within`, which lies about
     +0.0085 above it at (48, 0.17, 3).  Trials run in seed-derived chunks
-    (one child stream per chunk, derived as the chunk starts), so the
-    estimate is reproducible and the chunks could run in parallel.  Each
-    chunk is drawn in blocks of whole trials that fit ``_BLOCK_CELLS``
-    uniforms (at least one trial); ``Generator.random`` fills in C order,
-    so consecutive blocks consume the chunk's stream exactly as one whole
-    draw would, and the block size never changes the estimate.
+    of ``_MC_CHUNK`` (one child stream per chunk), so the estimate is
+    reproducible.
+
+    The trial range runs as P contiguous parts, one thread each (the
+    caller's thread runs part 0), with P the number of CPUs the process
+    may use; numpy releases the GIL while it fills, compares and reduces.
+    The parts share one ``_BLOCK_CELLS`` budget: each draws into a reused
+    block of the whole trials that fit ``_BLOCK_CELLS // P`` uniforms, so
+    peak memory is that of one block.  P is at most ``_BLOCK_CELLS //
+    _PART_CELLS``, and 1 when one trial exceeds the budget (the block is
+    then that one trial) or every trial fits one block.  Each part draws
+    exactly its trials' uniforms (see :func:`_part_hits`) and the hits
+    are summed as integers, so neither P nor the block size ever changes
+    the estimate.  An exception in any part stops the others at their
+    next block and is raised here.
     """
-    if not _is_int(trials) or trials < 1:
-        raise ValueError(f"trials: must be an integer >= 1, got {trials!r}")
+    if not _is_int(trials) or not 1 <= trials <= MAX_MC_TRIALS:
+        raise ValueError(f"trials: must be an integer in 1..{MAX_MC_TRIALS}, got {trials!r}")
     if not _is_int(seed) or seed < 0:
         raise ValueError(f"seed: must be a non-negative integer, got {seed!r}")
-    root = np.random.SeedSequence(seed)
-    width = 2 * (q.n - 2) + 1
-    block = min(trials, _MC_CHUNK, max(1, _BLOCK_CELLS // (q.delta * width)))
-    uniforms = np.empty((block, q.delta, width))
-    edges = np.empty(uniforms.shape, dtype=bool)
-    hits = 0
-    for chunk, done in enumerate(range(0, trials, _MC_CHUNK)):
-        m = min(_MC_CHUNK, trials - done)
-        # child ``chunk`` of the root, as ``root.spawn`` gives it, made when used
-        rng = np.random.default_rng(np.random.SeedSequence(root.entropy, spawn_key=(chunk,)))
-        for start in range(0, m, block):
-            b = min(block, m - start)
-            rng.random(out=uniforms[:b])
-            np.less(uniforms[:b], q.p, out=edges[:b])
-            hits += int(_report_events(edges[:b]).sum())
+    cells = q.delta * (2 * (q.n - 2) + 1)  # uniforms per trial
+    fit = _BLOCK_CELLS // cells
+    parts = 1 if trials <= fit else max(1, min(_usable_cpus(), fit, _BLOCK_CELLS // _PART_CELLS))
+    block = min(trials, _MC_CHUNK, max(1, _BLOCK_CELLS // parts // cells))
+    bounds = [trials * i // parts for i in range(parts + 1)]
+    counts: list[int | BaseException | None] = [None] * parts
+    stop = threading.Event()
+
+    def run(i: int) -> None:
+        try:
+            counts[i] = _part_hits(q, seed, bounds[i], bounds[i + 1], block, stop)
+        except BaseException as exc:  # raised again in the caller, below
+            counts[i] = exc
+            stop.set()
+
+    workers = [threading.Thread(target=run, args=(i,), daemon=True) for i in range(1, parts)]
+    for worker in workers:
+        worker.start()
+    run(0)
+    for worker in workers:
+        worker.join()
+    for count in counts:
+        if isinstance(count, BaseException):
+            raise count
+    hits = sum(counts)  # every part stored its count: no part failed, so none stopped
     point = hits / trials
     return Estimate(
         point=point,

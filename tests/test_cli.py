@@ -228,6 +228,21 @@ def test_analyze_refuses_alpha_before_loading_the_trace(tmp_path, capsys):
     assert "--alpha must be in [0, 1), got 1.0" in err and "missing.json" not in err
 
 
+@pytest.mark.parametrize(
+    "option,value",
+    [("--trials", "0"), ("--trials", "bound+1"), ("--runs", "-1"), ("--runs", "bound+1")],
+)
+def test_montecarlo_refuses_trials_and_runs_out_of_bounds_before_loading_the_config(option, value, tmp_path, capsys):
+    from swarmchain import cli, prob
+
+    bound = {"--trials": prob.MAX_MC_TRIALS, "--runs": cli.MAX_MC_RUNS}[option]
+    value = str(bound + 1) if value == "bound+1" else value
+    low = 1 if option == "--trials" else 0
+    assert main(["montecarlo", "--config", str(tmp_path / "missing.json"), option, value]) == 2
+    err = capsys.readouterr().err
+    assert f"{option} must be in {low}..{bound}, got {value}" in err and "missing.json" not in err
+
+
 @pytest.mark.parametrize("command", ["simulate", "analyze", "montecarlo"])
 def test_an_unwritable_output_is_an_error_naming_the_path(command, tmp_path, capsys):
     config = _write_config(tmp_path)

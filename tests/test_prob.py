@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from swarmchain import prob
 from swarmchain.prob import (
     _BLOCK_CELLS,
     _MC_CHUNK,
@@ -334,6 +337,126 @@ def test_mc_runs_one_trial_blocks_when_a_trial_exceeds_the_budget():
     assert trial_bytes > 8 * _BLOCK_CELLS
     assert _mc_peak(q, 3, seed=4) < 1.5 * trial_bytes
     assert mc_report_within(q, 3, seed=4).point == _mc_hits_one_shot(q, 3, seed=4) / 3
+
+
+def _force_parts(monkeypatch, cpus):
+    """Let the CPU count alone set P, wherever the trials and block allow it."""
+    monkeypatch.setattr(prob, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(prob, "_PART_CELLS", 1)
+
+
+@pytest.mark.parametrize("cpus", [2, 8])
+def test_forced_splits_keep_the_memory_bounds(cpus, monkeypatch):
+    _force_parts(monkeypatch, cpus)
+    for trials in (20_000, 100_000):
+        test_mc_memory_is_one_block_at_n48(trials)
+    test_mc_runs_one_trial_blocks_when_a_trial_exceeds_the_budget()
+
+
+# Trial counts on block, part and chunk boundaries for every stream shape;
+# each is estimated with P = 1, 2, 3 and 7 parts.
+SPLIT_CASES = STREAM_CASES + [pytest.param((6, 0.3, 2), 2 * _MC_CHUNK + 7, id="6-0.3-2-40007")]
+
+
+@pytest.mark.parametrize("shape,trials", SPLIT_CASES)
+def test_every_split_draws_the_serial_stream(shape, trials, monkeypatch):
+    q = ProbQuery(*shape)
+    expected = _mc_hits_one_shot(q, trials, seed=trials) / trials
+    for cpus in (1, 2, 3, 7):
+        _force_parts(monkeypatch, cpus)
+        assert mc_report_within(q, trials, seed=trials).point == expected, cpus
+
+
+def _record_parts(monkeypatch):
+    """The (first, last, block, thread id) of every part ``mc_report_within`` runs."""
+    calls = []
+    part_hits = prob._part_hits
+
+    def record(q, seed, first, last, block, stop):
+        calls.append((first, last, block, threading.get_ident()))
+        return part_hits(q, seed, first, last, block, stop)
+
+    monkeypatch.setattr(prob, "_part_hits", record)
+    return calls
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 7])
+def test_parts_cover_the_trials_in_contiguous_ranges_one_thread_each(cpus, monkeypatch):
+    _force_parts(monkeypatch, cpus)
+    calls = _record_parts(monkeypatch)
+    q = ProbQuery(48, 0.17, 3)
+    mc_report_within(q, 45_000, seed=1)
+    calls.sort()
+    assert [c[:2] for c in calls] == [(45_000 * i // cpus, 45_000 * (i + 1) // cpus) for i in range(cpus)]
+    assert len({c[3] for c in calls}) == cpus
+    assert calls[0][3] == threading.get_ident()
+    # the parts share one block's budget
+    assert {c[2] for c in calls} == {_BLOCK_CELLS // cpus // (q.delta * (2 * (q.n - 2) + 1))}
+
+
+def test_many_cpus_stop_at_parts_of_at_least_part_cells(monkeypatch):
+    monkeypatch.setattr(prob, "_usable_cpus", lambda: 64)
+    calls = _record_parts(monkeypatch)
+    q = ProbQuery(48, 0.17, 3)
+    mc_report_within(q, 45_000, seed=1)
+    assert len(calls) == _BLOCK_CELLS // prob._PART_CELLS
+    assert {c[2] for c in calls} == {prob._PART_CELLS // (q.delta * (2 * (q.n - 2) + 1))}
+
+
+def test_trials_that_fit_one_block_run_in_the_callers_thread(monkeypatch):
+    _force_parts(monkeypatch, 7)
+    calls = _record_parts(monkeypatch)
+    q = ProbQuery(48, 0.17, 3)
+    mc_report_within(q, _block_trials(q), seed=1)
+    assert [c[3] for c in calls] == [threading.get_ident()]
+
+
+@pytest.mark.parametrize("k,m", [(0, 5), (1, 1), (7, 13), (279 * 2345, 279 * 3)])
+def test_advance_then_draw_is_a_slice_of_one_draw(k, m):
+    """The jump ``_part_hits`` relies on: a PCG64 advanced by k, then
+    drawing m doubles, gives values k..k+m of one draw from its start."""
+    seq = np.random.SeedSequence(1234, spawn_key=(3,))
+    whole = np.random.Generator(np.random.PCG64(seq)).random(k + m)
+    bits = np.random.PCG64(seq)
+    bits.advance(k)
+    assert np.array_equal(np.random.Generator(bits).random(m), whole[k:])
+
+
+@pytest.mark.parametrize("failing", ["caller", "worker"])
+def test_an_exception_in_any_part_is_raised_by_the_estimate(failing, monkeypatch):
+    monkeypatch.setattr(prob, "_usable_cpus", lambda: 2)
+    caller = threading.get_ident()
+    report_events = prob._report_events
+
+    def events(edges):
+        if (threading.get_ident() == caller) == (failing == "caller"):
+            raise RuntimeError(f"{failing} part failed")
+        return report_events(edges)
+
+    monkeypatch.setattr(prob, "_report_events", events)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match=f"^{failing} part failed$"):
+        mc_report_within(ProbQuery(48, 0.17, 3), 20_000, seed=5)
+    assert threading.active_count() == before
+
+
+def test_more_parts_than_cores_under_fast_thread_switching_lose_no_hits(monkeypatch):
+    q = ProbQuery(6, 0.3, 2)
+    trials = 2 * _MC_CHUNK + 7
+    expected = _mc_hits_one_shot(q, trials, seed=77) / trials
+    _force_parts(monkeypatch, 16)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            assert mc_report_within(q, trials, seed=77).point == expected
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_mc_refuses_trials_above_the_bound():
+    with pytest.raises(ValueError, match=f"^trials: must be an integer in 1..{prob.MAX_MC_TRIALS}, got"):
+        mc_report_within(ProbQuery(48, 0.17, 3), prob.MAX_MC_TRIALS + 1, 1)
 
 
 def test_pairing_threshold_rounds_up():
